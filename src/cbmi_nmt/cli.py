@@ -28,7 +28,7 @@ from .corpus import (
     make_batches,
 )
 from .decoding import BeamConfig, analyze_cbmi, beam_search, bleu, write_analysis
-from .models import CheckpointError, ModelConfig, load_checkpoint
+from .models import CheckpointError, ModelConfig, lm_forward, load_checkpoint, nmt_forward
 from .training import TrainConfig, Trainer, TrainingError
 from .weighting import (
     BaselineConfig,
@@ -36,9 +36,9 @@ from .weighting import (
     SCHEME_KINDS,
     WeightScheme,
     cbmi_records_for_batch,
+    gold_token_probs,
     weight_dump_lines,
 )
-from .training import gold_token_probs
 
 
 class ConfigError(ValueError):
@@ -154,70 +154,32 @@ class FullConfig:
     def dtype(self):
         return np.float64 if self.precision == "fp64" else np.float32
 
+    def _matching(self, cls, **explicit):
+        """An instance of ``cls`` whose fields shared with this config are
+        copied by name; ``explicit`` supplies the rest."""
+        shared = [f.name for f in fields(cls) if f.name in _FIELD_TYPES and f.name not in explicit]
+        return cls(**{name: getattr(self, name) for name in shared}, **explicit)
+
     def weight_scheme(self) -> WeightScheme:
         return WeightScheme(
             kind=self.scheme,
-            cbmi=CbmiConfig(
-                scale_t=self.scale_t,
-                scale_s=self.scale_s,
-                use_token=self.use_token,
-                use_sentence=self.use_sentence,
-                sigma_floor=self.sigma_floor,
-            ),
-            baseline=BaselineConfig(
-                freq_a=self.freq_a,
-                freq_t=self.freq_t,
-                bmi_s=self.bmi_s,
-                bmi_b=self.bmi_b,
-                alpha=self.alpha,
-                gamma=self.gamma,
-                lam=self.lam,
-                tau=self.tau,
-                th1=self.th1,
-                th2=self.th2,
-                soften_teacher_only=self.soften_teacher_only,
-            ),
+            cbmi=self._matching(CbmiConfig),
+            baseline=self._matching(BaselineConfig),
         )
 
     def model_config(self, vocab_size_src: int, vocab_size_tgt: int) -> ModelConfig:
-        return ModelConfig(
+        return self._matching(
+            ModelConfig,
             vocab_size_src=vocab_size_src,
             vocab_size_tgt=vocab_size_tgt,
-            embed_dim=self.embed_dim,
-            ff_dim=self.ff_dim,
-            enc_layers=self.enc_layers,
-            dec_layers=self.dec_layers,
-            lm_layers=self.lm_layers,
-            heads=self.heads,
-            dropout_residual=self.dropout_residual,
-            dropout_attention=self.dropout_attention,
-            dropout_activation=self.dropout_activation,
-            share_vocab=self.share_vocab,
             max_len=max(self.max_len + 2, 16),
         )
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            base_lr=self.base_lr,
-            warmup_steps=self.warmup_steps,
-            phase1_steps=self.phase1_steps,
-            phase2_steps=self.phase2_steps,
-            token_budget=self.token_budget,
-            seed=self.seed,
-            scheme=self.weight_scheme(),
-            label_smoothing=self.label_smoothing,
-            clip_norm=self.clip_norm,
-            checkpoint_every=self.checkpoint_every,
-            keep_checkpoints=self.keep_checkpoints,
-            reset_optimizer_phase2=self.reset_optimizer_phase2,
-        )
+        return self._matching(TrainConfig, scheme=self.weight_scheme())
 
     def beam_config(self) -> BeamConfig:
-        return BeamConfig(
-            beam_size=self.beam_size,
-            length_penalty=self.length_penalty,
-            max_len_ratio=self.max_len_ratio,
-        )
+        return self._matching(BeamConfig)
 
     def echo_dict(self) -> dict:
         out = {}
@@ -226,26 +188,25 @@ class FullConfig:
         return out
 
 
-_PRESET_MODEL_VALUES = {
-    "desk": {},
-    "base": dict(embed_dim=512, ff_dim=2048, enc_layers=6, dec_layers=6, lm_layers=6,
-                 heads=8, dropout_residual=0.1),
-    "big": dict(embed_dim=1024, ff_dim=4096, enc_layers=6, dec_layers=6, lm_layers=6,
-                heads=16, dropout_residual=0.3),
+_FIELD_TYPES: dict[str, type] = {
+    f.name: {"int": int, "float": float, "bool": bool, "str": str}[f.type]
+    for f in fields(FullConfig)
 }
+
+
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected true/false, got {raw!r}")
 
 
 def _coerce(key: str, raw: str, target_type: type):
     try:
-        if target_type is bool:
-            lowered = str(raw).strip().lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return target_type(raw)
-    except (TypeError, ValueError):
+        return _parse_bool(raw) if target_type is bool else target_type(raw)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
         raise ConfigError(f"invalid value for {key}: {raw!r} is not a {target_type.__name__}")
 
 
@@ -269,32 +230,29 @@ def parse_config(path: str | Path | None, overrides: dict[str, object] | None = 
     profile/scheme defaults, then the config file, then flag overrides.
     Unknown keys and invalid values are errors naming the key."""
     overrides = dict(overrides or {})
-    field_types = {f.name: f.type for f in fields(FullConfig)}
-    type_map = {"int": int, "float": float, "bool": bool, "str": str}
-
     file_values: dict[str, object] = {}
     if path is not None:
         for key, raw in read_config_file(path).items():
             attr = KEY_TO_ATTR.get(key, key)
-            if attr not in field_types:
+            if attr not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
-            file_values[attr] = _coerce(key, raw, type_map[field_types[attr]])
+            file_values[attr] = _coerce(key, raw, _FIELD_TYPES[attr])
 
     for attr in overrides:
-        if attr not in field_types:
+        if attr not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {attr!r}")
 
     merged_for_selectors = {**file_values, **overrides}
     preset = str(merged_for_selectors.get("preset", "desk"))
     profile = str(merged_for_selectors.get("profile", "en_de"))
     scheme = str(merged_for_selectors.get("scheme", "none"))
-    if preset not in _PRESET_MODEL_VALUES:
+    if preset not in M.MODEL_PRESETS:
         raise ConfigError(f"invalid value for preset: {preset!r}")
     if profile not in PROFILES:
         raise ConfigError(f"invalid value for profile: {profile!r}")
 
     values: dict[str, object] = {}
-    values.update(_PRESET_MODEL_VALUES[preset])
+    values.update(M.MODEL_PRESETS[preset])
     values.update(PROFILES[profile].get(scheme, {}))
     values.update(file_values)
     values.update(overrides)
@@ -309,74 +267,29 @@ def parse_config(path: str | Path | None, overrides: dict[str, object] | None = 
 # argument parsing
 
 
-def _str2bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected true/false, got {text!r}")
+# flags are "--" plus the attribute name with dashes, except these two
+_FLAG_SPELLINGS = {"lam": "--lambda", "beam_size": "--beam"}
 
 
-_CONFIG_FLAGS: list[tuple[str, str, type]] = [
-    ("--scheme", "scheme", str),
-    ("--scale-t", "scale_t", float),
-    ("--scale-s", "scale_s", float),
-    ("--use-token", "use_token", bool),
-    ("--use-sentence", "use_sentence", bool),
-    ("--freq-a", "freq_a", float),
-    ("--freq-t", "freq_t", float),
-    ("--bmi-s", "bmi_s", float),
-    ("--bmi-b", "bmi_b", float),
-    ("--alpha", "alpha", float),
-    ("--gamma", "gamma", float),
-    ("--lambda", "lam", float),
-    ("--tau", "tau", float),
-    ("--th1", "th1", float),
-    ("--th2", "th2", float),
-    ("--profile", "profile", str),
-    ("--preset", "preset", str),
-    ("--precision", "precision", str),
-    ("--base-lr", "base_lr", float),
-    ("--warmup-steps", "warmup_steps", int),
-    ("--phase1-steps", "phase1_steps", int),
-    ("--phase2-steps", "phase2_steps", int),
-    ("--token-budget", "token_budget", int),
-    ("--label-smoothing", "label_smoothing", float),
-    ("--clip-norm", "clip_norm", float),
-    ("--checkpoint-every", "checkpoint_every", int),
-    ("--keep-checkpoints", "keep_checkpoints", int),
-    ("--min-count", "min_count", int),
-    ("--max-len", "max_len", int),
-    ("--share-vocab", "share_vocab", bool),
-    ("--embed-dim", "embed_dim", int),
-    ("--ff-dim", "ff_dim", int),
-    ("--enc-layers", "enc_layers", int),
-    ("--dec-layers", "dec_layers", int),
-    ("--lm-layers", "lm_layers", int),
-    ("--heads", "heads", int),
-    ("--beam", "beam_size", int),
-    ("--length-penalty", "length_penalty", float),
-    ("--max-len-ratio", "max_len_ratio", float),
-    ("--bins", "bins", int),
-    ("--seed", "seed", int),
-]
-
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=str, default=None, help="flat key=value config file")
-    for flag, attr, kind in _CONFIG_FLAGS:
+def _config_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand shares, built once and passed to each
+    subparser as a parent: adding every flag to each subparser made building
+    the parser most of the run time of a short command such as ``score``."""
+    parser = argparse.ArgumentParser(add_help=False)
+    group = parser.add_argument_group("configuration (flags override --config)")
+    group.add_argument("--config", type=str, default=None, help="flat key=value config file")
+    for attr, kind in _FIELD_TYPES.items():
+        flag = _FLAG_SPELLINGS.get(attr, "--" + attr.replace("_", "-"))
         if kind is bool:
-            parser.add_argument(flag, dest=attr, type=_str2bool, default=None, metavar="BOOL")
+            group.add_argument(flag, dest=attr, type=_parse_bool, default=None, metavar="BOOL")
         else:
-            parser.add_argument(flag, dest=attr, type=kind, default=None)
+            group.add_argument(flag, dest=attr, type=kind, default=None)
+    return parser
 
 
 def _effective_config(args: argparse.Namespace) -> FullConfig:
     overrides = {
-        attr: getattr(args, attr)
-        for _, attr, _ in _CONFIG_FLAGS
-        if getattr(args, attr, None) is not None
+        attr: getattr(args, attr) for attr in _FIELD_TYPES if getattr(args, attr) is not None
     }
     return parse_config(args.config, overrides)
 
@@ -387,50 +300,51 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale NMT training with CBMI-based adaptive loss weighting.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = [_config_flags()]
 
-    p = sub.add_parser("preprocess", help="build vocabularies and corpus statistics")
+    p = sub.add_parser(
+        "preprocess", help="build vocabularies and corpus statistics", parents=config
+    )
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--out-dir", required=True)
-    _add_config_flags(p)
 
-    p = sub.add_parser("train", help="two-phase training with a weighting scheme")
+    p = sub.add_parser("train", help="two-phase training with a weighting scheme", parents=config)
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--data-dir", required=True, help="preprocess output directory")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--resume", default=None, help="checkpoint directory to continue from")
     p.add_argument("--dump-weights", default=None, help="per-step CBMI weight dump file")
-    _add_config_flags(p)
 
-    p = sub.add_parser("translate", help="beam-search decode a source file")
+    p = sub.add_parser("translate", help="beam-search decode a source file", parents=config)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--src", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--data-dir", required=True)
-    _add_config_flags(p)
 
-    p = sub.add_parser("score", help="corpus BLEU of hypotheses against references")
+    p = sub.add_parser("score", help="corpus BLEU of hypotheses against references", parents=config)
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--out", default=None, help="optional report file")
-    _add_config_flags(p)
 
-    p = sub.add_parser("analyze-cbmi", help="CBMI histogram and prior-accuracy report")
+    p = sub.add_parser(
+        "analyze-cbmi", help="CBMI histogram and prior-accuracy report", parents=config
+    )
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
 
-    p = sub.add_parser("dump-weights", help="CBMI weight table for a corpus under a checkpoint")
+    p = sub.add_parser(
+        "dump-weights", help="CBMI weight table for a corpus under a checkpoint", parents=config
+    )
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
 
     return parser
 
@@ -513,7 +427,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpoint_for(args, config: FullConfig, need_lm: bool = False):
+def _load_checkpoint_for(args, need_lm: bool = False):
     params, _, meta = load_checkpoint(args.checkpoint)
     src_vocab, tgt_vocab = _load_vocabs(Path(args.data_dir))
     if meta.get("vocab_src_hash") not in (None, "", src_vocab.content_hash()):
@@ -527,7 +441,7 @@ def _load_checkpoint_for(args, config: FullConfig, need_lm: bool = False):
 
 def cmd_translate(args) -> int:
     config = _effective_config(args)
-    params, _, src_vocab, tgt_vocab = _load_checkpoint_for(args, config)
+    params, _, src_vocab, tgt_vocab = _load_checkpoint_for(args)
     beam_config = config.beam_config()
     lines = Path(args.src).read_text(encoding="utf-8").splitlines()
     outputs = []
@@ -557,7 +471,7 @@ def cmd_score(args) -> int:
 
 def cmd_analyze_cbmi(args) -> int:
     config = _effective_config(args)
-    params, meta, src_vocab, tgt_vocab = _load_checkpoint_for(args, config, need_lm=True)
+    params, meta, src_vocab, tgt_vocab = _load_checkpoint_for(args, need_lm=True)
     pairs = load_parallel_corpus(args.src, args.tgt, src_vocab, tgt_vocab, config.max_len)
     analysis = analyze_cbmi(params, pairs, bins=config.bins)
     write_analysis(
@@ -571,10 +485,8 @@ def cmd_analyze_cbmi(args) -> int:
 
 def cmd_dump_weights(args) -> int:
     config = _effective_config(args)
-    params, _, src_vocab, tgt_vocab = _load_checkpoint_for(args, config, need_lm=True)
+    params, _, src_vocab, tgt_vocab = _load_checkpoint_for(args, need_lm=True)
     pairs = load_parallel_corpus(args.src, args.tgt, src_vocab, tgt_vocab, config.max_len)
-    from .models import lm_forward, nmt_forward
-
     batches = make_batches(pairs, config.token_budget, seed=config.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         for index, batch in enumerate(batches):

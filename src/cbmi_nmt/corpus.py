@@ -115,10 +115,6 @@ class Vocabulary:
         return h.hexdigest()[:16]
 
 
-def build_vocab(lines: Sequence[str], min_count: int = 1) -> Vocabulary:
-    return Vocabulary.build(lines, min_count)
-
-
 def build_vocabularies(
     src_lines: Sequence[str],
     tgt_lines: Sequence[str],
@@ -199,10 +195,6 @@ class FrequencyTable:
             ids = pair.src if side == "src" else pair.tgt
             np.add.at(counts, ids, 1)
         return cls(counts)
-
-    @classmethod
-    def from_vocabulary(cls, vocab: Vocabulary) -> "FrequencyTable":
-        return cls(np.asarray(vocab.counts, dtype=np.int64))
 
     def count(self, token_id: int) -> int:
         return int(self.counts[token_id])

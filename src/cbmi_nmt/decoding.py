@@ -85,13 +85,12 @@ def beam_search_core(
             else:
                 next_alive.append((tokens, score))
         alive = next_alive
-        if not alive:
+        if not alive or len(finished) >= config.beam_size:
             break
-        if finished and len(finished) >= config.beam_size:
-            break
-    for tokens, score in alive:
-        gen_len = len(tokens) - 1
-        finished.append((tokens[1:], _penalized(score, gen_len, config.length_penalty)))
+    else:
+        for tokens, score in alive:
+            gen_len = len(tokens) - 1
+            finished.append((tokens[1:], _penalized(score, gen_len, config.length_penalty)))
     finished.sort(key=lambda f: (-f[1], f[0]))
     return finished[0]
 
@@ -141,14 +140,6 @@ def beam_search(params: ModelParams, src_ids: Sequence[int], config: BeamConfig)
         return greedy_tokens
     best_tokens, best_score = beam_search_core(step_fn, config, max_len)
     return greedy_tokens if greedy_score > best_score else best_tokens
-
-
-def translate_corpus(
-    params: ModelParams,
-    sources: Sequence[Sequence[int]],
-    config: BeamConfig,
-) -> list[list[int]]:
-    return [beam_search(params, src, config) for src in sources]
 
 
 # ---------------------------------------------------------------------------
@@ -266,46 +257,38 @@ def analyze_cbmi(
     token_records = []
     sentence_records = []
     all_values = []
-    prior_hits: list[tuple[float, bool, bool, bool]] = []
+    # per live token: whether the LM, TM and CBMI prior top-1 hit the gold token
+    all_hits = []
 
     sent_base = 0
     for start in range(0, len(pairs), batch_sentences):
-        chunk = pairs[start : start + batch_sentences]
-        batch = collate(chunk)
+        batch = collate(pairs[start : start + batch_sentences])
         nmt_lp = nmt_forward(params, batch.src, batch.tgt_in).data
         lm_lp = lm_forward(params, batch.tgt_in).data
-        b, t_len, vocab = nmt_lp.shape
-        rows = np.arange(b * t_len)
-        gold = batch.tgt_out.reshape(-1)
-        p_nmt = np.exp(nmt_lp.reshape(-1, vocab)[rows, gold]).reshape(b, t_len)
-        p_lm = np.exp(lm_lp.reshape(-1, vocab)[rows, gold]).reshape(b, t_len)
         mask = batch.tgt_mask
-        values = np.where(
+        values = W.masked_token_cbmi(
+            W.gold_token_probs(nmt_lp, batch.tgt_out),
+            W.gold_token_probs(lm_lp, batch.tgt_out),
             mask,
-            W.token_cbmi_values(np.where(mask, p_nmt, 1.0), np.where(mask, p_lm, 1.0)),
-            0.0,
         )
-        nmt_top = nmt_lp.argmax(axis=-1)
-        lm_top = lm_lp.argmax(axis=-1)
-        for i in range(b):
-            live = mask[i]
-            sentence_records.append((sent_base + i, float(values[i][live].mean())))
-            for j in range(t_len):
-                if not mask[i, j]:
-                    continue
-                v = float(values[i, j])
-                tok = int(batch.tgt_out[i, j])
-                token_records.append((sent_base + i, j, tok, v))
-                all_values.append(v)
-                cbmi_top = int(
-                    W.cbmi_prior_distribution(nmt_lp[i, j], lm_lp[i, j]).argmax()
-                )
-                prior_hits.append(
-                    (v, int(lm_top[i, j]) == tok, int(nmt_top[i, j]) == tok, cbmi_top == tok)
-                )
-        sent_base += b
+        sentence_records.extend(
+            (sent_base + i, float(values[i][mask[i]].mean())) for i in range(len(mask))
+        )
+        sent, pos = np.nonzero(mask)
+        gold = batch.tgt_out[sent, pos]
+        live_values = values[sent, pos]
+        token_records.extend(
+            zip((sent_base + sent).tolist(), pos.tolist(), gold.tolist(), live_values.tolist())
+        )
+        all_values.append(live_values)
+        # the CBMI prior is a softmax over nmt - lm, so its top-1 is their argmax
+        cbmi_top = np.subtract(nmt_lp, lm_lp, dtype=np.float64).argmax(axis=-1)
+        tops = (lm_lp.argmax(axis=-1), nmt_lp.argmax(axis=-1), cbmi_top)
+        all_hits.append(np.stack([top[sent, pos] == gold for top in tops], axis=1))
+        sent_base += len(mask)
 
-    values_arr = np.asarray(all_values)
+    values_arr = np.concatenate(all_values)
+    hits_arr = np.concatenate(all_hits).astype(float)
     lo, hi = float(values_arr.min()), float(values_arr.max())
     if hi <= lo:
         hi = lo + 1.0
@@ -317,11 +300,7 @@ def analyze_cbmi(
         in_bin = which == b_idx
         count = int(in_bin.sum())
         histogram.append((float(edges[b_idx]), float(edges[b_idx + 1]), count))
-        if count:
-            hits = np.asarray([h[1:] for h, m in zip(prior_hits, in_bin) if m], dtype=float)
-            acc = hits.mean(axis=0)
-        else:
-            acc = np.zeros(3)
+        acc = hits_arr[in_bin].mean(axis=0) if count else np.zeros(3)
         prior_accuracy.append(
             (float(edges[b_idx]), float(edges[b_idx + 1]), count, float(acc[0]), float(acc[1]), float(acc[2]))
         )

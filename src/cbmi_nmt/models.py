@@ -52,31 +52,27 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-def desk_config(vocab_size_src: int, vocab_size_tgt: int, **overrides) -> ModelConfig:
-    """Small default that keeps the whole test suite CPU-friendly while
-    preserving every structural property of the full-size presets."""
-    return ModelConfig(vocab_size_src, vocab_size_tgt, **overrides)
+# model-shape values of each named preset; "desk" is the ModelConfig default,
+# small enough to keep the whole test suite CPU-friendly while preserving
+# every structural property of the full-size presets
+MODEL_PRESETS: dict[str, dict[str, object]] = {
+    "desk": {},
+    "base": dict(embed_dim=512, ff_dim=2048, enc_layers=6, dec_layers=6, lm_layers=6,
+                 heads=8, dropout_residual=0.1),
+    "big": dict(embed_dim=1024, ff_dim=4096, enc_layers=6, dec_layers=6, lm_layers=6,
+                heads=16, dropout_residual=0.3),
+}
 
 
-def base_config(vocab_size_src: int, vocab_size_tgt: int, **overrides) -> ModelConfig:
-    params = dict(
-        embed_dim=512, ff_dim=2048, enc_layers=6, dec_layers=6, lm_layers=6, heads=8,
-        dropout_residual=0.1, dropout_attention=0.1, dropout_activation=0.1,
-    )
-    params.update(overrides)
-    return ModelConfig(vocab_size_src, vocab_size_tgt, **params)
+def preset_config(
+    preset: str, vocab_size_src: int, vocab_size_tgt: int, **overrides
+) -> ModelConfig:
+    """ModelConfig of a named preset, with keyword overrides on top."""
+    return ModelConfig(vocab_size_src, vocab_size_tgt, **{**MODEL_PRESETS[preset], **overrides})
 
 
-def big_config(vocab_size_src: int, vocab_size_tgt: int, **overrides) -> ModelConfig:
-    params = dict(
-        embed_dim=1024, ff_dim=4096, enc_layers=6, dec_layers=6, lm_layers=6, heads=16,
-        dropout_residual=0.3, dropout_attention=0.1, dropout_activation=0.1,
-    )
-    params.update(overrides)
-    return ModelConfig(vocab_size_src, vocab_size_tgt, **params)
-
-
-MODEL_PRESETS = {"desk": desk_config, "base": base_config, "big": big_config}
+base_config = functools.partial(preset_config, "base")
+big_config = functools.partial(preset_config, "big")
 
 
 @dataclass

@@ -165,14 +165,6 @@ def _epoch_seed(seed: int, epoch: int) -> int:
     return int(np.random.SeedSequence([seed, _STREAM_EPOCH, epoch]).generate_state(1)[0])
 
 
-def gold_token_probs(log_probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """exp of the gold-token log-probabilities, [B, T]."""
-    b, t, _ = log_probs.shape
-    rows = log_probs.reshape(b * t, -1)
-    gold = rows[np.arange(b * t), targets.reshape(-1)]
-    return np.exp(gold.astype(np.float64)).reshape(b, t)
-
-
 def compute_scheme_weights(
     scheme: WeightScheme,
     batch: SentencePairBatch,
@@ -197,8 +189,8 @@ def compute_scheme_weights(
     if kind == "cbmi":
         if lm_log_probs is None:
             raise TrainingError("cbmi weighting needs language-model probabilities")
-        p_nmt = gold_token_probs(nmt_log_probs, batch.tgt_out)
-        p_lm = gold_token_probs(lm_log_probs, batch.tgt_out)
+        p_nmt = W.gold_token_probs(nmt_log_probs, batch.tgt_out)
+        p_lm = W.gold_token_probs(lm_log_probs, batch.tgt_out)
         schedule = W.cbmi_schedule(p_nmt, p_lm, mask, scheme.cbmi)
         return schedule.final_weights, schedule
     if kind in ("freq_exp", "freq_chi"):
@@ -215,10 +207,10 @@ def compute_scheme_weights(
         # negative loss weights would flip gradients, so clamp
         return np.maximum(raw, 0.0) * ones, None
     if kind == "focal":
-        p = gold_token_probs(nmt_log_probs, batch.tgt_out)
+        p = W.gold_token_probs(nmt_log_probs, batch.tgt_out)
         return W.focal_weight(p, scheme.baseline.alpha, scheme.baseline.gamma) * ones, None
     if kind == "anti_focal":
-        p = gold_token_probs(nmt_log_probs, batch.tgt_out)
+        p = W.gold_token_probs(nmt_log_probs, batch.tgt_out)
         return W.anti_focal_weight(p, scheme.baseline.alpha, scheme.baseline.gamma) * ones, None
     raise TrainingError(f"unhandled scheme {kind!r}")
 
@@ -304,11 +296,11 @@ def train_step(
             )
             loss = T.add(loss, addend)
         elif phase == 2 and scheme.kind == "prior_select":
-            p_nmt = gold_token_probs(nmt_out.data, batch.tgt_out)
-            p_lm = gold_token_probs(lm_log_probs_data, batch.tgt_out)
-            raw_cbmi = np.where(mask, W.token_cbmi_values(
-                np.where(mask, p_nmt, 1.0), np.where(mask, p_lm, 1.0)
-            ), 0.0)
+            raw_cbmi = W.masked_token_cbmi(
+                W.gold_token_probs(nmt_out.data, batch.tgt_out),
+                W.gold_token_probs(lm_log_probs_data, batch.tgt_out),
+                mask,
+            )
             prior_rows = W.selected_prior_rows(
                 nmt_out.data.reshape(b * t_len, vocab),
                 lm_log_probs_data.reshape(b * t_len, vocab),

@@ -140,6 +140,22 @@ def token_cbmi_values(p_nmt: np.ndarray, p_lm: np.ndarray) -> np.ndarray:
     return np.log(p_nmt) - np.log(p_lm)
 
 
+def gold_token_probs(log_probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """exp of the gold-token log-probabilities, [B, T], in float64."""
+    b, t, _ = log_probs.shape
+    rows = log_probs.reshape(b * t, -1)
+    gold = rows[np.arange(b * t), targets.reshape(-1)]
+    return np.exp(gold.astype(np.float64)).reshape(b, t)
+
+
+def masked_token_cbmi(p_nmt: np.ndarray, p_lm: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Raw token CBMI of padded [B, T] gold-token probabilities, zero at pad
+    positions; pad entries of ``p_*`` are ignored."""
+    return np.where(
+        mask, token_cbmi_values(np.where(mask, p_nmt, 1.0), np.where(mask, p_lm, 1.0)), 0.0
+    )
+
+
 def _masked_mean_std(values: np.ndarray, mask: np.ndarray, sigma_floor: float) -> NormStats:
     selected = values[mask]
     mean = float(selected.mean())
@@ -249,9 +265,7 @@ def cbmi_schedule(
     counts = mask.sum(axis=1)
     if (counts < 1).any():
         raise ValueError("every sentence needs at least one non-pad position")
-    values = np.where(
-        mask, token_cbmi_values(np.where(mask, p_nmt, 1.0), np.where(mask, p_lm, 1.0)), 0.0
-    )
+    values = masked_token_cbmi(p_nmt, p_lm, mask)
     sent = values.sum(axis=1) / counts
     var = np.where(mask, (values - sent[:, None]) ** 2, 0.0).sum(axis=1) / counts
     std = np.maximum(np.sqrt(var), config.sigma_floor)
@@ -283,18 +297,6 @@ def cbmi_records_for_batch(
 ) -> list[CbmiRecord]:
     batch = cbmi_schedule(p_nmt, p_lm, mask, config)
     return [batch.record(i) for i in range(batch.token_cbmi.shape[0])]
-
-
-def cbmi_batch_weights(
-    p_nmt: np.ndarray,
-    p_lm: np.ndarray,
-    mask: np.ndarray,
-    config: CbmiConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Final weights for a batch: returns (weights, token_cbmi), both
-    [sentences, positions] with zeros at pad positions."""
-    batch = cbmi_schedule(p_nmt, p_lm, mask, config)
-    return batch.final_weights, batch.token_cbmi
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +420,18 @@ def selected_prior_rows(
 ) -> np.ndarray:
     """Per-row teacher distribution chosen by raw token CBMI: the LM
     distribution, the (detached) TM distribution, or the softmax-normalized
-    full-vocabulary CBMI distribution."""
-    q = np.empty_like(np.asarray(nmt_log_probs, dtype=np.float64))
-    p_tm = _softened_probs(np.asarray(nmt_log_probs, dtype=np.float64), 1.0)
-    p_lm = _softened_probs(np.asarray(lm_log_probs, dtype=np.float64), 1.0)
-    for j in range(q.shape[0]):
-        which = select_prior(float(token_cbmi_rows[j]), th1, th2)
-        if which is Prior.LM:
-            q[j] = p_lm[j]
-        elif which is Prior.TM:
-            q[j] = p_tm[j]
-        else:
-            q[j] = cbmi_prior_distribution(nmt_log_probs[j], lm_log_probs[j])
+    full-vocabulary CBMI distribution (row regimes as in ``select_prior``)."""
+    if th1 >= th2:
+        raise ValueError(f"thresholds must satisfy th1 < th2, got {th1} >= {th2}")
+    nmt, lm = np.asarray(nmt_log_probs), np.asarray(lm_log_probs)
+    cbmi = np.asarray(token_cbmi_rows, dtype=np.float64)
+    lm_rows = cbmi <= th1
+    cbmi_rows = ~(cbmi <= th2)  # not `> th2`: as in select_prior, NaN picks CBMI
+    q = _softened_probs(nmt.astype(np.float64), 1.0)
+    q[lm_rows] = _softened_probs(lm[lm_rows].astype(np.float64), 1.0)
+    q[cbmi_rows] = _softened_probs(
+        np.subtract(nmt[cbmi_rows], lm[cbmi_rows], dtype=np.float64), 1.0
+    )
     return q
 
 

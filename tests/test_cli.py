@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from cbmi_nmt import cli
+from cbmi_nmt import models as M
 from cbmi_nmt.cli import ConfigError, FullConfig, parse_config, run
 
 
@@ -108,6 +110,10 @@ class TestParseConfig:
         assert (config.embed_dim, config.enc_layers, config.heads) == (512, 6, 8)
         desk = parse_config(None)
         assert (desk.embed_dim, desk.enc_layers) == (64, 2)
+        for preset in ("base", "big"):
+            config = parse_config(None, {"preset": preset})
+            for attr, value in M.MODEL_PRESETS[preset].items():
+                assert getattr(config, attr) == value, (preset, attr)
 
     def test_echo_roundtrip(self, tmp_path):
         config = parse_config(None, {"scheme": "cbmi", "scale_t": 0.25, "seed": 13})
@@ -119,6 +125,34 @@ class TestParseConfig:
     def test_invalid_thresholds(self):
         with pytest.raises(ConfigError, match="th1"):
             parse_config(None, {"th1": 9.0, "th2": 8.0})
+
+
+_STR_VALUES = {"scheme": "cbmi", "profile": "zh_en", "preset": "base", "precision": "fp64"}
+
+
+def _non_default(attr: str):
+    """A valid value for ``attr`` that differs from its default."""
+    default = getattr(FullConfig(), attr)
+    if attr in _STR_VALUES:
+        return _STR_VALUES[attr]
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    return default / 2 if default else 0.5
+
+
+@pytest.mark.parametrize("attr", [f.name for f in fields(FullConfig)])
+def test_every_config_key_has_a_matching_flag(attr, tmp_path):
+    value = _non_default(attr)
+    assert value != getattr(FullConfig(), attr)
+    flag = {"lam": "--lambda", "beam_size": "--beam"}.get(attr, "--" + attr.replace("_", "-"))
+    args = cli.build_parser().parse_args(["score", "--hyp", "h", "--ref", "r", flag, str(value)])
+    path = tmp_path / "c.cfg"
+    path.write_text(f"{cli.ATTR_TO_KEY.get(attr, attr)}={value}\n")
+    by_flag = cli._effective_config(args)
+    assert by_flag == parse_config(path)
+    assert getattr(by_flag, attr) == value
 
 
 class TestCliRuns:

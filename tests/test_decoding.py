@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from cbmi_nmt import decoding as D
-from cbmi_nmt.corpus import BOS_ID, EOS_ID, SentencePair
+from cbmi_nmt import weighting as W
+from cbmi_nmt.corpus import BOS_ID, EOS_ID, SentencePair, collate
 from cbmi_nmt.decoding import BeamConfig, beam_search, bleu
-from cbmi_nmt.models import ModelConfig, init_params
+from cbmi_nmt.models import ModelConfig, init_params, lm_forward, nmt_forward
 
 VOCAB = 6  # pad, bos, eos, w3, w4, w5
 
@@ -21,26 +22,37 @@ def _table_step_fn(table):
     return step
 
 
+def _row(probs):
+    """A log-prob row with the given probabilities and 1e-9 elsewhere."""
+    out = np.full(VOCAB, 1e-9)
+    for tok, p in probs.items():
+        out[tok] = p
+    return np.log(out / out.sum())
+
+
 def _hand_model():
     """Two real decoding steps then a near-certain end-of-sentence. The
     greedy first token (w3) is a trap: w4 opens a much better continuation."""
-
-    def row(probs):
-        out = np.full(VOCAB, 1e-9)
-        for tok, p in probs.items():
-            out[tok] = p
-        return np.log(out / out.sum())
-
     table = {
-        (BOS_ID,): row({3: 0.40, 4: 0.35, 5: 0.10}),
-        (BOS_ID, 3): row({3: 0.30, 4: 0.25, 5: 0.25}),
-        (BOS_ID, 4): row({5: 0.90, 3: 0.05}),
-        (BOS_ID, 5): row({3: 0.20, 4: 0.20, 5: 0.20}),
+        (BOS_ID,): _row({3: 0.40, 4: 0.35, 5: 0.10}),
+        (BOS_ID, 3): _row({3: 0.30, 4: 0.25, 5: 0.25}),
+        (BOS_ID, 4): _row({5: 0.90, 3: 0.05}),
+        (BOS_ID, 5): _row({3: 0.20, 4: 0.20, 5: 0.20}),
     }
     for a in (3, 4, 5):
         for b in (3, 4, 5):
-            table[(BOS_ID, a, b)] = row({EOS_ID: 0.97})
+            table[(BOS_ID, a, b)] = _row({EOS_ID: 0.97})
     return table
+
+
+def _rescore(step_fn, ids, max_len, config):
+    """Penalized score of a returned hypothesis through the step function,
+    with </s> scored unless the hypothesis reached ``max_len``."""
+    targets = list(ids) + [EOS_ID] if len(ids) < max_len else list(ids)
+    logp = sum(
+        float(step_fn([[BOS_ID] + targets[:k]])[0][tok]) for k, tok in enumerate(targets)
+    )
+    return logp / D.length_penalty(len(targets), config.length_penalty)
 
 
 def _enumerate_best(table, config):
@@ -80,6 +92,23 @@ class TestBeamCore:
         _, greedy_score = D.greedy_core(_table_step_fn(table), config, max_len=4)
         assert beam_score >= greedy_score
 
+    def test_early_stop_ranks_only_finished_hypotheses(self):
+        # beam 2: after step 2, [4] has finished; after step 3, [4, 5] has too,
+        # which stops the search. The alive prefix [3, 5, 3] scores far above
+        # both, but its </s> is improbable, so it must not be returned.
+        table = {
+            (BOS_ID,): _row({3: 0.55, 4: 0.40, EOS_ID: 0.05}),
+            (BOS_ID, 3): _row({5: 0.90, EOS_ID: 0.05, 3: 0.05}),
+            (BOS_ID, 4): _row({EOS_ID: 0.60, 5: 0.30, 3: 0.10}),
+            (BOS_ID, 3, 5): _row({3: 0.99}),
+            (BOS_ID, 4, 5): _row({EOS_ID: 0.90, 3: 0.05}),
+        }
+        config = BeamConfig(beam_size=2, length_penalty=0.6)
+        tokens, score = D.beam_search_core(_table_step_fn(table), config, max_len=6)
+        expected = (table[(BOS_ID,)][4] + table[(BOS_ID, 4)][EOS_ID]) / D.length_penalty(2, 0.6)
+        assert tokens == [4]
+        assert score == pytest.approx(expected, abs=1e-12)
+
 
 @pytest.fixture(scope="module")
 def decode_params():
@@ -113,11 +142,11 @@ class TestBeamSearchModel:
             step = D._nmt_step_fn(params, src + [EOS_ID])
             config = BeamConfig(beam_size=4)
             max_len = config.max_len(len(src) + 1)
-            _, greedy_score = D.greedy_core(step, config, max_len)
-            _, beam_score = D.beam_search_core(step, config, max_len)
-            assert max(beam_score, greedy_score) >= greedy_score
-            # the public entry point applies the same guarantee
-            beam_search(params, src, config)
+            greedy, _ = D.greedy_core(step, config, max_len)
+            best = beam_search(params, src, config)
+            assert _rescore(step, best, max_len, config) >= (
+                _rescore(step, greedy, max_len, config) - 1e-9
+            )
 
     def test_empty_source_rejected(self, decode_params):
         with pytest.raises(ValueError, match="empty"):
@@ -233,6 +262,17 @@ class TestAnalysis:
         total_tokens = sum(len(p.tgt) + 1 for p in pairs)
         assert sum(c for _, _, c in analysis.histogram) == total_tokens
         assert len(analysis.token_records) == total_tokens
+        # prior top-1 hits per token, from the rows of the one analysis batch
+        batch = collate(pairs)
+        nmt = nmt_forward(params, batch.src, batch.tgt_in).data
+        lm = lm_forward(params, batch.tgt_in).data
+        expected = np.zeros(3)
+        for i, j in zip(*np.nonzero(batch.tgt_mask)):
+            cbmi = W.cbmi_prior_distribution(nmt[i, j], lm[i, j])
+            tops = (lm[i, j].argmax(), nmt[i, j].argmax(), cbmi.argmax())
+            expected += [top == batch.tgt_out[i, j] for top in tops]
+        found = sum(count * np.array(acc) for _, _, count, *acc in analysis.prior_accuracy)
+        np.testing.assert_allclose(found, expected, atol=1e-9)
 
     def test_uniform_models_give_zero_cbmi(self):
         params = self._uniform_params()

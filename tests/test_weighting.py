@@ -314,6 +314,19 @@ class TestPriorSelection:
         np.testing.assert_allclose(q[0], np.exp(lm[0]), atol=1e-12)
         np.testing.assert_allclose(q[1], 0.25, atol=1e-12)
         np.testing.assert_allclose(q[2], W.cbmi_prior_distribution(nmt[2], lm[2]), atol=1e-12)
+        # a mixed fp32 batch matches the per-row select_prior loop bit for bit
+        nmt = rng.normal(size=(40, 7)).astype(np.float32)
+        lm = rng.normal(size=(40, 7)).astype(np.float32)
+        cbmi_rows = rng.normal(scale=3.0, size=40)
+        q = W.selected_prior_rows(nmt, lm, cbmi_rows, -1.0, 1.0)
+        for j, value in enumerate(cbmi_rows):
+            which = select_prior(float(value), -1.0, 1.0)
+            if which is Prior.CBMI:
+                expected = W.cbmi_prior_distribution(nmt[j], lm[j])
+            else:
+                rows = lm if which is Prior.LM else nmt
+                expected = W._softened_probs(rows.astype(np.float64), 1.0)[j]
+            np.testing.assert_array_equal(q[j], expected)
 
 
 class TestWeightScheme:
