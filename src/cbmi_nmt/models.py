@@ -130,6 +130,20 @@ def _add_layer_norm(out, prefix: str, dim: int, dtype) -> None:
     out[f"{prefix}.b"] = np.zeros(dim, dtype=dtype)
 
 
+def _add_stack(out, rng, prefix: str, n_layers: int, d: int, f: int, dtype, cross: bool = False) -> None:
+    # PostNorm layers: self-attention, then cross-attention when asked, then
+    # feed-forward; layer norm ln<k> follows the k-th sublayer
+    for i in range(n_layers):
+        layer = f"{prefix}.{i}"
+        _add_attention(out, rng, f"{layer}.self", d, dtype)
+        _add_layer_norm(out, f"{layer}.ln1", d, dtype)
+        if cross:
+            _add_attention(out, rng, f"{layer}.cross", d, dtype)
+            _add_layer_norm(out, f"{layer}.ln2", d, dtype)
+        _add_ff(out, rng, f"{layer}.ff", d, f, dtype)
+        _add_layer_norm(out, f"{layer}.ln{3 if cross else 2}", d, dtype)
+
+
 def init_params(config: ModelConfig, seed: int, dtype=np.float32, with_lm: bool = True) -> ModelParams:
     """Deterministic initialization. The NMT and LM draws come from
     independent seed streams, so NMT parameters are bitwise identical whether
@@ -141,29 +155,15 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32, with_lm: bool 
     rng = np.random.default_rng(nmt_seq)
     arrays["nmt.src_embed"] = _embed_init(rng, config.vocab_size_src, d, dtype)
     arrays["nmt.tgt_embed"] = _embed_init(rng, config.vocab_size_tgt, d, dtype)
-    for i in range(config.enc_layers):
-        _add_attention(arrays, rng, f"nmt.enc.{i}.self", d, dtype)
-        _add_layer_norm(arrays, f"nmt.enc.{i}.ln1", d, dtype)
-        _add_ff(arrays, rng, f"nmt.enc.{i}.ff", d, f, dtype)
-        _add_layer_norm(arrays, f"nmt.enc.{i}.ln2", d, dtype)
-    for i in range(config.dec_layers):
-        _add_attention(arrays, rng, f"nmt.dec.{i}.self", d, dtype)
-        _add_layer_norm(arrays, f"nmt.dec.{i}.ln1", d, dtype)
-        _add_attention(arrays, rng, f"nmt.dec.{i}.cross", d, dtype)
-        _add_layer_norm(arrays, f"nmt.dec.{i}.ln2", d, dtype)
-        _add_ff(arrays, rng, f"nmt.dec.{i}.ff", d, f, dtype)
-        _add_layer_norm(arrays, f"nmt.dec.{i}.ln3", d, dtype)
+    _add_stack(arrays, rng, "nmt.enc", config.enc_layers, d, f, dtype)
+    _add_stack(arrays, rng, "nmt.dec", config.dec_layers, d, f, dtype, cross=True)
     arrays["nmt.out.w"] = _xavier(rng, d, config.vocab_size_tgt, dtype)
     arrays["nmt.out.b"] = np.zeros(config.vocab_size_tgt, dtype=dtype)
 
     if with_lm:
         rng = np.random.default_rng(lm_seq)
         arrays["lm.embed"] = _embed_init(rng, config.vocab_size_tgt, d, dtype)
-        for i in range(config.lm_layers):
-            _add_attention(arrays, rng, f"lm.layer.{i}.self", d, dtype)
-            _add_layer_norm(arrays, f"lm.layer.{i}.ln1", d, dtype)
-            _add_ff(arrays, rng, f"lm.layer.{i}.ff", d, f, dtype)
-            _add_layer_norm(arrays, f"lm.layer.{i}.ln2", d, dtype)
+        _add_stack(arrays, rng, "lm.layer", config.lm_layers, d, f, dtype)
         arrays["lm.out.w"] = _xavier(rng, d, config.vocab_size_tgt, dtype)
         arrays["lm.out.b"] = np.zeros(config.vocab_size_tgt, dtype=dtype)
 
@@ -307,23 +307,40 @@ def _embed_positions(p, name: str, ids: np.ndarray, config: ModelConfig, trainin
     return _maybe_dropout(x, config.dropout_residual, training, rng)
 
 
-def _encode(params: ModelParams, src: np.ndarray, training: bool, rng) -> tuple[Tensor, np.ndarray]:
-    p, cfg = params.tensors, params.config
-    dtype = params.dtype
-    key_mask = _pad_key_mask(src, dtype)
-    x = _embed_positions(p, "nmt.src_embed", src, cfg, training, rng)
-    for i in range(cfg.enc_layers):
-        attn = _attention(p, f"nmt.enc.{i}.self", x, x, key_mask, cfg, training, rng)
-        x = _residual_norm(p, f"nmt.enc.{i}.ln1", x, attn, cfg, training, rng)
-        ff = _feed_forward(p, f"nmt.enc.{i}.ff", x, cfg, training, rng)
-        x = _residual_norm(p, f"nmt.enc.{i}.ln2", x, ff, cfg, training, rng)
-    return x, key_mask
+def _stack(
+    p, prefix: str, n_layers: int, x: Tensor, self_mask: np.ndarray, cfg: ModelConfig,
+    training: bool, rng, memory: Tensor | None = None, memory_mask: np.ndarray | None = None,
+) -> Tensor:
+    # the layers _add_stack initializes; cross-attention runs only over a memory
+    for i in range(n_layers):
+        layer = f"{prefix}.{i}"
+        attn = _attention(p, f"{layer}.self", x, x, self_mask, cfg, training, rng)
+        x = _residual_norm(p, f"{layer}.ln1", x, attn, cfg, training, rng)
+        if memory is not None:
+            cross = _attention(p, f"{layer}.cross", x, memory, memory_mask, cfg, training, rng)
+            x = _residual_norm(p, f"{layer}.ln2", x, cross, cfg, training, rng)
+        ff = _feed_forward(p, f"{layer}.ff", x, cfg, training, rng)
+        x = _residual_norm(p, f"{layer}.ln{2 if memory is None else 3}", x, ff, cfg, training, rng)
+    return x
 
 
 def _project_log_probs(p, prefix: str, x: Tensor, vocab: int) -> Tensor:
     batch, length, d = x.shape
     logits = _linear(T.reshape(x, (batch * length, d)), p, f"{prefix}.w", f"{prefix}.b")
     return T.reshape(T.log_softmax(logits), (batch, length, vocab))
+
+
+def _target_side(
+    params: ModelParams, model: str, embed: str, stack: str, n_layers: int, tgt_ids: np.ndarray,
+    training: bool, rng, memory: Tensor | None = None, memory_mask: np.ndarray | None = None,
+) -> Tensor:
+    """Causally masked target-side stack from embedding to log-probs; with no
+    memory it is the language model."""
+    p, cfg, dtype = params.tensors, params.config, params.dtype
+    self_mask = _causal_mask(tgt_ids.shape[1], dtype.str) + _pad_key_mask(tgt_ids, dtype)
+    x = _embed_positions(p, f"{model}.{embed}", tgt_ids, cfg, training, rng)
+    x = _stack(p, f"{model}.{stack}", n_layers, x, self_mask, cfg, training, rng, memory, memory_mask)
+    return _project_log_probs(p, f"{model}.out", x, cfg.vocab_size_tgt)
 
 
 def _as_batch(ids) -> tuple[np.ndarray, bool]:
@@ -365,19 +382,11 @@ def nmt_forward(
     _check_ids(src_ids, cfg.vocab_size_src, "source")
     _check_ids(tgt_ids, cfg.vocab_size_tgt, "target")
     p = params.tensors
-    dtype = params.dtype
-    memory, src_key_mask = _encode(params, src_ids, training, rng)
-    t_len = tgt_ids.shape[1]
-    self_mask = _causal_mask(t_len, dtype.str) + _pad_key_mask(tgt_ids, dtype)
-    x = _embed_positions(p, "nmt.tgt_embed", tgt_ids, cfg, training, rng)
-    for i in range(cfg.dec_layers):
-        attn = _attention(p, f"nmt.dec.{i}.self", x, x, self_mask, cfg, training, rng)
-        x = _residual_norm(p, f"nmt.dec.{i}.ln1", x, attn, cfg, training, rng)
-        cross = _attention(p, f"nmt.dec.{i}.cross", x, memory, src_key_mask, cfg, training, rng)
-        x = _residual_norm(p, f"nmt.dec.{i}.ln2", x, cross, cfg, training, rng)
-        ff = _feed_forward(p, f"nmt.dec.{i}.ff", x, cfg, training, rng)
-        x = _residual_norm(p, f"nmt.dec.{i}.ln3", x, ff, cfg, training, rng)
-    out = _project_log_probs(p, "nmt.out", x, cfg.vocab_size_tgt)
+    src_mask = _pad_key_mask(src_ids, params.dtype)
+    x = _embed_positions(p, "nmt.src_embed", src_ids, cfg, training, rng)
+    memory = _stack(p, "nmt.enc", cfg.enc_layers, x, src_mask, cfg, training, rng)
+    out = _target_side(params, "nmt", "tgt_embed", "dec", cfg.dec_layers, tgt_ids, training, rng,
+                       memory, src_mask)
     return T.reshape(out, out.shape[1:]) if squeeze else out
 
 
@@ -398,17 +407,7 @@ def lm_forward(
         raise ValueError("these parameters were initialized without a language model")
     tgt_ids, squeeze = _as_batch(tgt_in)
     _check_ids(tgt_ids, cfg.vocab_size_tgt, "target")
-    p = params.tensors
-    dtype = params.dtype
-    t_len = tgt_ids.shape[1]
-    self_mask = _causal_mask(t_len, dtype.str) + _pad_key_mask(tgt_ids, dtype)
-    x = _embed_positions(p, "lm.embed", tgt_ids, cfg, training, rng)
-    for i in range(cfg.lm_layers):
-        attn = _attention(p, f"lm.layer.{i}.self", x, x, self_mask, cfg, training, rng)
-        x = _residual_norm(p, f"lm.layer.{i}.ln1", x, attn, cfg, training, rng)
-        ff = _feed_forward(p, f"lm.layer.{i}.ff", x, cfg, training, rng)
-        x = _residual_norm(p, f"lm.layer.{i}.ln2", x, ff, cfg, training, rng)
-    out = _project_log_probs(p, "lm.out", x, cfg.vocab_size_tgt)
+    out = _target_side(params, "lm", "embed", "layer", cfg.lm_layers, tgt_ids, training, rng)
     return T.reshape(out, out.shape[1:]) if squeeze else out
 
 
@@ -490,30 +489,43 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray
         key, _, value = line.partition("=")
         meta[key] = value
 
-    kwargs = {}
-    for f in fields(ModelConfig):
-        raw = meta[f"config.{f.name}"]
-        if f.type in ("int", int):
-            kwargs[f.name] = int(raw)
-        elif f.type in ("float", float):
-            kwargs[f.name] = float(raw)
-        elif f.type in ("bool", bool):
-            kwargs[f.name] = _parse_bool(raw)
-        else:
-            kwargs[f.name] = raw
-    config = ModelConfig(**kwargs)
+    try:
+        kwargs = {}
+        for f in fields(ModelConfig):
+            raw = meta[f"config.{f.name}"]
+            if f.type in ("int", int):
+                kwargs[f.name] = int(raw)
+            elif f.type in ("float", float):
+                kwargs[f.name] = float(raw)
+            elif f.type in ("bool", bool):
+                kwargs[f.name] = _parse_bool(raw)
+            else:
+                kwargs[f.name] = raw
+        config = ModelConfig(**kwargs)
+        expected = config_hash(config, meta["precision"])
+        stored = meta["config_hash"]
+    except KeyError as exc:
+        raise CheckpointError(f"{manifest_file} has no {exc.args[0]} entry") from exc
+    except ValueError as exc:
+        raise CheckpointError(f"{manifest_file}: {exc}") from exc
+    if stored != expected:
+        raise CheckpointError("manifest config hash does not match its own config fields")
 
-    blob = (path / "tensors.bin").read_bytes()
+    blob_file, index_file = path / "tensors.bin", path / "tensors.idx"
+    blob = blob_file.read_bytes()
     arrays: dict[str, np.ndarray] = {}
-    for line in (path / "tensors.idx").read_text(encoding="utf-8").splitlines():
-        name, dtype_str, shape_str, offset_str = line.split("\t")
-        shape = tuple(int(s) for s in shape_str.split(",")) if shape_str else ()
-        dtype = np.dtype(dtype_str)
-        count = int(np.prod(shape)) if shape else 1
-        offset = int(offset_str)
-        arrays[name] = np.frombuffer(
-            blob, dtype=dtype, count=count, offset=offset
-        ).reshape(shape).copy()
+    try:
+        for line in index_file.read_text(encoding="utf-8").splitlines():
+            name, dtype_str, shape_str, offset_str = line.split("\t")
+            shape = tuple(int(s) for s in shape_str.split(",")) if shape_str else ()
+            dtype = np.dtype(dtype_str)
+            count = int(np.prod(shape)) if shape else 1
+            offset = int(offset_str)
+            arrays[name] = np.frombuffer(
+                blob, dtype=dtype, count=count, offset=offset
+            ).reshape(shape).copy()
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{blob_file} does not hold the tensors {index_file} lists: {exc}") from exc
 
     tensors = {
         k: Tensor(v, requires_grad=True)
@@ -522,7 +534,4 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray
     }
     extras = {k: v for k, v in arrays.items() if not k.startswith(("nmt.", "lm."))}
     params = ModelParams(config=config, tensors=tensors)
-    expected = config_hash(config, meta["precision"])
-    if meta["config_hash"] != expected:
-        raise CheckpointError("manifest config hash does not match its own config fields")
     return params, extras, meta

@@ -59,25 +59,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    # Operator sugar; the model code reads better with it.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(other) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class _Node:
     __slots__ = ("out", "parents", "grad_fn")
@@ -145,13 +126,6 @@ class Tape:
 _ACTIVE_TAPE: Tape | None = None
 
 
-def backward(loss: Tensor) -> None:
-    """Backpropagate through the currently active tape."""
-    if _ACTIVE_TAPE is None:
-        raise RuntimeError("backward() outside of an active Tape")
-    _ACTIVE_TAPE.backward(loss)
-
-
 def _record(out: Tensor, parents: Sequence[Tensor], grad_fn: Callable) -> Tensor:
     tape = _ACTIVE_TAPE
     if tape is not None and any(p.requires_grad for p in parents):
@@ -216,11 +190,6 @@ def mul(a: Tensor, b) -> Tensor:
         return (_unbroadcast(g * bconst, a.data.shape),)
 
     return _record(out, (a,), grad_fn)
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    return _record(out, (a,), lambda g: (-g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -363,6 +363,29 @@ def _dump_divergent_batch(out_dir: Path, step: int, batch: SentencePairBatch) ->
     return path
 
 
+def _logged_step(line: str) -> int | None:
+    # metrics lines are JSON (the config echo has no step and counts as 0);
+    # timing and weight-dump lines start with the step; None marks a line
+    # torn by a crash mid-write
+    try:
+        if line.startswith("{"):
+            return json.loads(line).get("step", 0)
+        return int(line.split("\t", 1)[0])
+    except ValueError:
+        return None
+
+
+def _drop_steps_after(path: Path, step: int) -> None:
+    """Remove the lines a run logged after ``step``, so that a run resumed
+    from that step's checkpoint continues its logs instead of repeating them."""
+    if not path.exists():
+        return
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if (logged := _logged_step(line)) is not None and logged <= step]
+    if len(kept) < len(lines):
+        path.write_text("".join(kept), encoding="utf-8")
+
+
 class Trainer:
     """Owns parameters, optimizer state, and the deterministic batch
     schedule for one training run."""
@@ -393,7 +416,6 @@ class Trainer:
         self.checkpoint_meta = dict(checkpoint_meta or {})
         self.dump_weights_path = Path(dump_weights_path) if dump_weights_path else None
         self._epoch_cache: tuple[int, list[SentencePairBatch]] | None = None
-        self._phase2_reset_done = False
 
         if resume is not None:
             params, extras, meta = M.load_checkpoint(resume)
@@ -406,7 +428,6 @@ class Trainer:
                 opt_lm=self._adam_from_extras(extras, "lm", params) if cfg.scheme.needs_lm else None,
                 step=int(meta["step"]),
             )
-            self._phase2_reset_done = self.state.step > cfg.phase1_steps
         else:
             params = M.init_params(model_config, cfg.seed, dtype=dtype, with_lm=cfg.scheme.needs_lm)
             self.state = TrainerState(
@@ -483,10 +504,15 @@ class Trainer:
     def run(self) -> Path:
         """Run the remaining steps of the schedule; returns the final
         checkpoint path. Appends one metrics line per step to metrics.jsonl
-        and wall-time records to timing.log."""
+        and wall-time records to timing.log; a resumed run first drops the
+        lines these logs and the weight dump hold for later steps."""
         cfg = self.cfg
         metrics_path = self.out_dir / "metrics.jsonl"
         timing_path = self.out_dir / "timing.log"
+        if self.state.step > 0:
+            for path in (metrics_path, timing_path, self.dump_weights_path):
+                if path is not None:
+                    _drop_steps_after(path, self.state.step)
         dump_fh = None
         if self.dump_weights_path is not None:
             dump_fh = open(self.dump_weights_path, "a", encoding="utf-8")
@@ -500,15 +526,10 @@ class Trainer:
             try:
                 while self.state.step < cfg.total_steps:
                     step = self.state.step + 1
-                    if (
-                        cfg.reset_optimizer_phase2
-                        and not self._phase2_reset_done
-                        and step > cfg.phase1_steps
-                    ):
+                    if cfg.reset_optimizer_phase2 and step == cfg.phase1_steps + 1:
                         self.state.opt_nmt = AdamState.for_params(self.state.params.named("nmt."))
                         if self.state.opt_lm is not None:
                             self.state.opt_lm = AdamState.for_params(self.state.params.named("lm."))
-                        self._phase2_reset_done = True
                     batch = self.batch_for_step(step)
                     try:
                         metrics = train_step(

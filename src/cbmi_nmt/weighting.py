@@ -377,10 +377,9 @@ def lm_prior_loss(
     else:
         student_log = T.log_softmax(T.mul(nmt_log_probs, 1.0 / tau))
     # KL(q||p) = sum q log q - sum q log p; the first term is a constant
-    q_masked = (q * mask[:, None]).astype(nmt_log_probs.data.dtype)
-    cross = T.sum_all(T.mul(student_log, q_masked))
+    cross = prior_cross_entropy_loss(student_log, q, lam, mask)
     entropy_term = float((q * np.where(q > 0, np.log(q), 0.0) * mask[:, None]).sum())
-    return T.add(T.mul(cross, -lam / n), lam * entropy_term / n)
+    return T.add(cross, lam * entropy_term / n)
 
 
 class Prior(enum.Enum):

@@ -276,6 +276,28 @@ class TestCliRuns:
         assert code == 1
         assert "error:checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["truncated_tensors", "manifest_without_heads"])
+    def test_damaged_checkpoint_is_checkpoint_error(self, corpus, tmp_path, capsys, damage):
+        out = tmp_path / "run"
+        assert run(train_args(corpus, out, "--seed", "8")) == 0
+        ckpt = out / "checkpoint_final"
+        if damage == "truncated_tensors":
+            damaged = ckpt / "tensors.bin"
+            damaged.write_bytes(damaged.read_bytes()[: damaged.stat().st_size // 2])
+        else:
+            damaged = ckpt / "manifest.txt"
+            lines = damaged.read_text().splitlines(keepends=True)
+            damaged.write_text("".join(l for l in lines if not l.startswith("config.heads=")))
+        capsys.readouterr()
+        code = run([
+            "translate", "--checkpoint", str(ckpt),
+            "--src", str(corpus / "train.src"), "--out", str(tmp_path / "h.txt"),
+            "--data-dir", str(corpus / "data"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:checkpoint:") and str(damaged) in err
+
 
 def test_every_scheme_reachable_from_flags(corpus, tmp_path):
     from cbmi_nmt.weighting import SCHEME_KINDS

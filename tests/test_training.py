@@ -231,6 +231,24 @@ class TestTrainRuns:
         for metric in resumed:
             assert metric == by_step[metric["step"]]
 
+    def test_resume_into_same_dir_continues_logs(self, tmp_path):
+        pairs = toy_pairs()
+        mc = tiny_model_config()
+        cfg = tiny_train_config(
+            scheme=WeightScheme("cbmi"), phase1_steps=3, phase2_steps=5, checkpoint_every=4
+        )
+        run_dir, dump = tmp_path / "run", tmp_path / "weights.tsv"
+        kwargs = dict(dump_weights_path=dump, config_echo={"seed": 5})
+        train(cfg, mc, pairs, run_dir, **kwargs)
+        uninterrupted = {path: path.read_bytes() for path in (run_dir / "metrics.jsonl", dump)}
+        with open(run_dir / "metrics.jsonl", "a") as fh:
+            fh.write('{"step": 9, "nmt_lo')  # a line torn by a crash mid-write
+        train(cfg, mc, pairs, run_dir, resume=run_dir / "checkpoint_step4", **kwargs)
+        for path, data in uninterrupted.items():
+            assert path.read_bytes() == data
+        timing = (run_dir / "timing.log").read_text().splitlines()
+        assert [int(line.split("\t")[0]) for line in timing] == list(range(1, 9))
+
     def test_final_checkpoint_and_metrics_written(self, tmp_path):
         pairs = toy_pairs()
         ckpt = train(tiny_train_config(), tiny_model_config(), pairs, tmp_path / "run")
