@@ -35,7 +35,7 @@ from .weighting import (
     CbmiConfig,
     SCHEME_KINDS,
     WeightScheme,
-    cbmi_records_for_batch,
+    cbmi_schedule,
     gold_token_probs,
     weight_dump_lines,
 )
@@ -398,13 +398,14 @@ def cmd_train(args) -> int:
     src_vocab, tgt_vocab = _load_vocabs(data_dir)
     pairs = load_parallel_corpus(args.src, args.tgt, src_vocab, tgt_vocab, config.max_len)
     scheme = config.weight_scheme()
-    bmi_table = None
+    bmi_table = freq_table = None
     if scheme.kind == "bmi":
         bmi_path = data_dir / "bmi.tgt.txt"
         if not bmi_path.exists():
             raise CorpusError(f"bmi scheme needs {bmi_path}; run preprocess first")
         bmi_table = BmiTable.load(bmi_path)
-    freq_table = _target_frequency_table(pairs, len(tgt_vocab))
+    elif scheme.kind in ("freq_exp", "freq_chi"):
+        freq_table = _target_frequency_table(pairs, len(tgt_vocab))
     model_config = config.model_config(len(src_vocab), len(tgt_vocab))
     trainer = Trainer(
         config.train_config(),
@@ -492,13 +493,13 @@ def cmd_dump_weights(args) -> int:
         for index, batch in enumerate(batches):
             nmt_lp = nmt_forward(params, batch.src, batch.tgt_in).data
             lm_lp = lm_forward(params, batch.tgt_in).data
-            records = cbmi_records_for_batch(
+            schedule = cbmi_schedule(
                 gold_token_probs(nmt_lp, batch.tgt_out),
                 gold_token_probs(lm_lp, batch.tgt_out),
                 batch.tgt_mask,
                 config.weight_scheme().cbmi,
             )
-            for line in weight_dump_lines(index, records, batch.tgt_mask, batch.tgt_out):
+            for line in weight_dump_lines(index, schedule, batch.tgt_mask, batch.tgt_out):
                 fh.write(line + "\n")
     print(f"dump-weights: {len(batches)} batches -> {args.out}")
     return 0

@@ -50,6 +50,41 @@ StepFn = Callable[[list[list[int]]], np.ndarray]
 log-probability rows, one per prefix."""
 
 
+def _search(
+    step_fn: StepFn, beam_size: int, alpha: float, max_len: int, bos: int, eos: int
+) -> tuple[list[int], float]:
+    alive: list[tuple[list[int], float]] = [([bos], 0.0)]
+    finished: list[tuple[list[int], float]] = []
+    for _ in range(max_len):
+        rows = step_fn([tokens for tokens, _ in alive])
+        candidates: list[tuple[float, int, int]] = []
+        for i, (tokens, score) in enumerate(alive):
+            row = rows[i]
+            top = np.argsort(-row, kind="stable")[: 2 * beam_size]
+            for tok in top:
+                candidates.append((score + float(row[tok]), i, int(tok)))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        next_alive: list[tuple[list[int], float]] = []
+        for score, i, tok in candidates:
+            if len(next_alive) >= beam_size:
+                break
+            tokens = alive[i][0] + [tok]
+            if tok == eos:
+                gen_len = len(tokens) - 1
+                finished.append((tokens[1:-1], _penalized(score, gen_len, alpha)))
+            else:
+                next_alive.append((tokens, score))
+        alive = next_alive
+        if not alive or len(finished) >= beam_size:
+            break
+    else:
+        for tokens, score in alive:
+            gen_len = len(tokens) - 1
+            finished.append((tokens[1:], _penalized(score, gen_len, alpha)))
+    finished.sort(key=lambda f: (-f[1], f[0]))
+    return finished[0]
+
+
 def beam_search_core(
     step_fn: StepFn,
     config: BeamConfig,
@@ -63,53 +98,13 @@ def beam_search_core(
     hypothesis; hypotheses still alive at ``max_len`` are force-finished.
     Ties break toward lower token ids, keeping results deterministic.
     """
-    alive: list[tuple[list[int], float]] = [([bos], 0.0)]
-    finished: list[tuple[list[int], float]] = []
-    for _ in range(max_len):
-        rows = step_fn([tokens for tokens, _ in alive])
-        candidates: list[tuple[float, int, int]] = []
-        for i, (tokens, score) in enumerate(alive):
-            row = rows[i]
-            top = np.argsort(-row, kind="stable")[: 2 * config.beam_size]
-            for tok in top:
-                candidates.append((score + float(row[tok]), i, int(tok)))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        next_alive: list[tuple[list[int], float]] = []
-        for score, i, tok in candidates:
-            if len(next_alive) >= config.beam_size:
-                break
-            tokens = alive[i][0] + [tok]
-            if tok == eos:
-                gen_len = len(tokens) - 1
-                finished.append((tokens[1:-1], _penalized(score, gen_len, config.length_penalty)))
-            else:
-                next_alive.append((tokens, score))
-        alive = next_alive
-        if not alive or len(finished) >= config.beam_size:
-            break
-    else:
-        for tokens, score in alive:
-            gen_len = len(tokens) - 1
-            finished.append((tokens[1:], _penalized(score, gen_len, config.length_penalty)))
-    finished.sort(key=lambda f: (-f[1], f[0]))
-    return finished[0]
+    return _search(step_fn, config.beam_size, config.length_penalty, max_len, bos, eos)
 
 
 def greedy_core(step_fn: StepFn, config: BeamConfig, max_len: int,
                 bos: int = BOS_ID, eos: int = EOS_ID) -> tuple[list[int], float]:
-    tokens = [bos]
-    score = 0.0
-    for _ in range(max_len):
-        row = step_fn([tokens])[0]
-        tok = int(row.argmax())
-        score += float(row[tok])
-        tokens.append(tok)
-        if tok == eos:
-            break
-    out = tokens[1:]
-    if out and out[-1] == eos:
-        out = out[:-1]
-    return out, _penalized(score, max(1, len(tokens) - 1), config.length_penalty)
+    """The greedy rollout: beam search at width 1."""
+    return _search(step_fn, 1, config.length_penalty, max_len, bos, eos)
 
 
 def _nmt_step_fn(params: ModelParams, src_ids: list[int]) -> StepFn:

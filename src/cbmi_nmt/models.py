@@ -444,7 +444,9 @@ def save_checkpoint(
     offset = 0
     index_lines = []
     with open(path / "tensors.bin", "wb") as fh:
-        for name in sorted(arrays):
+        # parameter order, not sorted: a loaded model then sums its gradient
+        # norm in the same order as a fresh one, which keeps fp64 resumes bitwise
+        for name in arrays:
             arr = np.ascontiguousarray(arrays[name], dtype="<" + arrays[name].dtype.str[1:])
             fh.write(arr.tobytes())
             shape = ",".join(str(s) for s in arr.shape)
@@ -504,6 +506,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray
         config = ModelConfig(**kwargs)
         expected = config_hash(config, meta["precision"])
         stored = meta["config_hash"]
+        int(meta["step"])  # checked here: a resumed run continues from this step
     except KeyError as exc:
         raise CheckpointError(f"{manifest_file} has no {exc.args[0]} entry") from exc
     except ValueError as exc:

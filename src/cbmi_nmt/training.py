@@ -12,6 +12,7 @@ an LM trains alongside.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
@@ -142,18 +143,8 @@ class StepMetrics:
     def log_line(self) -> str:
         # tokens_per_sec is wall-clock noise; it goes to the timing sidecar
         # so metrics logs stay byte-identical across same-seed runs
-        record = {
-            "step": self.step,
-            "phase": self.phase,
-            "nmt_loss": self.nmt_loss,
-            "lm_loss": self.lm_loss,
-            "mean_token_cbmi": self.mean_token_cbmi,
-            "weight_mean": self.weight_mean,
-            "weight_min": self.weight_min,
-            "weight_max": self.weight_max,
-            "clamped_frac": self.clamped_frac,
-            "n_tokens": self.n_tokens,
-        }
+        record = dataclasses.asdict(self)
+        del record["tokens_per_sec"]
         return json.dumps(record, sort_keys=True)
 
 
@@ -168,50 +159,74 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 def compute_scheme_weights(
     scheme: WeightScheme,
     batch: SentencePairBatch,
-    nmt_log_probs: np.ndarray,
+    nmt_out: Tensor,
     lm_log_probs: np.ndarray | None,
     freq_table: FrequencyTable | None,
     bmi_table: BmiTable | None,
     phase: int,
-) -> tuple[np.ndarray, W.CbmiBatch | None]:
-    """Per-token loss weights for one batch (zeros at pad positions) plus the
-    CBMI schedule when the scheme computes one.
+) -> tuple[np.ndarray, W.CbmiBatch | None, Tensor | None]:
+    """Per-token loss weights for one batch (zeros at pad positions), the
+    CBMI schedule when the scheme computes one, and the prior-loss addend of
+    the ``lm_prior`` and ``prior_select`` schemes.
 
-    Phase 1 always trains with unit weights. All weights are constants with
-    respect to the models.
+    Phase 1 always trains with unit weights and no addend. The weights and
+    the prior distributions are constants with respect to the models; the
+    addend is differentiable in ``nmt_out`` (log-probs, [B, T, V]).
     """
     mask = batch.tgt_mask
     ones = mask.astype(np.float64)
+    nmt_log_probs = nmt_out.data
     kind = scheme.kind if phase == 2 else "none"
-    if kind in ("none", "lm_prior", "prior_select"):
-        # prior schemes keep unit CE weights; their addend is separate
-        return ones, None
+    if kind in W.LM_SCHEMES and lm_log_probs is None:
+        raise TrainingError(f"{kind} weighting needs language-model probabilities")
+    if kind == "none":
+        return ones, None, None
+    if kind in ("lm_prior", "prior_select"):
+        # prior schemes keep unit CE weights and add a distillation term
+        rows = (mask.size, nmt_log_probs.shape[-1])
+        flat = T.reshape(nmt_out, rows)
+        base = scheme.baseline
+        if kind == "lm_prior":
+            addend = W.lm_prior_loss(
+                flat, lm_log_probs.reshape(rows), base.lam, base.tau, mask.reshape(-1),
+                base.soften_teacher_only,
+            )
+        else:
+            raw_cbmi = W.masked_token_cbmi(
+                W.gold_token_probs(nmt_log_probs, batch.tgt_out),
+                W.gold_token_probs(lm_log_probs, batch.tgt_out),
+                mask,
+            )
+            prior_rows = W.selected_prior_rows(
+                nmt_log_probs.reshape(rows), lm_log_probs.reshape(rows), raw_cbmi.reshape(-1),
+                base.th1, base.th2,
+            )
+            addend = W.prior_cross_entropy_loss(flat, prior_rows, base.lam, mask.reshape(-1))
+        return ones, None, addend
     if kind == "cbmi":
-        if lm_log_probs is None:
-            raise TrainingError("cbmi weighting needs language-model probabilities")
         p_nmt = W.gold_token_probs(nmt_log_probs, batch.tgt_out)
         p_lm = W.gold_token_probs(lm_log_probs, batch.tgt_out)
         schedule = W.cbmi_schedule(p_nmt, p_lm, mask, scheme.cbmi)
-        return schedule.final_weights, schedule
+        return schedule.final_weights, schedule, None
     if kind in ("freq_exp", "freq_chi"):
         if freq_table is None:
             raise TrainingError(f"{kind} weighting needs a target frequency table")
         counts = freq_table.counts[batch.tgt_out]
         fn = W.freq_exponential_weight if kind == "freq_exp" else W.freq_chi_square_weight
-        return fn(counts, scheme.baseline.freq_a, scheme.baseline.freq_t) * ones, None
+        return fn(counts, scheme.baseline.freq_a, scheme.baseline.freq_t) * ones, None, None
     if kind == "bmi":
         if bmi_table is None:
             raise TrainingError("bmi weighting needs a precomputed BMI table")
         raw = W.bmi_weight(bmi_table.values[batch.tgt_out], scheme.baseline.bmi_s, scheme.baseline.bmi_b)
         # the affine map can dip below zero on very negative table values;
         # negative loss weights would flip gradients, so clamp
-        return np.maximum(raw, 0.0) * ones, None
+        return np.maximum(raw, 0.0) * ones, None, None
     if kind == "focal":
         p = W.gold_token_probs(nmt_log_probs, batch.tgt_out)
-        return W.focal_weight(p, scheme.baseline.alpha, scheme.baseline.gamma) * ones, None
+        return W.focal_weight(p, scheme.baseline.alpha, scheme.baseline.gamma) * ones, None, None
     if kind == "anti_focal":
         p = W.gold_token_probs(nmt_log_probs, batch.tgt_out)
-        return W.anti_focal_weight(p, scheme.baseline.alpha, scheme.baseline.gamma) * ones, None
+        return W.anti_focal_weight(p, scheme.baseline.alpha, scheme.baseline.gamma) * ones, None, None
     raise TrainingError(f"unhandled scheme {kind!r}")
 
 
@@ -221,6 +236,24 @@ class TrainerState:
     opt_nmt: AdamState
     opt_lm: AdamState | None
     step: int = 0
+
+
+def _mean_token_ce(out: Tensor, batch: SentencePairBatch, weights: np.ndarray, smoothing: float) -> Tensor:
+    """Weighted, label-smoothed cross-entropy of the gold targets under the
+    [B, T, V] log-probs ``out``, divided by the batch's target token count."""
+    b, t_len, vocab = out.shape
+    flat = T.reshape(out, (b * t_len, vocab))
+    ce = T.weighted_cross_entropy(flat, batch.tgt_out.reshape(-1), weights.reshape(-1), smoothing)
+    return T.mul(ce, 1.0 / batch.n_tokens)
+
+
+def _backward(tape: Tape, loss: Tensor, model: str, step: int) -> float:
+    """Backpropagate a finite ``loss``; returns its value."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise TrainingError(f"non-finite {model} loss at step {step}")
+    tape.backward(loss)
+    return value
 
 
 def train_step(
@@ -242,104 +275,50 @@ def train_step(
     phase = 1 if step <= cfg.phase1_steps else 2
     scheme = cfg.scheme
     params = state.params
-    tensors = params.tensors
-    nmt_tensors = params.named("nmt.")
-    lm_tensors = params.named("lm.") if scheme.needs_lm else {}
     mask = batch.tgt_mask
-    n_tokens = batch.n_tokens
-    b, t_len = batch.tgt_out.shape
-    flat_targets = batch.tgt_out.reshape(-1)
-    vocab = params.config.vocab_size_tgt
     started = time.perf_counter()
 
-    lm_log_probs_data = None
+    lm_log_probs = lm_loss_value = None
     if scheme.needs_lm:
         lm_rng = _stream_rng(cfg.seed, _STREAM_LM_DROPOUT, step)
         with Tape() as lm_tape:
             lm_out = lm_forward(params, batch.tgt_in, training=True, rng=lm_rng)
-            lm_log_probs_data = lm_out.data
-            lm_flat = T.reshape(lm_out, (b * t_len, vocab))
-            lm_loss = T.mul(
-                T.weighted_cross_entropy(
-                    lm_flat, flat_targets, mask.reshape(-1).astype(np.float64), cfg.label_smoothing
-                ),
-                1.0 / n_tokens,
-            )
-            lm_loss_value = lm_loss.item()
-            if not np.isfinite(lm_loss_value):
-                raise TrainingError(f"non-finite LM loss at step {step}")
-            lm_tape.backward(lm_loss)
-    else:
-        lm_loss_value = None
+            lm_log_probs = lm_out.data
+            lm_loss = _mean_token_ce(lm_out, batch, mask.astype(np.float64), cfg.label_smoothing)
+            lm_loss_value = _backward(lm_tape, lm_loss, "LM", step)
 
     nmt_rng = _stream_rng(cfg.seed, _STREAM_NMT_DROPOUT, step)
     with Tape() as nmt_tape:
         nmt_out = nmt_forward(params, batch.src, batch.tgt_in, training=True, rng=nmt_rng)
-        weights, cbmi_batch = compute_scheme_weights(
-            scheme, batch, nmt_out.data, lm_log_probs_data, freq_table, bmi_table, phase
+        weights, cbmi_batch, addend = compute_scheme_weights(
+            scheme, batch, nmt_out, lm_log_probs, freq_table, bmi_table, phase
         )
-        nmt_flat = T.reshape(nmt_out, (b * t_len, vocab))
-        loss = T.mul(
-            T.weighted_cross_entropy(
-                nmt_flat, flat_targets, weights.reshape(-1), cfg.label_smoothing
-            ),
-            1.0 / n_tokens,
-        )
-        if phase == 2 and scheme.kind == "lm_prior":
-            addend = W.lm_prior_loss(
-                nmt_flat,
-                lm_log_probs_data.reshape(b * t_len, vocab),
-                scheme.baseline.lam,
-                scheme.baseline.tau,
-                mask.reshape(-1),
-                scheme.baseline.soften_teacher_only,
-            )
+        loss = _mean_token_ce(nmt_out, batch, weights, cfg.label_smoothing)
+        if addend is not None:
             loss = T.add(loss, addend)
-        elif phase == 2 and scheme.kind == "prior_select":
-            raw_cbmi = W.masked_token_cbmi(
-                W.gold_token_probs(nmt_out.data, batch.tgt_out),
-                W.gold_token_probs(lm_log_probs_data, batch.tgt_out),
-                mask,
-            )
-            prior_rows = W.selected_prior_rows(
-                nmt_out.data.reshape(b * t_len, vocab),
-                lm_log_probs_data.reshape(b * t_len, vocab),
-                raw_cbmi.reshape(-1),
-                scheme.baseline.th1,
-                scheme.baseline.th2,
-            )
-            loss = T.add(
-                loss,
-                W.prior_cross_entropy_loss(
-                    nmt_flat, prior_rows, scheme.baseline.lam, mask.reshape(-1)
-                ),
-            )
-        loss_value = loss.item()
-        if not np.isfinite(loss_value):
-            raise TrainingError(f"non-finite NMT loss at step {step}")
-        nmt_tape.backward(loss)
+        loss_value = _backward(nmt_tape, loss, "NMT", step)
 
     lr = lr_schedule(step, cfg.base_lr, cfg.warmup_steps)
-    clip_gradients(nmt_tensors, cfg.clip_norm)
-    adam_update(nmt_tensors, state.opt_nmt, lr)
-    if scheme.needs_lm:
-        clip_gradients(lm_tensors, cfg.clip_norm)
-        adam_update(lm_tensors, state.opt_lm, lr)
-    for p in tensors.values():
+    updates = [("nmt.", state.opt_nmt)] + ([("lm.", state.opt_lm)] if scheme.needs_lm else [])
+    for prefix, opt in updates:
+        tensors = params.named(prefix)
+        clip_gradients(tensors, cfg.clip_norm)
+        adam_update(tensors, opt, lr)
+    for p in params.tensors.values():
         p.zero_grad()
 
     if dump_sink is not None and cbmi_batch is not None:
-        records = [cbmi_batch.record(i) for i in range(batch.n_sentences)]
-        for line in W.weight_dump_lines(step, records, mask, batch.tgt_out):
+        for line in W.weight_dump_lines(step, cbmi_batch, mask, batch.tgt_out):
             dump_sink.write(line + "\n")
 
     live = weights[mask]
+    n_tokens = batch.n_tokens
     elapsed = time.perf_counter() - started
     return StepMetrics(
         step=step,
         phase=phase,
-        nmt_loss=float(loss_value),
-        lm_loss=None if lm_loss_value is None else float(lm_loss_value),
+        nmt_loss=loss_value,
+        lm_loss=lm_loss_value,
         mean_token_cbmi=None if cbmi_batch is None else float(cbmi_batch.token_cbmi[mask].mean()),
         weight_mean=float(live.mean()),
         weight_min=float(live.min()),
@@ -422,19 +401,11 @@ class Trainer:
             if params.config != model_config:
                 raise TrainingError("checkpoint model config does not match the requested config")
             self._check_vocab_meta(meta)
-            self.state = TrainerState(
-                params=params,
-                opt_nmt=self._adam_from_extras(extras, "nmt", params),
-                opt_lm=self._adam_from_extras(extras, "lm", params) if cfg.scheme.needs_lm else None,
-                step=int(meta["step"]),
-            )
+            step = int(meta["step"])
         else:
             params = M.init_params(model_config, cfg.seed, dtype=dtype, with_lm=cfg.scheme.needs_lm)
-            self.state = TrainerState(
-                params=params,
-                opt_nmt=AdamState.for_params(params.named("nmt.")),
-                opt_lm=AdamState.for_params(params.named("lm.")) if cfg.scheme.needs_lm else None,
-            )
+            extras, step = {}, 0
+        self.state = TrainerState(params, *self._optimizers(params, extras), step=step)
 
         n0 = len(self._batches_for_epoch(0))
         self.batches_per_epoch = n0
@@ -447,16 +418,22 @@ class Trainer:
                         f"checkpoint {key} does not match the current corpus/vocabulary"
                     )
 
-    @staticmethod
-    def _adam_from_extras(extras: dict[str, np.ndarray], model: str, params: ModelParams) -> AdamState:
-        prefix_m = f"opt.{model}.m."
-        prefix_v = f"opt.{model}.v."
-        m = {k[len(prefix_m):]: v.copy() for k, v in extras.items() if k.startswith(prefix_m)}
-        v = {k[len(prefix_v):]: v_.copy() for k, v_ in extras.items() if k.startswith(prefix_v)}
-        if not m:
-            return AdamState.for_params(params.named(f"{model}."))
-        t = int(extras[f"opt.{model}.t"][0])
-        return AdamState(m=m, v=v, t=t)
+    def _optimizers(
+        self, params: ModelParams, extras: dict[str, np.ndarray]
+    ) -> tuple[AdamState, AdamState | None]:
+        """Adam state for the NMT and, when the scheme trains one, the LM:
+        the moments held in checkpoint ``extras``, or zeros if it holds none."""
+
+        def adam(model: str) -> AdamState:
+            m, v = (
+                {k.removeprefix(prefix): a.copy() for k, a in extras.items() if k.startswith(prefix)}
+                for prefix in (f"opt.{model}.m.", f"opt.{model}.v.")
+            )
+            if not m:
+                return AdamState.for_params(params.named(f"{model}."))
+            return AdamState(m=m, v=v, t=int(extras[f"opt.{model}.t"][0]))
+
+        return adam("nmt"), adam("lm") if self.cfg.scheme.needs_lm else None
 
     def _batches_for_epoch(self, epoch: int) -> list[SentencePairBatch]:
         if self._epoch_cache is not None and self._epoch_cache[0] == epoch:
@@ -527,9 +504,7 @@ class Trainer:
                 while self.state.step < cfg.total_steps:
                     step = self.state.step + 1
                     if cfg.reset_optimizer_phase2 and step == cfg.phase1_steps + 1:
-                        self.state.opt_nmt = AdamState.for_params(self.state.params.named("nmt."))
-                        if self.state.opt_lm is not None:
-                            self.state.opt_lm = AdamState.for_params(self.state.params.named("lm."))
+                        self.state.opt_nmt, self.state.opt_lm = self._optimizers(self.state.params, {})
                     batch = self.batch_for_step(step)
                     try:
                         metrics = train_step(

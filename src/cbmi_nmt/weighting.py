@@ -457,20 +457,23 @@ def prior_cross_entropy_loss(
 
 def weight_dump_lines(
     step: int,
-    records: list[CbmiRecord],
+    schedule: CbmiBatch,
     mask: np.ndarray,
     token_ids: np.ndarray,
 ) -> list[str]:
-    """One analysis line per non-pad token position:
+    """One analysis line per non-pad token position, in row-major order:
     step, sentence, position, token id, raw CBMI, the two weights, final."""
-    lines = []
-    for i, rec in enumerate(records):
-        for j in range(mask.shape[1]):
-            if not mask[i, j]:
-                continue
-            lines.append(
-                f"{step}\t{i}\t{j}\t{int(token_ids[i, j])}\t{rec.token_cbmi[j]:.6f}"
-                f"\t{rec.token_weights[j]:.6f}\t{rec.sentence_weight:.6f}"
-                f"\t{rec.final_weights[j]:.6f}"
-            )
-    return lines
+    rows, cols = np.nonzero(mask)
+    columns = zip(
+        rows.tolist(),
+        cols.tolist(),
+        token_ids[rows, cols].tolist(),
+        schedule.token_cbmi[rows, cols].tolist(),
+        schedule.token_weights[rows, cols].tolist(),
+        schedule.sentence_weights[rows].tolist(),
+        schedule.final_weights[rows, cols].tolist(),
+    )
+    return [
+        f"{step}\t{i}\t{j}\t{tok}\t{cbmi:.6f}\t{w_t:.6f}\t{w_s:.6f}\t{w:.6f}"
+        for i, j, tok, cbmi, w_t, w_s, w in columns
+    ]

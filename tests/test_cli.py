@@ -276,7 +276,9 @@ class TestCliRuns:
         assert code == 1
         assert "error:checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["truncated_tensors", "manifest_without_heads"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated_tensors", "manifest_without_heads", "manifest_without_step"]
+    )
     def test_damaged_checkpoint_is_checkpoint_error(self, corpus, tmp_path, capsys, damage):
         out = tmp_path / "run"
         assert run(train_args(corpus, out, "--seed", "8")) == 0
@@ -286,14 +288,19 @@ class TestCliRuns:
             damaged.write_bytes(damaged.read_bytes()[: damaged.stat().st_size // 2])
         else:
             damaged = ckpt / "manifest.txt"
+            key = "config.heads=" if damage == "manifest_without_heads" else "step="
             lines = damaged.read_text().splitlines(keepends=True)
-            damaged.write_text("".join(l for l in lines if not l.startswith("config.heads=")))
+            damaged.write_text("".join(l for l in lines if not l.startswith(key)))
         capsys.readouterr()
-        code = run([
-            "translate", "--checkpoint", str(ckpt),
-            "--src", str(corpus / "train.src"), "--out", str(tmp_path / "h.txt"),
-            "--data-dir", str(corpus / "data"),
-        ])
+        if damage == "manifest_without_step":
+            # the step matters to a resume, which continues from it
+            code = run(train_args(corpus, tmp_path / "resumed", "--seed", "8", "--resume", str(ckpt)))
+        else:
+            code = run([
+                "translate", "--checkpoint", str(ckpt),
+                "--src", str(corpus / "train.src"), "--out", str(tmp_path / "h.txt"),
+                "--data-dir", str(corpus / "data"),
+            ])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:checkpoint:") and str(damaged) in err

@@ -204,25 +204,26 @@ class TestTrainRuns:
             if name.startswith("nmt."):
                 np.testing.assert_array_equal(tensor.data, params_b.tensors[name].data)
 
-    def test_resume_is_bitwise_identical(self, tmp_path):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_resume_is_bitwise_identical(self, tmp_path, dtype):
+        # every step's gradient norm here exceeds the default clip_norm, so
+        # each update depends on the order in which the norm is summed
         pairs = toy_pairs()
         mc = tiny_model_config()
-        cfg = tiny_train_config(
-            scheme=WeightScheme("cbmi"), phase1_steps=3, phase2_steps=5, checkpoint_every=4
-        )
-        train(cfg, mc, pairs, tmp_path / "full")
+        common = dict(scheme=WeightScheme("cbmi"), phase1_steps=3, checkpoint_every=4)
+        cfg = tiny_train_config(phase2_steps=5, **common)
+        train(cfg, mc, pairs, tmp_path / "full", dtype=dtype)
         full = read_metrics(tmp_path / "full")
 
-        cfg_half = tiny_train_config(
-            scheme=WeightScheme("cbmi"), phase1_steps=3, phase2_steps=1, checkpoint_every=4
-        )
-        train(cfg_half, mc, pairs, tmp_path / "half")
+        cfg_half = tiny_train_config(phase2_steps=1, **common)
+        train(cfg_half, mc, pairs, tmp_path / "half", dtype=dtype)
         resumed_dir = tmp_path / "resumed"
         train(
             cfg,
             mc,
             pairs,
             resumed_dir,
+            dtype=dtype,
             resume=tmp_path / "half" / "checkpoint_step4",
         )
         resumed = read_metrics(resumed_dir)

@@ -356,9 +356,9 @@ class TestWeightScheme:
 
 def test_weight_dump_lines(rng):
     p_nmt, p_lm, mask = _random_batch(rng, n_sent=2, n_pos=4)
-    records = cbmi_records_for_batch(p_nmt, p_lm, mask, CbmiConfig())
+    schedule = W.cbmi_schedule(p_nmt, p_lm, mask, CbmiConfig())
     ids = rng.integers(4, 9, size=(2, 4))
-    lines = W.weight_dump_lines(7, records, mask, ids)
+    lines = W.weight_dump_lines(7, schedule, mask, ids)
     assert len(lines) == int(mask.sum())
     first = lines[0].split("\t")
     assert first[0] == "7" and len(first) == 8
