@@ -9,15 +9,7 @@ from .decoding import BeamConfig, BleuReport, analyze_cbmi, beam_search, bleu
 from .models import ModelConfig, ModelParams, init_params, lm_forward, nmt_forward
 from .tensor import Tape, Tensor
 from .training import StepMetrics, TrainConfig, Trainer, lr_schedule, train
-from .weighting import (
-    BaselineConfig,
-    CbmiConfig,
-    CbmiRecord,
-    TokenProbPair,
-    WeightScheme,
-    sentence_cbmi,
-    token_cbmi,
-)
+from .weighting import BaselineConfig, CbmiConfig, CbmiRecord, WeightScheme
 
 __all__ = [
     "BaselineConfig",
@@ -33,7 +25,6 @@ __all__ = [
     "StepMetrics",
     "Tape",
     "Tensor",
-    "TokenProbPair",
     "TrainConfig",
     "Trainer",
     "Vocabulary",
@@ -46,7 +37,5 @@ __all__ = [
     "lr_schedule",
     "make_batches",
     "nmt_forward",
-    "sentence_cbmi",
-    "token_cbmi",
     "train",
 ]

@@ -26,6 +26,7 @@ from .corpus import (
     build_vocabularies,
     load_parallel_corpus,
     make_batches,
+    tokenize,
 )
 from .decoding import BeamConfig, analyze_cbmi, beam_search, bleu, write_analysis
 from .models import CheckpointError, ModelConfig, lm_forward, load_checkpoint, nmt_forward
@@ -144,6 +145,12 @@ class FullConfig:
         ]
         for rate_key in ("dropout_residual", "dropout_attention", "dropout_activation"):
             checks.append((0 <= getattr(self, rate_key) < 1, rate_key, "must lie in [0, 1)"))
+        for size_key in ("embed_dim", "ff_dim", "heads"):
+            checks.append((getattr(self, size_key) >= 1, size_key, "must be positive"))
+        for layers_key in ("enc_layers", "dec_layers", "lm_layers"):
+            checks.append((getattr(self, layers_key) >= 0, layers_key, "must be non-negative"))
+        checks.append((self.heads < 1 or self.embed_dim % self.heads == 0, "heads",
+                       f"must divide embed_dim {self.embed_dim}"))
         for ok, key, message in checks:
             if not ok:
                 raise ConfigError(f"invalid value for {ATTR_TO_KEY.get(key, key)}: {message}")
@@ -361,6 +368,10 @@ def _load_vocabs(data_dir: Path) -> tuple[Vocabulary, Vocabulary]:
     return Vocabulary.load(src_path), Vocabulary.load(tgt_path)
 
 
+def _vocab_hashes(src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> dict[str, str]:
+    return {"vocab_src_hash": src_vocab.content_hash(), "vocab_tgt_hash": tgt_vocab.content_hash()}
+
+
 def _target_frequency_table(pairs, vocab_size: int) -> FrequencyTable:
     table = FrequencyTable.from_pairs(pairs, "tgt", vocab_size)
     # the end-of-sentence marker is a real training target, once per sentence
@@ -417,10 +428,7 @@ def cmd_train(args) -> int:
         bmi_table=bmi_table,
         resume=args.resume,
         config_echo=config.echo_dict(),
-        checkpoint_meta={
-            "vocab_src_hash": src_vocab.content_hash(),
-            "vocab_tgt_hash": tgt_vocab.content_hash(),
-        },
+        checkpoint_meta=_vocab_hashes(src_vocab, tgt_vocab),
         dump_weights_path=args.dump_weights,
     )
     final = trainer.run()
@@ -431,12 +439,7 @@ def cmd_train(args) -> int:
 def _load_checkpoint_for(args, need_lm: bool = False):
     params, _, meta = load_checkpoint(args.checkpoint)
     src_vocab, tgt_vocab = _load_vocabs(Path(args.data_dir))
-    if meta.get("vocab_src_hash") not in (None, "", src_vocab.content_hash()):
-        raise CheckpointError("checkpoint was trained with a different source vocabulary")
-    if meta.get("vocab_tgt_hash") not in (None, "", tgt_vocab.content_hash()):
-        raise CheckpointError("checkpoint was trained with a different target vocabulary")
-    if need_lm and not params.has_lm:
-        raise CheckpointError("this checkpoint has no language model")
+    M.check_compatible(params, meta, _vocab_hashes(src_vocab, tgt_vocab), need_lm)
     return params, meta, src_vocab, tgt_vocab
 
 
@@ -447,7 +450,7 @@ def cmd_translate(args) -> int:
     lines = Path(args.src).read_text(encoding="utf-8").splitlines()
     outputs = []
     for lineno, line in enumerate(lines, start=1):
-        tokens = line.split()
+        tokens = tokenize(line)
         if not tokens:
             raise CorpusError(f"empty source sentence at line {lineno}")
         ids = src_vocab.encode(tokens)

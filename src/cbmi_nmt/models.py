@@ -43,13 +43,16 @@ class ModelConfig:
     max_len: int = 512
 
     def __post_init__(self):
+        for name in ("vocab_size_src", "vocab_size_tgt", "embed_dim", "ff_dim", "heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+        for name in ("enc_layers", "dec_layers", "lm_layers"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.embed_dim % self.heads != 0:
             raise ValueError(
                 f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}"
             )
-        for name in ("vocab_size_src", "vocab_size_tgt", "embed_dim", "ff_dim", "heads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
 
 
 # model-shape values of each named preset; "desk" is the ModelConfig default,
@@ -62,17 +65,6 @@ MODEL_PRESETS: dict[str, dict[str, object]] = {
     "big": dict(embed_dim=1024, ff_dim=4096, enc_layers=6, dec_layers=6, lm_layers=6,
                 heads=16, dropout_residual=0.3),
 }
-
-
-def preset_config(
-    preset: str, vocab_size_src: int, vocab_size_tgt: int, **overrides
-) -> ModelConfig:
-    """ModelConfig of a named preset, with keyword overrides on top."""
-    return ModelConfig(vocab_size_src, vocab_size_tgt, **{**MODEL_PRESETS[preset], **overrides})
-
-
-base_config = functools.partial(preset_config, "base")
-big_config = functools.partial(preset_config, "big")
 
 
 @dataclass
@@ -182,15 +174,12 @@ def ff_param_count(d: int, f: int) -> int:
     return d * f + f + f * d + d
 
 
-def encoder_layer_param_count(d: int, f: int) -> int:
-    return attention_param_count(d) + ff_param_count(d, f) + 2 * (2 * d)
-
-
 def decoder_layer_param_count(d: int, f: int) -> int:
     return 2 * attention_param_count(d) + ff_param_count(d, f) + 3 * (2 * d)
 
 
 def lm_layer_param_count(d: int, f: int) -> int:
+    # an encoder layer has the same shape: self-attention, then feed-forward
     return attention_param_count(d) + ff_param_count(d, f) + 2 * (2 * d)
 
 
@@ -199,7 +188,7 @@ def nmt_param_count(config: ModelConfig) -> int:
     return (
         config.vocab_size_src * d
         + config.vocab_size_tgt * d
-        + config.enc_layers * encoder_layer_param_count(d, f)
+        + config.enc_layers * lm_layer_param_count(d, f)
         + config.dec_layers * decoder_layer_param_count(d, f)
         + d * config.vocab_size_tgt
         + config.vocab_size_tgt
@@ -471,6 +460,20 @@ def save_checkpoint(
 
 class CheckpointError(ValueError):
     pass
+
+
+def check_compatible(
+    params: ModelParams, meta: dict[str, str], vocab_hashes: dict[str, str], need_lm: bool
+) -> None:
+    """Raise ``CheckpointError`` unless a loaded checkpoint fits the caller:
+    every vocabulary hash that both the manifest ``meta`` and ``vocab_hashes``
+    hold agrees, and the checkpoint has a language model when ``need_lm``."""
+    for key in ("vocab_src_hash", "vocab_tgt_hash"):
+        stored, current = meta.get(key), vocab_hashes.get(key)
+        if stored and current and stored != current:
+            raise CheckpointError(f"checkpoint {key} does not match the current vocabulary")
+    if need_lm and not params.has_lm:
+        raise CheckpointError("this checkpoint has no language model")
 
 
 def _parse_bool(text: str) -> bool:

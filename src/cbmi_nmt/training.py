@@ -388,7 +388,6 @@ class Trainer:
         self.cfg = cfg
         self.pairs = pairs
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.freq_table = freq_table
         self.bmi_table = bmi_table
         self.config_echo = config_echo
@@ -400,23 +399,16 @@ class Trainer:
             params, extras, meta = M.load_checkpoint(resume)
             if params.config != model_config:
                 raise TrainingError("checkpoint model config does not match the requested config")
-            self._check_vocab_meta(meta)
+            M.check_compatible(params, meta, self.checkpoint_meta, cfg.scheme.needs_lm)
             step = int(meta["step"])
         else:
             params = M.init_params(model_config, cfg.seed, dtype=dtype, with_lm=cfg.scheme.needs_lm)
             extras, step = {}, 0
         self.state = TrainerState(params, *self._optimizers(params, extras), step=step)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
 
         n0 = len(self._batches_for_epoch(0))
         self.batches_per_epoch = n0
-
-    def _check_vocab_meta(self, meta: dict[str, str]) -> None:
-        for key in ("vocab_src_hash", "vocab_tgt_hash"):
-            if key in meta and key in self.checkpoint_meta:
-                if meta[key] != self.checkpoint_meta[key]:
-                    raise TrainingError(
-                        f"checkpoint {key} does not match the current corpus/vocabulary"
-                    )
 
     def _optimizers(
         self, params: ModelParams, extras: dict[str, np.ndarray]

@@ -16,31 +16,12 @@ loss treats the resulting weights as constants.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class TokenProbPair:
-    """Gold-token probabilities from both models at one target position."""
-
-    p_nmt: float
-    p_lm: float
-
-    def __post_init__(self):
-        if not (0.0 < self.p_nmt <= 1.0 and 0.0 < self.p_lm <= 1.0):
-            raise ValueError(f"probabilities must lie in (0, 1]: {self}")
-
-
-@dataclass(frozen=True)
-class NormStats:
-    mean: float
-    std: float
 
 
 @dataclass(frozen=True)
@@ -126,12 +107,6 @@ class CbmiRecord:
 # CBMI core
 
 
-def token_cbmi(pair: TokenProbPair) -> float:
-    """log(p_nmt / p_lm) in nats; positive when the source sentence raises
-    the gold token's probability above the context-only estimate."""
-    return math.log(pair.p_nmt) - math.log(pair.p_lm)
-
-
 def token_cbmi_values(p_nmt: np.ndarray, p_lm: np.ndarray) -> np.ndarray:
     p_nmt = np.asarray(p_nmt, dtype=np.float64)
     p_lm = np.asarray(p_lm, dtype=np.float64)
@@ -154,79 +129,6 @@ def masked_token_cbmi(p_nmt: np.ndarray, p_lm: np.ndarray, mask: np.ndarray) -> 
     return np.where(
         mask, token_cbmi_values(np.where(mask, p_nmt, 1.0), np.where(mask, p_lm, 1.0)), 0.0
     )
-
-
-def _masked_mean_std(values: np.ndarray, mask: np.ndarray, sigma_floor: float) -> NormStats:
-    selected = values[mask]
-    mean = float(selected.mean())
-    std = float(selected.std())  # population std
-    return NormStats(mean=mean, std=max(std, sigma_floor))
-
-
-def normalize_intra_sentence(
-    token_values: np.ndarray,
-    mask: np.ndarray | None = None,
-    sigma_floor: float = 1e-6,
-) -> tuple[np.ndarray, NormStats]:
-    """Standardize token values within one sentence (population std, floored).
-
-    Pad positions produce 0 and are excluded from the statistics.
-    """
-    token_values = np.asarray(token_values, dtype=np.float64)
-    if mask is None:
-        mask = np.ones(token_values.shape, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("intra-sentence normalization needs at least one non-pad position")
-    stats = _masked_mean_std(token_values, mask, sigma_floor)
-    norm = np.where(mask, (token_values - stats.mean) / stats.std, 0.0)
-    return norm, stats
-
-
-def token_weight(norm_cbmi: float, scale_t: float) -> float:
-    """max(0, scale_t * normalized CBMI + 1)."""
-    return max(0.0, scale_t * norm_cbmi + 1.0)
-
-
-def sentence_cbmi(token_values: np.ndarray, mask: np.ndarray | None = None) -> float:
-    """Arithmetic mean of token CBMI over non-pad positions."""
-    token_values = np.asarray(token_values, dtype=np.float64)
-    if mask is None:
-        mask = np.ones(token_values.shape, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("sentence CBMI needs at least one non-pad position")
-    return float(token_values[mask].mean())
-
-
-def normalize_inter_sentence(
-    sent_values: np.ndarray,
-    sigma_floor: float = 1e-6,
-) -> tuple[np.ndarray, NormStats]:
-    """Standardize sentence CBMI across a mini-batch (population std, floored)."""
-    sent_values = np.asarray(sent_values, dtype=np.float64)
-    if sent_values.size < 1:
-        raise ValueError("inter-sentence normalization needs at least one sentence")
-    stats = _masked_mean_std(sent_values, np.ones(sent_values.shape, dtype=bool), sigma_floor)
-    return (sent_values - stats.mean) / stats.std, stats
-
-
-def sentence_weight(norm_cbmi: float, scale_s: float) -> float:
-    """max(0, scale_s * normalized sentence CBMI + 1)."""
-    return max(0.0, scale_s * norm_cbmi + 1.0)
-
-
-def final_weights(
-    token_weights: np.ndarray,
-    sent_weight: float,
-    config: CbmiConfig,
-) -> np.ndarray:
-    """Combine the two granularities, honoring the ablation switches."""
-    w_t = np.asarray(token_weights, dtype=np.float64)
-    if not config.use_token:
-        w_t = np.ones_like(w_t)
-    w_s = sent_weight if config.use_sentence else 1.0
-    return w_t * w_s
 
 
 @dataclass

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cbmi_nmt.tensor import Tape, Tensor
+from cbmi_nmt.weighting import CbmiConfig, cbmi_schedule
 
 
 def eval_loss(make_loss, arrays):
@@ -49,6 +50,27 @@ def fd_check(
     rate = float(np.mean(checks))
     assert rate >= min_pass_rate, f"finite-difference pass rate {rate:.3f} < {min_pass_rate}"
     return rate
+
+
+def schedule_of(sentences, width=None, **config):
+    """``cbmi_schedule`` over sentences given as token-CBMI values: a value
+    ``v`` is fed as ``p_nmt = 1``, ``p_lm = exp(-v)``. Each sentence is
+    padded to ``width`` (default: the longest) with placeholders the
+    schedule must ignore. Returns the schedule and the mask."""
+    width = width or max(len(values) for values in sentences)
+    mask = np.zeros((len(sentences), width), dtype=bool)
+    p_lm = np.full(mask.shape, 0.5)
+    for i, values in enumerate(sentences):
+        mask[i, : len(values)] = True
+        p_lm[i, : len(values)] = np.exp(-np.asarray(values, dtype=np.float64))
+    return cbmi_schedule(np.ones(mask.shape), p_lm, mask, CbmiConfig(**config)), mask
+
+
+def normalized_sentence_cbmi(schedule, scale_s):
+    """The batch-normalized sentence CBMI, read off the sentence weights;
+    valid only where no sentence weight clamps at zero."""
+    assert (schedule.sentence_weights > 0).all()
+    return (schedule.sentence_weights - 1.0) / scale_s
 
 
 @pytest.fixture

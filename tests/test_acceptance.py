@@ -51,7 +51,7 @@ from cbmi_nmt.training import (
 )
 from cbmi_nmt.weighting import CbmiConfig, WeightScheme
 
-from conftest import fd_check
+from conftest import fd_check, normalized_sentence_cbmi, schedule_of
 
 
 def report(number: int, message: str) -> None:
@@ -141,14 +141,21 @@ class TestCriterion01CbmiIdentity:
     def test_sentence_cbmi_is_mean_of_token_cbmi(self):
         rng = np.random.default_rng(1)
         started = time.perf_counter()
-        for _ in range(1000):
-            n = int(rng.integers(1, 40))
-            p_nmt = rng.uniform(1e-6, 1.0, size=n)
-            p_lm = rng.uniform(1e-6, 1.0, size=n)
-            values = W.token_cbmi_values(p_nmt, p_lm)
-            sent = W.sentence_cbmi(values)
-            assert abs(sent - values.mean()) <= 1e-9
+        checked = 0
+        for _ in range(125):
+            # eight sentences of 1-39 tokens, padded as the trainer's batches
+            # are; the pad entries hold probabilities the schedule must ignore
+            lengths = rng.integers(1, 40, size=8)
+            mask = np.arange(39)[None, :] < lengths[:, None]
+            p_nmt = rng.uniform(1e-6, 1.0, size=mask.shape)
+            p_lm = rng.uniform(1e-6, 1.0, size=mask.shape)
+            schedule = W.cbmi_schedule(p_nmt, p_lm, mask, CbmiConfig())
+            for i, n in enumerate(lengths):
+                values = np.log(p_nmt[i, :n]) - np.log(p_lm[i, :n])
+                assert abs(schedule.sent_cbmi[i] - values.mean()) <= 1e-9
+                checked += 1
         elapsed = time.perf_counter() - started
+        assert checked == 1000
         assert elapsed < 1.0, f"identity suite took {elapsed:.2f}s"
         report(1, f"1000 sentences, sentence CBMI == token mean within 1e-9 ({elapsed:.2f}s)")
 
@@ -255,22 +262,31 @@ class TestCriterion04NormalizationInvariants:
                                 size=int(rng.integers(2, 40)))
             if values.std() <= 1e-6:
                 continue
-            norm, _ = W.normalize_intra_sentence(values)
+            schedule, _ = schedule_of([values], width=40)
+            norm = schedule.norm_token_cbmi[0]
+            assert (norm[len(values):] == 0.0).all()
+            norm = norm[: len(values)]
             assert abs(norm.mean()) < 1e-5
             assert abs(norm.std() - 1.0) < 1e-4
-            norm2, _ = W.normalize_inter_sentence(values)
+            # each value as the CBMI of its own padded sentence of 1-5 equal
+            # tokens; at scale_s 0.1 no sentence weight clamps, since no value
+            # among at most 39 lies more than sqrt(38) std from their mean
+            rows = [[v] * int(k) for v, k in zip(values, rng.integers(1, 6, size=len(values)))]
+            schedule, _ = schedule_of(rows, width=5, scale_s=0.1)
+            norm2 = normalized_sentence_cbmi(schedule, 0.1)
             assert abs(norm2.mean()) < 1e-5
             assert abs(norm2.std() - 1.0) < 1e-4
         checked = 0
         for _ in range(200):
             n = int(rng.integers(2, 30))
-            p_nmt = rng.uniform(0.05, 0.95, size=(1, n))
-            p_lm = rng.uniform(0.05, 0.95, size=(1, n))
-            schedule = W.cbmi_schedule(p_nmt, p_lm, np.ones((1, n), dtype=bool),
-                                       CbmiConfig(scale_t=0.1, scale_s=0.3))
+            mask = np.arange(30)[None, :] < n
+            p_nmt = rng.uniform(0.05, 0.95, size=(1, 30))
+            p_lm = rng.uniform(0.05, 0.95, size=(1, 30))
+            schedule = W.cbmi_schedule(p_nmt, p_lm, mask, CbmiConfig(scale_t=0.1, scale_s=0.3))
             w_t = schedule.token_weights[0]
-            if (w_t > 0).all():
-                assert abs(w_t.mean() - 1.0) < 1e-5
+            assert (w_t[n:] == 0.0).all()
+            if (w_t[:n] > 0).all():
+                assert abs(w_t[:n].mean() - 1.0) < 1e-5
                 checked += 1
         assert checked > 100
         report(4, f"normalization mean/std invariants and mean-one weights ({checked} sentences)")

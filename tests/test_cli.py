@@ -127,14 +127,16 @@ class TestParseConfig:
             parse_config(None, {"th1": 9.0, "th2": 8.0})
 
 
-_STR_VALUES = {"scheme": "cbmi", "profile": "zh_en", "preset": "base", "precision": "fp64"}
+# the string keys, and the two keys whose default + 1 would break embed_dim % heads == 0
+_CHOSEN_VALUES = {"scheme": "cbmi", "profile": "zh_en", "preset": "base", "precision": "fp64",
+                  "embed_dim": 128, "heads": 8}
 
 
 def _non_default(attr: str):
     """A valid value for ``attr`` that differs from its default."""
     default = getattr(FullConfig(), attr)
-    if attr in _STR_VALUES:
-        return _STR_VALUES[attr]
+    if attr in _CHOSEN_VALUES:
+        return _CHOSEN_VALUES[attr]
     if isinstance(default, bool):
         return not default
     if isinstance(default, int):
@@ -169,9 +171,20 @@ class TestCliRuns:
         assert capsys.readouterr().err.startswith("error:io:")
 
     def test_invalid_value_is_runtime_error(self, corpus, tmp_path, capsys):
-        code = run(train_args(corpus, tmp_path / "o", "--scale-t", "-1"))
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error:config:")
+        cases = [
+            ("scale_t", ["--scale-t", "-1"]),
+            ("enc_layers", ["--enc-layers", "-3"]),
+            ("dec_layers", ["--dec-layers", "-1"]),
+            ("lm_layers", ["--lm-layers", "-1"]),
+            ("heads", ["--heads", "3", "--embed-dim", "16"]),
+            ("heads", ["--heads", "0"]),
+        ]
+        for key, flags in cases:
+            code = run(train_args(corpus, tmp_path / "o", *flags))
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error:config: invalid value for {key}:"), (flags, err)
+        assert not (tmp_path / "o").exists()
 
     def test_score_identity_is_100(self, corpus, capsys):
         hyp = corpus / "train.tgt"
@@ -238,6 +251,12 @@ class TestCliRuns:
         ])
         assert code == 1
         assert "error:checkpoint" in capsys.readouterr().err
+        resumed = tmp_path / "resumed"
+        code = run(train_args(corpus, resumed, "--scheme", "cbmi", "--seed", "2",
+                              "--resume", str(out / "checkpoint_final")))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:checkpoint:")
+        assert not resumed.exists()
 
     def test_analyze_and_dump_weights(self, corpus, tmp_path):
         out = tmp_path / "lmrun"

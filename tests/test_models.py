@@ -35,10 +35,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="divisible"):
             ModelConfig(10, 10, embed_dim=10, heads=3)
 
+    @pytest.mark.parametrize("name", ["enc_layers", "dec_layers", "lm_layers"])
+    def test_negative_layer_count_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            ModelConfig(10, 10, **{name: -3})
+        assert getattr(ModelConfig(10, 10, **{name: 0}), name) == 0
+
     def test_presets(self):
-        base = M.base_config(100, 100)
+        base = ModelConfig(100, 100, **M.MODEL_PRESETS["base"])
         assert (base.embed_dim, base.enc_layers, base.heads) == (512, 6, 8)
-        big = M.big_config(100, 100)
+        big = ModelConfig(100, 100, **M.MODEL_PRESETS["big"])
         assert (big.embed_dim, big.heads, big.dropout_residual) == (1024, 16, 0.3)
         assert set(M.MODEL_PRESETS) == {"desk", "base", "big"}
 
@@ -82,7 +88,7 @@ class TestInit:
 
     def test_base_preset_counts(self):
         # closed-form oracle at the full-size preset: 6/6/6 layers, dim 512
-        cfg = M.base_config(32000, 32000)
+        cfg = ModelConfig(32000, 32000, **M.MODEL_PRESETS["base"])
         params = init_params(cfg, seed=0)
         assert params.count("nmt.") == M.nmt_param_count(cfg)
         assert params.count("lm.") == M.lm_param_count(cfg)

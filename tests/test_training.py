@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cbmi_nmt.corpus import FrequencyTable, SentencePair, make_batches
-from cbmi_nmt.models import ModelConfig, init_params, load_checkpoint
+from cbmi_nmt.models import CheckpointError, ModelConfig, init_params, load_checkpoint
 from cbmi_nmt.tensor import Tensor
 from cbmi_nmt.training import (
     AdamState,
@@ -280,11 +280,22 @@ class TestTrainRuns:
         mc = tiny_model_config()
         cfg = tiny_train_config(phase1_steps=2, phase2_steps=0)
         ckpt = train(cfg, mc, pairs, tmp_path / "run", checkpoint_meta={"vocab_tgt_hash": "aaa"})
-        with pytest.raises(TrainingError, match="vocab"):
+        with pytest.raises(CheckpointError, match="vocab"):
             Trainer(
                 cfg, mc, pairs, tmp_path / "other",
                 resume=ckpt, checkpoint_meta={"vocab_tgt_hash": "bbb"},
             )
+        assert not (tmp_path / "other").exists()
+
+    def test_lm_scheme_resume_needs_lm_in_checkpoint(self, tmp_path):
+        pairs = toy_pairs()
+        mc = tiny_model_config()
+        ckpt = train(tiny_train_config(phase1_steps=2, phase2_steps=0), mc, pairs, tmp_path / "run")
+        for kind in ("cbmi", "lm_prior", "prior_select"):
+            cfg = tiny_train_config(scheme=WeightScheme(kind), phase1_steps=2, phase2_steps=2)
+            with pytest.raises(CheckpointError, match="language model"):
+                Trainer(cfg, mc, pairs, tmp_path / kind, resume=ckpt)
+            assert not (tmp_path / kind).exists()
 
     def test_weight_dump_written(self, tmp_path):
         pairs = toy_pairs()

@@ -10,112 +10,137 @@ from cbmi_nmt.weighting import (
     BaselineConfig,
     CbmiConfig,
     Prior,
-    TokenProbPair,
     WeightScheme,
     cbmi_records_for_batch,
-    normalize_inter_sentence,
-    normalize_intra_sentence,
+    cbmi_schedule,
     select_prior,
-    sentence_cbmi,
-    sentence_weight,
-    token_cbmi,
-    token_weight,
 )
+
+from conftest import normalized_sentence_cbmi, schedule_of
+
+
+def _token_cbmi(p_nmt, p_lm):
+    """The schedule's token CBMI of one gold-token probability pair."""
+    mask = np.ones((1, 1), dtype=bool)
+    schedule = cbmi_schedule(np.array([[p_nmt]]), np.array([[p_lm]]), mask, CbmiConfig())
+    return schedule.token_cbmi[0, 0]
 
 
 class TestTokenCbmi:
     def test_equal_probabilities_give_zero(self):
-        assert token_cbmi(TokenProbPair(0.3, 0.3)) == pytest.approx(0.0, abs=1e-15)
+        assert _token_cbmi(0.3, 0.3) == pytest.approx(0.0, abs=1e-15)
 
     def test_source_helps(self):
-        assert token_cbmi(TokenProbPair(0.5, 0.25)) == pytest.approx(math.log(2), abs=1e-12)
+        assert _token_cbmi(0.5, 0.25) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_source_hurts(self):
-        assert token_cbmi(TokenProbPair(0.1, 0.5)) == pytest.approx(math.log(0.2), abs=1e-12)
+        assert _token_cbmi(0.1, 0.5) == pytest.approx(math.log(0.2), abs=1e-12)
 
     def test_zero_probability_rejected(self):
         with pytest.raises(ValueError):
-            TokenProbPair(0.0, 0.5)
+            _token_cbmi(0.0, 0.5)
         with pytest.raises(ValueError):
             W.token_cbmi_values(np.array([0.5]), np.array([0.0]))
 
 
 class TestIntraSentenceNormalization:
     def test_constant_sentence_floored(self):
-        norm, stats = normalize_intra_sentence(np.array([2.0, 2.0, 2.0]))
-        np.testing.assert_allclose(norm, 0.0, atol=1e-12)
-        assert stats.std == 1e-6
+        schedule, _ = schedule_of([[2.0, 2.0, 2.0]])
+        np.testing.assert_allclose(schedule.norm_token_cbmi, 0.0, atol=1e-12)
+        # a spread below sigma_floor is divided by the floor, not by itself
+        schedule, _ = schedule_of([[0.0, 1e-8]])
+        np.testing.assert_allclose(schedule.norm_token_cbmi[0], [-5e-3, 5e-3], atol=1e-9)
 
     def test_hand_mean_std(self):
-        norm, _ = normalize_intra_sentence(np.array([0.0, 2.0, 4.0]))
-        np.testing.assert_allclose(norm, [-1.2247, 0.0, 1.2247], atol=1e-4)
+        schedule, _ = schedule_of([[0.0, 2.0, 4.0]])
+        np.testing.assert_allclose(schedule.norm_token_cbmi[0], [-1.2247, 0.0, 1.2247], atol=1e-4)
 
     def test_single_token_sentence(self):
-        norm, _ = normalize_intra_sentence(np.array([5.0]))
-        np.testing.assert_allclose(norm, [0.0], atol=1e-12)
+        schedule, _ = schedule_of([[5.0]])
+        np.testing.assert_allclose(schedule.norm_token_cbmi[0], [0.0], atol=1e-12)
 
     def test_pads_excluded_and_zeroed(self):
-        values = np.array([0.0, 2.0, 4.0, 99.0])
-        mask = np.array([True, True, True, False])
-        norm, stats = normalize_intra_sentence(values, mask)
+        p_lm = np.exp(-np.array([[0.0, 2.0, 4.0, 99.0]]))
+        mask = np.array([[True, True, True, False]])
+        schedule = cbmi_schedule(np.ones((1, 4)), p_lm, mask, CbmiConfig())
+        norm = schedule.norm_token_cbmi[0]
         np.testing.assert_allclose(norm[:3], [-1.2247, 0.0, 1.2247], atol=1e-4)
         assert norm[3] == 0.0
-        assert stats.mean == pytest.approx(2.0)
+        assert schedule.token_cbmi[0, 3] == 0.0 and schedule.final_weights[0, 3] == 0.0
+        assert schedule.sent_cbmi[0] == pytest.approx(2.0)
 
     def test_population_std_used(self, rng):
         values = rng.normal(size=12)
-        norm, stats = normalize_intra_sentence(values)
-        assert stats.std == pytest.approx(values.std(), abs=1e-12)  # not ddof=1
+        schedule, _ = schedule_of([values])
+        norm = schedule.norm_token_cbmi[0]
+        # ddof=1 would leave a std of sqrt(11/12) here
+        np.testing.assert_allclose(norm * values.std() + values.mean(), values, atol=1e-12)
         assert abs(norm.mean()) < 1e-10
         assert abs(norm.std() - 1.0) < 1e-10
 
 
 class TestTokenWeight:
     def test_centered_value_gives_one(self):
-        assert token_weight(0.0, 0.7) == 1.0
+        schedule, _ = schedule_of([[5.0]], scale_t=0.7)
+        assert schedule.token_weights[0, 0] == 1.0
 
     def test_linear_form(self):
-        assert token_weight(2.0, 0.1) == pytest.approx(1.2, abs=1e-12)
+        # the outlier of n values with n - 1 equal ones lies sqrt(n - 1) std out
+        schedule, _ = schedule_of([[0.0, 0.0, 0.0, 0.0, 1.0]], scale_t=0.1)
+        assert schedule.norm_token_cbmi[0, 4] == pytest.approx(2.0, abs=1e-12)
+        assert schedule.token_weights[0, 4] == pytest.approx(1.2, abs=1e-12)
 
     def test_clamp_at_zero(self):
-        assert token_weight(-20.0, 0.1) == 0.0
+        schedule, _ = schedule_of([[0.0] * 400 + [-1.0]], scale_t=0.1)
+        assert schedule.norm_token_cbmi[0, 400] == pytest.approx(-20.0, abs=1e-9)
+        assert schedule.token_weights[0, 400] == 0.0
+        assert schedule.final_weights[0, 400] == 0.0
 
 
 class TestSentenceCbmi:
     def test_mean(self):
-        assert sentence_cbmi(np.array([-1.0, 0.0, 4.0])) == pytest.approx(1.0, abs=1e-12)
+        schedule, _ = schedule_of([[-1.0, 0.0, 4.0]])
+        assert schedule.sent_cbmi[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_singleton(self):
-        assert sentence_cbmi(np.array([3.7])) == pytest.approx(3.7, abs=1e-12)
+        schedule, _ = schedule_of([[3.7]])
+        assert schedule.sent_cbmi[0] == pytest.approx(3.7, abs=1e-12)
 
     def test_definitional_identity(self, rng):
         values = rng.normal(size=9)
-        assert sentence_cbmi(values) == pytest.approx(values.sum() / 9, abs=1e-9)
+        schedule, _ = schedule_of([values, values[:4]])
+        assert schedule.sent_cbmi[0] == pytest.approx(values.sum() / 9, abs=1e-9)
+        assert schedule.sent_cbmi[1] == pytest.approx(values[:4].sum() / 4, abs=1e-9)
 
 
 class TestInterSentenceNormalization:
     def test_single_sentence_batch(self):
-        norm, _ = normalize_inter_sentence(np.array([3.0]))
-        np.testing.assert_allclose(norm, [0.0], atol=1e-12)
+        schedule, _ = schedule_of([[3.0]])
+        np.testing.assert_allclose(normalized_sentence_cbmi(schedule, 0.3), [0.0], atol=1e-12)
 
     def test_hand_values(self):
-        norm, _ = normalize_inter_sentence(np.array([1.0, 3.0]))
-        np.testing.assert_allclose(norm, [-1.0, 1.0], atol=1e-12)
+        schedule, _ = schedule_of([[1.0], [3.0, 3.0]])
+        np.testing.assert_allclose(normalized_sentence_cbmi(schedule, 0.3), [-1.0, 1.0], atol=1e-12)
 
     def test_constant_batch(self):
-        norm, _ = normalize_inter_sentence(np.array([2.0, 2.0, 2.0]))
-        np.testing.assert_allclose(norm, 0.0, atol=1e-12)
+        schedule, _ = schedule_of([[2.0], [2.0, 2.0], [2.0]])
+        np.testing.assert_allclose(normalized_sentence_cbmi(schedule, 0.3), 0.0, atol=1e-12)
 
 
 class TestSentenceWeight:
     def test_center(self):
-        assert sentence_weight(0.0, 0.3) == 1.0
+        schedule, _ = schedule_of([[0.4, 1.2]], scale_s=0.3)
+        assert schedule.sentence_weights[0] == 1.0
 
     def test_linear(self):
-        assert sentence_weight(1.0, 0.3) == pytest.approx(1.3, abs=1e-12)
+        schedule, _ = schedule_of([[1.0], [3.0]], scale_s=0.3)
+        assert schedule.sentence_weights[1] == pytest.approx(1.3, abs=1e-12)
 
     def test_clamp(self):
-        assert sentence_weight(-4.0, 0.3) == 0.0
+        # one low sentence among 16 equal ones lies 4 std below their mean
+        schedule, _ = schedule_of([[0.0]] * 16 + [[-1.0]], scale_s=0.3)
+        assert schedule.sentence_weights[16] == 0.0
+        assert (schedule.final_weights[16] == 0.0).all()
 
 
 def _random_batch(rng, n_sent=6, n_pos=10):
@@ -128,9 +153,12 @@ def _random_batch(rng, n_sent=6, n_pos=10):
 
 class TestFinalWeights:
     def test_product(self):
-        cfg = CbmiConfig()
-        out = W.final_weights(np.array([1.2]), 0.9, cfg)
-        np.testing.assert_allclose(out, [1.08], atol=1e-12)
+        # token weight 1.2 (2 std above its sentence) times sentence weight
+        # 0.9 (1 std below the batch at scale_s 0.1)
+        schedule, _ = schedule_of([[0.0, 0.0, 0.0, 0.0, 1.0], [3.0]], scale_t=0.1, scale_s=0.1)
+        assert schedule.token_weights[0, 4] == pytest.approx(1.2, abs=1e-12)
+        assert schedule.sentence_weights[0] == pytest.approx(0.9, abs=1e-12)
+        assert schedule.final_weights[0, 4] == pytest.approx(1.08, abs=1e-12)
 
     def test_zero_scales_collapse_to_exactly_one(self, rng):
         p_nmt, p_lm, mask = _random_batch(rng)
@@ -175,10 +203,15 @@ class TestScheduleInvariants:
             values = rng.normal(scale=rng.uniform(0.5, 3.0), size=rng.integers(2, 30))
             if values.std() <= 1e-6:
                 continue
-            norm, _ = normalize_intra_sentence(values)
+            schedule, _ = schedule_of([values])
+            norm = schedule.norm_token_cbmi[0]
             assert abs(norm.mean()) < 1e-5
             assert abs(norm.std() - 1.0) < 1e-4
-            norm2, _ = normalize_inter_sentence(values)
+            # each value as the CBMI of its own sentence; at scale_s 0.1 no
+            # weight clamps, since no value among at most 29 lies more than
+            # sqrt(28) std from their mean
+            schedule, _ = schedule_of([[v] for v in values], scale_s=0.1)
+            norm2 = normalized_sentence_cbmi(schedule, 0.1)
             assert abs(norm2.mean()) < 1e-5
             assert abs(norm2.std() - 1.0) < 1e-4
 
@@ -204,8 +237,9 @@ class TestScheduleInvariants:
     def test_context_sensitivity_vs_context_free_bmi(self):
         # same token type, different probability pairs -> different CBMI;
         # a corpus-statistic table can only give them one shared value
-        a = token_cbmi(TokenProbPair(0.6, 0.2))
-        b = token_cbmi(TokenProbPair(0.2, 0.6))
+        mask = np.ones((1, 2), dtype=bool)
+        schedule = cbmi_schedule(np.array([[0.6, 0.2]]), np.array([[0.2, 0.6]]), mask, CbmiConfig())
+        a, b = schedule.token_cbmi[0]
         assert a != b
         assert W.bmi_weight(1.5, 0.15, 0.8) == W.bmi_weight(1.5, 0.15, 0.8)
 
