@@ -28,7 +28,7 @@ from .corpus import (
     make_batches,
     tokenize,
 )
-from .decoding import BeamConfig, analyze_cbmi, beam_search, bleu, write_analysis
+from .decoding import BeamConfig, DecodeStats, analyze_cbmi, beam_search, bleu, write_analysis
 from .models import CheckpointError, ModelConfig, lm_forward, load_checkpoint, nmt_forward
 from .training import TrainConfig, Trainer, TrainingError
 from .weighting import (
@@ -449,15 +449,16 @@ def cmd_translate(args) -> int:
     beam_config = config.beam_config()
     lines = Path(args.src).read_text(encoding="utf-8").splitlines()
     outputs = []
+    stats = DecodeStats()
     for lineno, line in enumerate(lines, start=1):
         tokens = tokenize(line)
         if not tokens:
             raise CorpusError(f"empty source sentence at line {lineno}")
         ids = src_vocab.encode(tokens)
-        hyp_ids = beam_search(params, ids, beam_config)
+        hyp_ids = beam_search(params, ids, beam_config, stats)
         outputs.append(" ".join(tgt_vocab.decode(hyp_ids)))
     Path(args.out).write_text("\n".join(outputs) + ("\n" if outputs else ""), encoding="utf-8")
-    print(f"translate: {len(outputs)} sentences -> {args.out}")
+    print(f"translate: {len(outputs)} sentences -> {args.out}; {stats.summary()}")
     return 0
 
 

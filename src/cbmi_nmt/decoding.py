@@ -5,6 +5,16 @@ Beam scoring uses length-penalized sum of log-probabilities,
 generated tokens including the end marker. The decoder always keeps the
 greedy rollout among its candidates, so the returned hypothesis never
 scores below the greedy one.
+
+``beam_search`` decodes incrementally: a ``models.DecoderState`` encodes
+the source once and keeps each decoder layer's keys and values, so a step
+feeds one new position per distinct prefix. The beam and the greedy rollout
+are two widths of one search loop, and their alive prefixes share each
+step. ``beam_search_core`` and ``greedy_core`` run that loop at one width
+over any step function; over ``_nmt_step_fn``, which recomputes the encoder
+and every prefix through ``nmt_forward``, they are the reference the cached
+path is tested against. Neither step function lets ``<pad>`` or ``<s>``
+follow a prefix.
 """
 
 from __future__ import annotations
@@ -18,8 +28,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import weighting as W
-from .corpus import BOS_ID, EOS_ID, SentencePair, collate
-from .models import ModelParams, lm_forward, nmt_forward
+from .corpus import BOS_ID, EOS_ID, PAD_ID, SentencePair, collate
+from .models import DecoderState, ModelParams, lm_forward, nmt_forward
 
 
 @dataclass(frozen=True)
@@ -50,39 +60,59 @@ StepFn = Callable[[list[list[int]]], np.ndarray]
 log-probability rows, one per prefix."""
 
 
-def _search(
-    step_fn: StepFn, beam_size: int, alpha: float, max_len: int, bos: int, eos: int
-) -> tuple[list[int], float]:
-    alive: list[tuple[list[int], float]] = [([bos], 0.0)]
-    finished: list[tuple[list[int], float]] = []
-    for _ in range(max_len):
-        rows = step_fn([tokens for tokens, _ in alive])
-        candidates: list[tuple[float, int, int]] = []
-        for i, (tokens, score) in enumerate(alive):
-            row = rows[i]
-            top = np.argsort(-row, kind="stable")[: 2 * beam_size]
-            for tok in top:
-                candidates.append((score + float(row[tok]), i, int(tok)))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        next_alive: list[tuple[list[int], float]] = []
-        for score, i, tok in candidates:
-            if len(next_alive) >= beam_size:
-                break
-            tokens = alive[i][0] + [tok]
-            if tok == eos:
-                gen_len = len(tokens) - 1
-                finished.append((tokens[1:-1], _penalized(score, gen_len, alpha)))
-            else:
-                next_alive.append((tokens, score))
-        alive = next_alive
-        if not alive or len(finished) >= beam_size:
+def _extend(
+    alive: list[tuple[list[int], float]], rows: np.ndarray, width: int, alpha: float, eos: int,
+    finished: list[tuple[list[int], float]],
+) -> list[tuple[list[int], float]]:
+    """One step of one beam: the best ``width`` continuations of the alive
+    prefixes that do not end the sentence; those that do go to ``finished``."""
+    candidates: list[tuple[float, int, int]] = []
+    for i, (tokens, score) in enumerate(alive):
+        row = rows[i]
+        top = np.argsort(-row, kind="stable")[: 2 * width]
+        for tok in top:
+            candidates.append((score + float(row[tok]), i, int(tok)))
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    next_alive: list[tuple[list[int], float]] = []
+    for score, i, tok in candidates:
+        if len(next_alive) >= width:
             break
-    else:
-        for tokens, score in alive:
+        tokens = alive[i][0] + [tok]
+        if tok == eos:
             gen_len = len(tokens) - 1
-            finished.append((tokens[1:], _penalized(score, gen_len, alpha)))
-    finished.sort(key=lambda f: (-f[1], f[0]))
-    return finished[0]
+            finished.append((tokens[1:-1], _penalized(score, gen_len, alpha)))
+        else:
+            next_alive.append((tokens, score))
+    return next_alive
+
+
+def _search(
+    step_fn: StepFn, widths: Sequence[int], alpha: float, max_len: int, bos: int, eos: int
+) -> list[tuple[tuple[list[int], float], int]]:
+    """Beam searches of each of ``widths`` in lockstep: every step scores the
+    alive prefixes of all of them in one ``step_fn`` call, in width order.
+    Returns, per width, the best finished hypothesis and how many hypotheses
+    were force-finished at ``max_len``."""
+    alive: list[list[tuple[list[int], float]]] = [[([bos], 0.0)] for _ in widths]
+    finished: list[list[tuple[list[int], float]]] = [[] for _ in widths]
+    for _ in range(max_len):
+        rows = step_fn([tokens for beam in alive for tokens, _ in beam])
+        start = 0
+        for s, width in enumerate(widths):
+            beam = alive[s]
+            alive[s] = _extend(beam, rows[start : start + len(beam)], width, alpha, eos, finished[s])
+            start += len(beam)
+            if len(finished[s]) >= width:
+                alive[s] = []
+        if not any(alive):
+            break
+    results = []
+    for beam, done in zip(alive, finished):
+        for tokens, score in beam:
+            gen_len = len(tokens) - 1
+            done.append((tokens[1:], _penalized(score, gen_len, alpha)))
+        results.append((min(done, key=lambda f: (-f[1], f[0])), len(beam)))
+    return results
 
 
 def beam_search_core(
@@ -98,16 +128,26 @@ def beam_search_core(
     hypothesis; hypotheses still alive at ``max_len`` are force-finished.
     Ties break toward lower token ids, keeping results deterministic.
     """
-    return _search(step_fn, config.beam_size, config.length_penalty, max_len, bos, eos)
+    return _search(step_fn, (config.beam_size,), config.length_penalty, max_len, bos, eos)[0][0]
 
 
 def greedy_core(step_fn: StepFn, config: BeamConfig, max_len: int,
                 bos: int = BOS_ID, eos: int = EOS_ID) -> tuple[list[int], float]:
     """The greedy rollout: beam search at width 1."""
-    return _search(step_fn, 1, config.length_penalty, max_len, bos, eos)
+    return _search(step_fn, (1,), config.length_penalty, max_len, bos, eos)[0][0]
+
+
+def _next_token_rows(log_probs: np.ndarray) -> np.ndarray:
+    """float64 next-token rows of the translation model, with <pad> and <s>
+    ruled out: neither may follow a prefix."""
+    rows = log_probs.astype(np.float64)
+    rows[:, (PAD_ID, BOS_ID)] = -np.inf
+    return rows
 
 
 def _nmt_step_fn(params: ModelParams, src_ids: list[int]) -> StepFn:
+    """Rows that recompute the encoder and every prefix in full through
+    ``nmt_forward``: the reference for the cached step of ``beam_search``."""
     src = np.asarray(src_ids, dtype=np.int64)
 
     def step(prefixes: list[list[int]]) -> np.ndarray:
@@ -116,25 +156,71 @@ def _nmt_step_fn(params: ModelParams, src_ids: list[int]) -> StepFn:
         tgt = np.asarray(prefixes, dtype=np.int64)
         src_batch = np.broadcast_to(src, (len(prefixes), src.size))
         out = nmt_forward(params, src_batch, tgt)
-        return out.data[:, -1, :].astype(np.float64)
+        return _next_token_rows(out.data[:, -1, :])
 
     return step
 
 
-def beam_search(params: ModelParams, src_ids: Sequence[int], config: BeamConfig) -> list[int]:
+@dataclass
+class DecodeStats:
+    """Work counts of ``beam_search`` calls: decoder steps, rows the decoder
+    computed, sentences whose greedy rollout outscored the beam, and beam
+    hypotheses force-finished at the length limit."""
+
+    steps: int = 0
+    rows: int = 0
+    greedy_won: int = 0
+    force_finished: int = 0
+
+    def summary(self) -> str:
+        return (f"steps={self.steps} rows={self.rows} greedy_won={self.greedy_won} "
+                f"force_finished={self.force_finished}")
+
+
+def _cached_step_fn(params: ModelParams, src_ids: list[int], stats: DecodeStats) -> StepFn:
+    """The rows of ``_nmt_step_fn`` from one ``DecoderState``. Each call feeds
+    the last token of each distinct prefix, continuing the row of the
+    previous call that held the prefix without it."""
+    state = DecoderState(params, src_ids)
+    previous: dict[tuple[int, ...], int] = {}
+
+    def step(prefixes: list[list[int]]) -> np.ndarray:
+        nonlocal previous
+        rows: dict[tuple[int, ...], int] = {}
+        for prefix in prefixes:
+            rows.setdefault(tuple(prefix), len(rows))
+        parents = [previous[prefix[:-1]] for prefix in rows] if previous else None
+        log_probs = state.advance([prefix[-1] for prefix in rows], parents)
+        previous = rows
+        stats.steps += 1
+        stats.rows += len(rows)
+        return _next_token_rows(log_probs)[[rows[tuple(prefix)] for prefix in prefixes]]
+
+    return step
+
+
+def beam_search(
+    params: ModelParams, src_ids: Sequence[int], config: BeamConfig,
+    stats: DecodeStats | None = None,
+) -> list[int]:
     """Translate one encoded source sentence (no specials, EOS appended
     internally). Dropout is off: decoding is deterministic given a
-    checkpoint."""
+    checkpoint. The beam and the greedy rollout advance together, in the
+    same decoder steps over one cached ``DecoderState``; work counts are
+    added to ``stats`` when given."""
     if len(src_ids) == 0:
         raise ValueError("cannot translate an empty source sentence")
+    stats = stats if stats is not None else DecodeStats()
     src = list(src_ids) + [EOS_ID]
-    step_fn = _nmt_step_fn(params, src)
-    max_len = config.max_len(len(src))
-    greedy_tokens, greedy_score = greedy_core(step_fn, config, max_len)
-    if config.beam_size == 1:
-        return greedy_tokens
-    best_tokens, best_score = beam_search_core(step_fn, config, max_len)
-    return greedy_tokens if greedy_score > best_score else best_tokens
+    widths = (config.beam_size,) if config.beam_size == 1 else (config.beam_size, 1)
+    results = _search(_cached_step_fn(params, src, stats), widths, config.length_penalty,
+                      config.max_len(len(src)), BOS_ID, EOS_ID)
+    (best_tokens, best_score), forced = results[0]
+    stats.force_finished += forced
+    if len(results) > 1 and results[1][0][1] > best_score:
+        stats.greedy_won += 1
+        return results[1][0][0]
+    return best_tokens
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ model (the same decoder stack without cross-attention), built on the tape
 autodiff engine.
 
 Both models consume teacher-forced inputs and emit per-position
-log-probability rows. The LM has no source input anywhere in its graph, so
-source-independence holds structurally. Layer placement is PostNorm;
+log-probability rows; ``DecoderState`` runs the translation model one
+position at a time for decoding, through the same layer functions. The LM
+has no source input anywhere in its graph, so source-independence holds
+structurally. Layer placement is PostNorm;
 positional encodings are sinusoidal; embeddings are never shared between
 the two models.
 """
@@ -236,6 +238,29 @@ def _maybe_dropout(x: Tensor, rate: float, training: bool, rng) -> Tensor:
     return T.dropout(x, rate, rng)
 
 
+@dataclass
+class _KV:
+    """Keys and values of one attention sublayer in a forward-only decoder,
+    split into heads as [batch, heads, positions, head_dim]. Self-attention
+    (``grows``) appends the keys and values of each new position to those
+    held; cross-attention computes the memory's once and reuses them."""
+
+    grows: bool
+    k: Tensor | None = None
+    v: Tensor | None = None
+
+    def store(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        if self.grows and self.k is not None:
+            k = Tensor(np.concatenate((self.k.data, k.data), axis=2))
+            v = Tensor(np.concatenate((self.v.data, v.data), axis=2))
+        self.k, self.v = k, v
+        return k, v
+
+    def reorder(self, rows: np.ndarray) -> None:
+        if self.grows and self.k is not None:
+            self.k, self.v = Tensor(self.k.data[rows]), Tensor(self.v.data[rows])
+
+
 def _linear(x2d: Tensor, p: dict[str, Tensor], w: str, b: str) -> Tensor:
     return T.add(T.matmul(x2d, p[w]), p[b])
 
@@ -250,21 +275,29 @@ def _attention(
     prefix: str,
     q_in: Tensor,
     kv_in: Tensor,
-    mask_add: np.ndarray,
+    mask_add: np.ndarray | None,
     config: ModelConfig,
     training: bool,
     rng,
+    cache: _KV | None = None,
 ) -> Tensor:
     batch, t_q, d = q_in.shape
-    t_k = kv_in.shape[1]
     heads, head_dim = config.heads, d // config.heads
     q2d = T.reshape(q_in, (batch * t_q, d))
-    kv2d = T.reshape(kv_in, (batch * t_k, d))
     q = _split_heads(_linear(q2d, p, f"{prefix}.wq", f"{prefix}.bq"), batch, t_q, heads, head_dim)
-    k = _split_heads(_linear(kv2d, p, f"{prefix}.wk", f"{prefix}.bk"), batch, t_k, heads, head_dim)
-    v = _split_heads(_linear(kv2d, p, f"{prefix}.wv", f"{prefix}.bv"), batch, t_k, heads, head_dim)
+    if cache is not None and cache.k is not None and not cache.grows:
+        k, v = cache.k, cache.v
+    else:
+        # a memory of batch 1 serves every query row by broadcasting
+        kv_batch, t_k = kv_in.shape[0], kv_in.shape[1]
+        kv2d = T.reshape(kv_in, (kv_batch * t_k, d))
+        k = _split_heads(_linear(kv2d, p, f"{prefix}.wk", f"{prefix}.bk"), kv_batch, t_k, heads, head_dim)
+        v = _split_heads(_linear(kv2d, p, f"{prefix}.wv", f"{prefix}.bv"), kv_batch, t_k, heads, head_dim)
+        if cache is not None:
+            k, v = cache.store(k, v)
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
-    scores = T.add(scores, mask_add)
+    if mask_add is not None:
+        scores = T.add(scores, mask_add)
     attn = T.softmax(scores)
     attn = _maybe_dropout(attn, config.dropout_attention, training, rng)
     ctx = T.matmul(attn, v)
@@ -287,11 +320,14 @@ def _residual_norm(p, ln_prefix: str, x: Tensor, sublayer: Tensor, config, train
     return T.layer_norm(added, p[f"{ln_prefix}.g"], p[f"{ln_prefix}.b"])
 
 
-def _embed_positions(p, name: str, ids: np.ndarray, config: ModelConfig, training, rng) -> Tensor:
+def _embed_positions(
+    p, name: str, ids: np.ndarray, config: ModelConfig, training, rng, offset: int = 0
+) -> Tensor:
+    # ``offset``: the position of the first column of ``ids``
     weight = p[name]
     d = config.embed_dim
     x = T.mul(T.embedding(weight, ids), math.sqrt(d))
-    table = _sinusoid_table(ids.shape[1], d, weight.dtype.str)[None, :, :]
+    table = _sinusoid_table(offset + ids.shape[1], d, weight.dtype.str)[None, offset:, :]
     x = T.add(x, table)
     return _maybe_dropout(x, config.dropout_residual, training, rng)
 
@@ -299,14 +335,18 @@ def _embed_positions(p, name: str, ids: np.ndarray, config: ModelConfig, trainin
 def _stack(
     p, prefix: str, n_layers: int, x: Tensor, self_mask: np.ndarray, cfg: ModelConfig,
     training: bool, rng, memory: Tensor | None = None, memory_mask: np.ndarray | None = None,
+    caches: list[tuple[_KV, _KV]] | None = None,
 ) -> Tensor:
-    # the layers _add_stack initializes; cross-attention runs only over a memory
+    # the layers _add_stack initializes; cross-attention runs only over a
+    # memory; ``caches`` holds each layer's (self, cross) keys and values
     for i in range(n_layers):
         layer = f"{prefix}.{i}"
-        attn = _attention(p, f"{layer}.self", x, x, self_mask, cfg, training, rng)
+        self_kv, cross_kv = caches[i] if caches else (None, None)
+        attn = _attention(p, f"{layer}.self", x, x, self_mask, cfg, training, rng, self_kv)
         x = _residual_norm(p, f"{layer}.ln1", x, attn, cfg, training, rng)
         if memory is not None:
-            cross = _attention(p, f"{layer}.cross", x, memory, memory_mask, cfg, training, rng)
+            cross = _attention(p, f"{layer}.cross", x, memory, memory_mask, cfg, training, rng,
+                               cross_kv)
             x = _residual_norm(p, f"{layer}.ln2", x, cross, cfg, training, rng)
         ff = _feed_forward(p, f"{layer}.ff", x, cfg, training, rng)
         x = _residual_norm(p, f"{layer}.ln{2 if memory is None else 3}", x, ff, cfg, training, rng)
@@ -377,6 +417,53 @@ def nmt_forward(
     out = _target_side(params, "nmt", "tgt_embed", "dec", cfg.dec_layers, tgt_ids, training, rng,
                        memory, src_mask)
     return T.reshape(out, out.shape[1:]) if squeeze else out
+
+
+class DecoderState:
+    """Forward-only incremental decoding of one source sentence, after the
+    incremental decoder state of fairseq.
+
+    The encoder runs once. Each decoder layer keeps the cross-attention keys
+    and values of the memory, computed once, and the self-attention keys and
+    values of every target position fed so far, one row per hypothesis.
+    :meth:`advance` feeds one new position per row, so a row's output equals
+    the ``nmt_forward`` row at that position of its whole prefix.
+    """
+
+    def __init__(self, params: ModelParams, src):
+        cfg = params.config
+        src_ids = np.asarray(src, dtype=np.int64)
+        if src_ids.ndim != 1:
+            raise ValueError("a decoder state holds one source sentence (1-D token ids)")
+        src_ids = src_ids[None, :]
+        _check_ids(src_ids, cfg.vocab_size_src, "source")
+        self.params = params
+        self.memory_mask = _pad_key_mask(src_ids, params.dtype)
+        x = _embed_positions(params.tensors, "nmt.src_embed", src_ids, cfg, False, None)
+        self.memory = _stack(params.tensors, "nmt.enc", cfg.enc_layers, x, self.memory_mask, cfg,
+                             False, None)
+        self.caches = [(_KV(grows=True), _KV(grows=False)) for _ in range(cfg.dec_layers)]
+        self.length = 0
+
+    def advance(self, tokens, parents=None) -> np.ndarray:
+        """Feed ``tokens[r]`` as the next position of row ``r``, which
+        continues row ``parents[r]`` of the previous call (no ``parents`` on
+        the first call). Returns the [rows, vocab] log-probabilities of the
+        position after it."""
+        cfg, p = self.params.config, self.params.tensors
+        if parents is not None:
+            rows = np.asarray(parents, dtype=np.int64)
+            for self_kv, _ in self.caches:
+                self_kv.reorder(rows)
+        ids = np.asarray(tokens, dtype=np.int64)[:, None]
+        _check_ids(ids, cfg.vocab_size_tgt, "target")
+        x = _embed_positions(p, "nmt.tgt_embed", ids, cfg, False, None, offset=self.length)
+        # one query per row sees only keys up to its own position: no causal
+        # mask, and prefixes hold no <pad>, so no pad mask either
+        x = _stack(p, "nmt.dec", cfg.dec_layers, x, None, cfg, False, None, self.memory,
+                   self.memory_mask, self.caches)
+        self.length += 1
+        return _project_log_probs(p, "nmt.out", x, cfg.vocab_size_tgt).data[:, 0, :]
 
 
 def lm_forward(
@@ -463,11 +550,20 @@ class CheckpointError(ValueError):
 
 
 def check_compatible(
-    params: ModelParams, meta: dict[str, str], vocab_hashes: dict[str, str], need_lm: bool
+    params: ModelParams, meta: dict[str, str], vocab_hashes: dict[str, str], need_lm: bool,
+    config: ModelConfig | None = None,
 ) -> None:
     """Raise ``CheckpointError`` unless a loaded checkpoint fits the caller:
-    every vocabulary hash that both the manifest ``meta`` and ``vocab_hashes``
-    hold agrees, and the checkpoint has a language model when ``need_lm``."""
+    its model config equals ``config`` when one is given, every vocabulary
+    hash that both the manifest ``meta`` and ``vocab_hashes`` hold agrees,
+    and the checkpoint has a language model when ``need_lm``."""
+    if config is not None and params.config != config:
+        name = next(f.name for f in fields(ModelConfig)
+                    if getattr(params.config, f.name) != getattr(config, f.name))
+        raise CheckpointError(
+            f"checkpoint {name}={getattr(params.config, name)} does not match "
+            f"the requested {name}={getattr(config, name)}"
+        )
     for key in ("vocab_src_hash", "vocab_tgt_hash"):
         stored, current = meta.get(key), vocab_hashes.get(key)
         if stored and current and stored != current:

@@ -212,9 +212,9 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inverse = tuple(int(i) for i in np.argsort(axes))
     out = Tensor(np.transpose(a.data, axes))
-    return _record(out, (a,), lambda g: (np.transpose(g, inverse),))
+    # the inverse permutation is needed only when a backward pass runs
+    return _record(out, (a,), lambda g: (np.transpose(g, np.argsort(axes)),))
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:

@@ -397,9 +397,8 @@ class Trainer:
 
         if resume is not None:
             params, extras, meta = M.load_checkpoint(resume)
-            if params.config != model_config:
-                raise TrainingError("checkpoint model config does not match the requested config")
-            M.check_compatible(params, meta, self.checkpoint_meta, cfg.scheme.needs_lm)
+            M.check_compatible(params, meta, self.checkpoint_meta, cfg.scheme.needs_lm,
+                               model_config)
             step = int(meta["step"])
         else:
             params = M.init_params(model_config, cfg.seed, dtype=dtype, with_lm=cfg.scheme.needs_lm)

@@ -228,17 +228,29 @@ class TestCliRuns:
         ]) == 0
         assert (first / "metrics.jsonl").read_bytes() == (second / "metrics.jsonl").read_bytes()
 
-    def test_translate_and_score_deterministic(self, corpus, tmp_path):
+    def test_translate_and_score_deterministic(self, corpus, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(train_args(corpus, out, "--seed", "5")) == 0
         hyp1, hyp2 = tmp_path / "h1.txt", tmp_path / "h2.txt"
+        summaries = []
         for hyp in (hyp1, hyp2):
+            capsys.readouterr()
             assert run([
                 "translate", "--checkpoint", str(out / "checkpoint_final"),
                 "--src", str(corpus / "train.src"), "--out", str(hyp),
                 "--data-dir", str(corpus / "data"), "--beam", "2",
             ]) == 0
+            summaries.append(capsys.readouterr().out.split("; ")[1])
         assert hyp1.read_bytes() == hyp2.read_bytes()
+        # the decoding work counts are deterministic too
+        assert summaries[0] == summaries[1]
+        counts = dict(field.split("=") for field in summaries[0].split())
+        assert list(counts) == ["steps", "rows", "greedy_won", "force_finished"]
+        steps, rows, greedy_won, forced = (int(v) for v in counts.values())
+        sentences = len((corpus / "train.src").read_text().splitlines())
+        # a step computes the beam's 2 rows and the greedy row at most
+        assert sentences <= steps <= rows <= 3 * steps
+        assert 0 <= greedy_won <= sentences and 0 <= forced <= 2 * sentences
         assert run(["score", "--hyp", str(hyp1), "--ref", str(corpus / "train.tgt")]) == 0
 
     def test_analyze_needs_lm_checkpoint(self, corpus, tmp_path, capsys):
@@ -256,6 +268,18 @@ class TestCliRuns:
                               "--resume", str(out / "checkpoint_final")))
         assert code == 1
         assert capsys.readouterr().err.startswith("error:checkpoint:")
+        assert not resumed.exists()
+
+    def test_resume_with_other_model_shape_is_checkpoint_error(self, corpus, tmp_path, capsys):
+        out = tmp_path / "wide"
+        assert run(train_args(corpus, out, "--seed", "3", "--embed-dim", "64")) == 0
+        resumed = tmp_path / "narrow"
+        capsys.readouterr()
+        code = run(train_args(corpus, resumed, "--seed", "3", "--embed-dim", "32",
+                              "--resume", str(out / "checkpoint_final")))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:checkpoint:") and "embed_dim=64" in err and "embed_dim=32" in err
         assert not resumed.exists()
 
     def test_analyze_and_dump_weights(self, corpus, tmp_path):

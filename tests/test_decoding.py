@@ -6,7 +6,7 @@ import pytest
 
 from cbmi_nmt import decoding as D
 from cbmi_nmt import weighting as W
-from cbmi_nmt.corpus import BOS_ID, EOS_ID, SentencePair, collate
+from cbmi_nmt.corpus import BOS_ID, EOS_ID, PAD_ID, SentencePair, collate
 from cbmi_nmt.decoding import BeamConfig, beam_search, bleu
 from cbmi_nmt.models import ModelConfig, init_params, lm_forward, nmt_forward
 
@@ -134,19 +134,58 @@ class TestBeamSearchModel:
         assert a == b
 
     def test_beam_scores_at_least_greedy_on_random_models(self):
-        for seed in range(3):
-            cfg = ModelConfig(9, 9, embed_dim=16, ff_dim=16, enc_layers=1,
-                              dec_layers=1, lm_layers=1, heads=2)
-            params = init_params(cfg, seed=seed, dtype=np.float64)
-            src = [4, 5, 6, 7]
-            step = D._nmt_step_fn(params, src + [EOS_ID])
-            config = BeamConfig(beam_size=4)
-            max_len = config.max_len(len(src) + 1)
-            greedy, _ = D.greedy_core(step, config, max_len)
-            best = beam_search(params, src, config)
-            assert _rescore(step, best, max_len, config) >= (
-                _rescore(step, greedy, max_len, config) - 1e-9
-            )
+        # beam_search (one cached step for the beam and the greedy row) makes
+        # the choice that beam_search_core and greedy_core make over the
+        # full-recompute step, and so never scores below greedy
+        cfg = ModelConfig(9, 9, embed_dim=16, ff_dim=16, enc_layers=1,
+                          dec_layers=2, lm_layers=1, heads=2)
+        for dtype, seed in itertools.product((np.float32, np.float64), range(3)):
+            params = init_params(cfg, seed=seed, dtype=dtype, with_lm=False)
+            for src in ([4, 5, 6, 7], [8], [3, 3, 5, 8, 6, 4]):
+                step = D._nmt_step_fn(params, src + [EOS_ID])
+                for width in (1, 2, 4):
+                    config = BeamConfig(beam_size=width)
+                    max_len = config.max_len(len(src) + 1)
+                    greedy, greedy_score = D.greedy_core(step, config, max_len)
+                    beam, beam_score = D.beam_search_core(step, config, max_len)
+                    choice = greedy if greedy_score > beam_score else beam
+                    best = beam_search(params, src, config)
+                    assert best == choice, (dtype, seed, src, width)
+                    assert _rescore(step, best, max_len, config) >= (
+                        _rescore(step, greedy, max_len, config) - 1e-9
+                    )
+
+    @pytest.mark.parametrize("beam_size", [1, 4])
+    def test_never_decodes_pad_or_bos(self, beam_size):
+        # this model's greedy rollout prefers <pad> and <s> when they are allowed
+        params = init_params(ModelConfig(20, 20), 6, dtype=np.float64, with_lm=False)
+        src = [12, 11, 8, 19]
+        hyp = beam_search(params, src, BeamConfig(beam_size=beam_size))
+        assert PAD_ID not in hyp and BOS_ID not in hyp
+        rows = D._nmt_step_fn(params, src + [EOS_ID])([[BOS_ID, 12], [BOS_ID, 9]])
+        assert np.all(rows[:, [PAD_ID, BOS_ID]] == -np.inf)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+    def test_cached_rows_match_full_recompute(self, dtype, tol):
+        cfg = ModelConfig(9, 9, embed_dim=16, ff_dim=24, enc_layers=2,
+                          dec_layers=2, lm_layers=1, heads=2)
+        params = init_params(cfg, seed=3, dtype=dtype, with_lm=False)
+        src = [4, 5, 6, 7, EOS_ID]
+        reference = D._nmt_step_fn(params, src)
+        stats = D.DecodeStats()
+        cached = D._cached_step_fn(params, src, stats)
+        calls = [
+            [[1], [1]],
+            [[1, 5], [1, 3], [1, 5]],
+            # reordered: the first row continues the second row of the last call
+            [[1, 3, 4], [1, 5, 6], [1, 5, 8], [1, 3, 4]],
+            [[1, 5, 8, 8], [1, 3, 4, 7], [1, 3, 4, 5], [1, 5, 8, 8], [1, 5, 6, 3]],
+            [[1, 5, 6, 3, 4]],
+        ]
+        for prefixes in calls:
+            np.testing.assert_allclose(cached(prefixes), reference(prefixes), rtol=0, atol=tol)
+        # duplicated prefixes are computed once
+        assert (stats.steps, stats.rows) == (5, 1 + 2 + 3 + 4 + 1)
 
     def test_empty_source_rejected(self, decode_params):
         with pytest.raises(ValueError, match="empty"):
