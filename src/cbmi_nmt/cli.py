@@ -415,6 +415,11 @@ def cmd_train(args) -> int:
         if not bmi_path.exists():
             raise CorpusError(f"bmi scheme needs {bmi_path}; run preprocess first")
         bmi_table = BmiTable.load(bmi_path)
+        if len(bmi_table.values) != len(tgt_vocab):
+            raise CorpusError(
+                f"bmi table {bmi_path} has {len(bmi_table.values)} entries for a target "
+                f"vocabulary of {len(tgt_vocab)}; run preprocess again"
+            )
     elif scheme.kind in ("freq_exp", "freq_chi"):
         freq_table = _target_frequency_table(pairs, len(tgt_vocab))
     model_config = config.model_config(len(src_vocab), len(tgt_vocab))

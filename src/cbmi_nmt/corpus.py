@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -178,6 +179,29 @@ def load_parallel_corpus(
 # corpus statistics
 
 
+def _side_ids(
+    pairs: Sequence[SentencePair], side: str, vocab_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One side's token ids of every pair, concatenated, and each pair's
+    length; an id outside ``[0, vocab_size)`` is an error."""
+    seqs = [pair.src if side == "src" else pair.tgt for pair in pairs]
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    ids = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        raise CorpusError(f"{side} token id out of range for a vocabulary of {vocab_size}")
+    return ids, lengths
+
+
+def _distinct_per_pair(
+    ids: np.ndarray, lengths: np.ndarray, vocab_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair index and id of every distinct (pair, id), sorted by pair then id."""
+    codes = np.sort(np.repeat(np.arange(len(lengths)), lengths) * vocab_size + ids)
+    # not np.unique: without counts or indices it takes a hash-table path
+    # that is about 20x slower than this sort on these arrays
+    return np.divmod(codes[np.diff(codes, prepend=-1) > 0], vocab_size)
+
+
 class FrequencyTable:
     """Per-token-id occurrence counts over one side of the training corpus."""
 
@@ -190,18 +214,22 @@ class FrequencyTable:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[SentencePair], side: str, vocab_size: int) -> "FrequencyTable":
-        counts = np.zeros(vocab_size, dtype=np.int64)
-        for pair in pairs:
-            ids = pair.src if side == "src" else pair.tgt
-            np.add.at(counts, ids, 1)
-        return cls(counts)
+        ids, _ = _side_ids(pairs, side, vocab_size)
+        return cls(np.bincount(ids, minlength=vocab_size))
 
     def count(self, token_id: int) -> int:
         return int(self.counts[token_id])
 
 
 def build_cooccurrence(pairs: Sequence[SentencePair]) -> dict[tuple[int, int], int]:
-    """Sentence-pair co-occurrence counts, binary presence per pair."""
+    """Sentence-pair co-occurrence counts, binary presence per pair.
+
+    The scalar reference for the counts ``BmiTable.build`` takes from its
+    encoded pair keys. Together with ``bmi_value`` it is the oracle the
+    table is checked against, bit for bit in ``tests/test_corpus.py`` and
+    ``tests/test_cli.py``, to 1e-9 in criterion 05 and in the ``stats``
+    benchmark's final check (``perfbench/workloads.py``), which imports both.
+    """
     cooc: dict[tuple[int, int], int] = {}
     for pair in pairs:
         for s in set(pair.src):
@@ -231,6 +259,11 @@ def bmi_value(
     Frequencies are smoothed relative frequencies (count+1)/(total+1); the
     joint term is sentence-pair presence count over the number of pairs.
     Repeated source tokens contribute once per position.
+
+    The scalar reference for the per-pair sums of ``BmiTable.build``: the
+    table is the mean of this value over the pairs whose target contains the
+    token, summed in pair order. See ``build_cooccurrence`` for who checks
+    the table against it.
     """
     f_t = _smoothed_rel_freq(tgt_freq.count(tgt_id), tgt_freq.total)
     value = 0.0
@@ -268,13 +301,44 @@ class BmiTable:
         tgt_freq: FrequencyTable,
         vocab_size: int,
     ) -> "BmiTable":
-        cooc = build_cooccurrence(pairs)
-        sums = np.zeros(vocab_size, dtype=np.float64)
-        hits = np.zeros(vocab_size, dtype=np.int64)
-        for pair in pairs:
-            for t in set(pair.tgt):
-                sums[t] += bmi_value(pair.src, t, src_freq, tgt_freq, cooc, len(pairs))
-                hits[t] += 1
+        """The mean of ``bmi_value`` over the pairs whose target contains each
+        type, as array code whose sums are the scalar ones bit for bit."""
+        src_size = len(src_freq.counts)
+        src, src_len = _side_ids(pairs, "src", src_size)
+        tgt, tgt_len = _side_ids(pairs, "tgt", vocab_size)
+        # one row per (pair, distinct target type), in pair order
+        row_pair, row_t = _distinct_per_pair(tgt, tgt_len, vocab_size)
+        src_pair, src_type = _distinct_per_pair(src, src_len, src_size)
+        # each row meets every distinct source type of its pair once (meets
+        # indexes src_type, row by row), so the counts of the keys
+        # s * vocab_size + t are build_cooccurrence's presence counts
+        per_pair = np.bincount(src_pair, minlength=len(pairs))
+        reps = per_pair[row_pair]
+        pair_start = (np.cumsum(per_pair) - per_pair)[row_pair]
+        row_start = np.cumsum(reps) - reps
+        meets = np.arange(reps.sum()) + np.repeat(pair_start - row_start, reps)
+        keys, joint = np.unique(src_type[meets] * vocab_size + np.repeat(row_t, reps),
+                                return_counts=True)
+        s, t = np.divmod(keys, vocab_size)
+        ratio = _smoothed_rel_freq(joint, len(pairs)) / (
+            _smoothed_rel_freq(src_freq.counts[s], src_freq.total)
+            * _smoothed_rel_freq(tgt_freq.counts[t], tgt_freq.total)
+        )
+        # math.log as in bmi_value, once per distinct ratio: np.log is one ulp
+        # off it for some arguments near 1
+        distinct, where = np.unique(ratio, return_inverse=True)
+        logs = np.fromiter(map(math.log, distinct.tolist()), dtype=np.float64, count=distinct.size)
+        # a pad cell looks up a key above every real one and finds the zero
+        terms = np.append(logs[where], 0.0)
+        padded = np.full((len(pairs), int(src_len.max(initial=0))), src_size, dtype=np.int64)
+        padded[np.arange(padded.shape[1]) < src_len[:, None]] = src
+        # one column at a time keeps bmi_value's sequential order of addition
+        row_sums = np.zeros(len(row_t))
+        for column in padded.T:
+            row_sums += terms[np.searchsorted(keys, column[row_pair] * vocab_size + row_t)]
+        sums = np.zeros(vocab_size)
+        np.add.at(sums, row_t, row_sums)
+        hits = np.bincount(row_t, minlength=vocab_size)
         values = np.divide(sums, hits, out=np.zeros_like(sums), where=hits > 0)
         return cls(values)
 
@@ -292,14 +356,24 @@ class BmiTable:
         header_lines = []
         values = []
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 if line.startswith("#"):
                     header_lines.append(line.rstrip("\n"))
                     continue
                 idx, _, val = line.rstrip("\n").partition("\t")
-                if int(idx) != len(values):
-                    raise CorpusError(f"bmi table {path} has non-contiguous ids")
-                values.append(float(val))
+                try:
+                    idx, value = int(idx), float(val)
+                except ValueError:
+                    raise CorpusError(
+                        f"bmi table {path} line {lineno}: expected <id><tab><value>, "
+                        f"got {line.rstrip()!r}"
+                    ) from None
+                if idx != len(values):
+                    raise CorpusError(
+                        f"bmi table {path} line {lineno}: non-contiguous id {idx}, "
+                        f"expected {len(values)}"
+                    )
+                values.append(value)
         return cls(np.asarray(values, dtype=np.float64), "\n".join(header_lines) or BMI_HEADER)
 
 

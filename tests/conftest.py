@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cbmi_nmt.corpus import bmi_value, build_cooccurrence
 from cbmi_nmt.tensor import Tape, Tensor
 from cbmi_nmt.weighting import CbmiConfig, cbmi_schedule
 
@@ -71,6 +72,19 @@ def normalized_sentence_cbmi(schedule, scale_s):
     valid only where no sentence weight clamps at zero."""
     assert (schedule.sentence_weights > 0).all()
     return (schedule.sentence_weights - 1.0) / scale_s
+
+
+def scalar_bmi_values(pairs, src_freq, tgt_freq, vocab_size):
+    """The BMI table by the scalar reference: per target type, the mean of
+    ``bmi_value`` over the pairs containing it, summed in pair order with
+    plain float addition (no pairwise or compensated summation)."""
+    cooc = build_cooccurrence(pairs)
+    sums, hits = [0.0] * vocab_size, [0] * vocab_size
+    for pair in pairs:
+        for t in set(pair.tgt):
+            sums[t] += bmi_value(pair.src, t, src_freq, tgt_freq, cooc, len(pairs))
+            hits[t] += 1
+    return np.array([total / n if n else 0.0 for total, n in zip(sums, hits)])
 
 
 @pytest.fixture

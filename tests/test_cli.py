@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from cbmi_nmt import cli
 from cbmi_nmt import models as M
 from cbmi_nmt.cli import ConfigError, FullConfig, parse_config, run
+from cbmi_nmt.corpus import BmiTable, FrequencyTable, Vocabulary, load_parallel_corpus
+from conftest import scalar_bmi_values
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +321,49 @@ class TestCliRuns:
         ])
         assert code == 1
         assert "error:checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["truncated", "bad_value", "bad_id"])
+    def test_bmi_table_that_does_not_fit_is_corpus_error(self, corpus, tmp_path, capsys, damage):
+        data = tmp_path / "data"
+        shutil.copytree(corpus / "data", data)
+        table = data / "bmi.tgt.txt"
+        lines = table.read_text().splitlines(keepends=True)
+        if damage == "truncated":
+            del lines[-3:]
+        else:
+            lines[2] = "0\tabc\n" if damage == "bad_value" else "zz\n"
+        table.write_text("".join(lines))
+        out = tmp_path / "run"
+        code = run([
+            "train", "--src", str(corpus / "train.src"), "--tgt", str(corpus / "train.tgt"),
+            "--data-dir", str(data), "--out-dir", str(out), *FAST_TRAIN, "--scheme", "bmi",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:corpus:") and str(table) in err, err
+        assert ("entries for a target vocabulary" if damage == "truncated" else "line 3:") in err
+        assert not out.exists()
+
+    def test_preprocess_bmi_table_is_the_scalar_reference(self, tmp_path):
+        rng = np.random.default_rng(21)
+        with open(tmp_path / "c.src", "w") as fs, open(tmp_path / "c.tgt", "w") as ft:
+            for _ in range(80):
+                # Zipf-like words with a long tail, so --min-count 2 makes <unk>
+                fs.write(" ".join(f"s{w}" for w in rng.zipf(1.5, rng.integers(1, 30))) + "\n")
+                ft.write(" ".join(f"t{w}" for w in rng.zipf(1.5, rng.integers(1, 9))) + "\n")
+        data = tmp_path / "data"
+        assert run(["preprocess", "--src", str(tmp_path / "c.src"), "--tgt", str(tmp_path / "c.tgt"),
+                    "--out-dir", str(data), "--min-count", "2"]) == 0
+        src_vocab = Vocabulary.load(data / "vocab.src.txt")
+        tgt_vocab = Vocabulary.load(data / "vocab.tgt.txt")
+        pairs = load_parallel_corpus(tmp_path / "c.src", tmp_path / "c.tgt", src_vocab, tgt_vocab)
+        assert any(3 in p.src for p in pairs) and any(3 in p.tgt for p in pairs)
+        values = scalar_bmi_values(
+            pairs, FrequencyTable.from_pairs(pairs, "src", len(src_vocab)),
+            FrequencyTable.from_pairs(pairs, "tgt", len(tgt_vocab)), len(tgt_vocab),
+        )
+        BmiTable(values).save(tmp_path / "oracle.txt")
+        assert (data / "bmi.tgt.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
 
     @pytest.mark.parametrize(
         "damage", ["truncated_tensors", "manifest_without_heads", "manifest_without_step"]

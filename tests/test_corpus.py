@@ -19,6 +19,7 @@ from cbmi_nmt.corpus import (
     build_cooccurrence,
     make_batches,
 )
+from conftest import scalar_bmi_values
 
 
 class TestVocabulary:
@@ -98,6 +99,13 @@ class TestFrequencyTable:
         with pytest.raises(CorpusError):
             FrequencyTable(np.array([1, -2]))
 
+    @pytest.mark.parametrize("bad_id", [9, -1])
+    def test_out_of_range_id_rejected(self, bad_id):
+        pairs = [SentencePair([4, 5], [6]), SentencePair([4], [bad_id, 5])]
+        assert FrequencyTable.from_pairs(pairs, "src", 9).total == 3
+        with pytest.raises(CorpusError, match="tgt token id out of range for a vocabulary of 9"):
+            FrequencyTable.from_pairs(pairs, "tgt", 9)
+
 
 def brute_force_bmi(pairs, src_ids, tgt_id):
     """Independent oracle: dumb counting loops over the corpus, applying the
@@ -122,6 +130,43 @@ def _stats(pairs, vocab_size):
     return src_freq, tgt_freq, build_cooccurrence(pairs)
 
 
+def _random_pairs(seed, n_pairs, src_ids, tgt_ids, src_len, tgt_len):
+    """Pairs of ids drawn uniformly from ``src_ids``/``tgt_ids``, with
+    lengths drawn from the half-open ranges ``src_len``/``tgt_len``."""
+    rng = np.random.default_rng(seed)
+
+    def side(ids, length):
+        ids = np.asarray(ids)
+        return list(map(int, ids[rng.integers(0, len(ids), size=rng.integers(*length))]))
+
+    return [SentencePair(side(src_ids, src_len), side(tgt_ids, tgt_len)) for _ in range(n_pairs)]
+
+
+# name -> (pairs, source vocabulary size, target vocabulary size)
+BMI_CORPORA = {
+    "random": lambda: (_random_pairs(12345, 60, range(4, 10), range(4, 10), (1, 6), (1, 6)),
+                       10, 10),
+    # two or three types a side, so most sentences repeat tokens on both sides
+    "repeated_tokens": lambda: (_random_pairs(1, 40, [4, 5], [4, 5, 6], (1, 12), (1, 12)), 6, 7),
+    # <unk> on both sides, as min_count folds rare words into it
+    "unk_ids": lambda: (_random_pairs(2, 40, [UNK_ID] * 4 + list(range(4, 9)),
+                                      [UNK_ID] * 4 + list(range(4, 8)), (1, 8), (1, 8)), 9, 8),
+    "one_pair": lambda: ([SentencePair([4, 5, 4, 6], [5, 5, 4])], 7, 6),
+    # sources of 1 to 90 tokens, so about half the cells of the padded
+    # source matrix are pad
+    "uneven_lengths": lambda: (
+        _random_pairs(3, 25, range(4, 30), range(4, 9), (1, 91), (1, 4)) + [SentencePair([4], [5])],
+        30, 9),
+    # on an AVX-512 host np.log is one ulp off math.log for a ratio of this
+    # corpus, and that moves one table value by an ulp
+    "log_ulp": lambda: (_random_pairs(436, 30, range(4, 16), range(4, 16), (1, 10), (1, 10)),
+                        16, 16),
+    # a source vocabulary larger than the target one the keys are encoded in
+    "wide_source": lambda: (_random_pairs(4, 30, range(4, 60), range(4, 7), (1, 9), (1, 5)),
+                            60, 7),
+}
+
+
 class TestBmi:
     def test_toy_two_pair_corpus_matches_oracle(self):
         pairs = [SentencePair([4], [5]), SentencePair([4], [6])]
@@ -141,17 +186,14 @@ class TestBmi:
         double = bmi_value([4, 4], 5, src_freq, tgt_freq, cooc, 2)
         assert double == pytest.approx(2 * single, rel=1e-12)
 
-    def test_table_matches_bruteforce_on_random_corpus(self, rng):
-        vocab_size = 10
-        pairs = [
-            SentencePair(
-                list(map(int, rng.integers(4, vocab_size, size=rng.integers(1, 6)))),
-                list(map(int, rng.integers(4, vocab_size, size=rng.integers(1, 6)))),
-            )
-            for _ in range(60)
-        ]
-        src_freq, tgt_freq, cooc = _stats(pairs, vocab_size)
+    @pytest.mark.parametrize("corpus", sorted(BMI_CORPORA))
+    def test_table_matches_bruteforce(self, corpus):
+        pairs, src_size, vocab_size = BMI_CORPORA[corpus]()
+        src_freq = FrequencyTable.from_pairs(pairs, "src", src_size)
+        tgt_freq = FrequencyTable.from_pairs(pairs, "tgt", vocab_size)
         table = BmiTable.build(pairs, src_freq, tgt_freq, vocab_size)
+        # bit for bit the scalar loop, not within a tolerance
+        assert np.array_equal(table.values, scalar_bmi_values(pairs, src_freq, tgt_freq, vocab_size))
         for tok in range(vocab_size):
             containing = [p for p in pairs if tok in p.tgt]
             if not containing:
