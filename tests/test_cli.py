@@ -8,7 +8,7 @@ import pytest
 from cbmi_nmt import cli
 from cbmi_nmt import models as M
 from cbmi_nmt.cli import ConfigError, FullConfig, parse_config, run
-from cbmi_nmt.corpus import BmiTable, FrequencyTable, Vocabulary, load_parallel_corpus
+from cbmi_nmt.corpus import UNK_ID, BmiTable, FrequencyTable, Vocabulary, load_parallel_corpus
 from conftest import scalar_bmi_values
 
 
@@ -357,7 +357,7 @@ class TestCliRuns:
         src_vocab = Vocabulary.load(data / "vocab.src.txt")
         tgt_vocab = Vocabulary.load(data / "vocab.tgt.txt")
         pairs = load_parallel_corpus(tmp_path / "c.src", tmp_path / "c.tgt", src_vocab, tgt_vocab)
-        assert any(3 in p.src for p in pairs) and any(3 in p.tgt for p in pairs)
+        assert any(UNK_ID in p.src for p in pairs) and any(UNK_ID in p.tgt for p in pairs)
         values = scalar_bmi_values(
             pairs, FrequencyTable.from_pairs(pairs, "src", len(src_vocab)),
             FrequencyTable.from_pairs(pairs, "tgt", len(tgt_vocab)), len(tgt_vocab),
