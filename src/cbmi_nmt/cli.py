@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,97 +63,51 @@ PROFILES = {
 KEY_TO_ATTR = {"lambda": "lam"}
 ATTR_TO_KEY = {v: k for k, v in KEY_TO_ATTR.items()}
 
+# each component config with the fields the program sets itself rather than a key
+_COMPONENTS = [
+    (CbmiConfig, ()),
+    (BaselineConfig, ()),
+    (ModelConfig, ("vocab_size_src", "vocab_size_tgt", "max_len")),
+    (TrainConfig, ("scheme",)),
+    (BeamConfig, ("max_len_offset",)),
+]
+
 
 @dataclass
-class FullConfig:
-    """The flat configuration namespace behind config files and flags."""
+class _FullConfigBase:
+    """The flat configuration namespace behind config files and flags: the
+    keys of the command line itself, and the methods of ``FullConfig``, which
+    adds every component field with its component's type and default."""
 
-    # weighting scheme
     scheme: str = "none"
-    scale_t: float = 0.1
-    scale_s: float = 0.3
-    use_token: bool = True
-    use_sentence: bool = True
-    sigma_floor: float = 1e-6
-    freq_a: float = 1.0
-    freq_t: float = 1.75
-    bmi_s: float = 0.15
-    bmi_b: float = 0.8
-    alpha: float = 0.1
-    gamma: float = 1.0
-    lam: float = 0.1
-    tau: float = 2.0
-    soften_teacher_only: bool = False
-    th1: float = 0.0
-    th2: float = 8.0
     profile: str = "en_de"
-    # model
     preset: str = "desk"
-    embed_dim: int = 64
-    ff_dim: int = 128
-    enc_layers: int = 2
-    dec_layers: int = 2
-    lm_layers: int = 2
-    heads: int = 4
-    dropout_residual: float = 0.1
-    dropout_attention: float = 0.1
-    dropout_activation: float = 0.1
-    share_vocab: bool = False
     max_len: int = 128
     precision: str = "fp32"
-    # training
-    base_lr: float = 7e-4
-    warmup_steps: int = 4000
-    phase1_steps: int = 1000
-    phase2_steps: int = 2000
-    token_budget: int = 1024
-    label_smoothing: float = 0.1
-    clip_norm: float = 1.0
-    checkpoint_every: int = 0
-    keep_checkpoints: int = 2
-    reset_optimizer_phase2: bool = False
-    seed: int = 1
     min_count: int = 1
-    # decoding / analysis
-    beam_size: int = 4
-    length_penalty: float = 0.6
-    max_len_ratio: float = 2.0
     bins: int = 10
 
     def validate(self) -> "FullConfig":
+        """Check the own keys here and every component field by building the
+        components, whose ``__post_init__`` holds its range checks."""
         checks = [
             (self.scheme in SCHEME_KINDS, "scheme", f"must be one of {SCHEME_KINDS}"),
-            (self.scale_t >= 0, "scale_t", "must be non-negative"),
-            (self.scale_s >= 0, "scale_s", "must be non-negative"),
-            (self.sigma_floor > 0, "sigma_floor", "must be positive"),
-            (self.tau > 0, "tau", "must be positive"),
-            (self.th1 < self.th2, "th1", "must be below th2"),
             (self.profile in PROFILES, "profile", f"must be one of {tuple(PROFILES)}"),
             (self.preset in M.MODEL_PRESETS, "preset", f"must be one of {tuple(M.MODEL_PRESETS)}"),
-            (0 <= self.label_smoothing < 1, "label_smoothing", "must lie in [0, 1)"),
-            (self.warmup_steps >= 1, "warmup_steps", "must be at least 1"),
-            (self.phase1_steps >= 0, "phase1_steps", "must be non-negative"),
-            (self.phase2_steps >= 0, "phase2_steps", "must be non-negative"),
-            (self.token_budget >= 1, "token_budget", "must be positive"),
-            (self.seed >= 0, "seed", "must be non-negative"),
-            (self.min_count >= 1, "min_count", "must be at least 1"),
-            (self.beam_size >= 1, "beam_size", "must be at least 1"),
             (self.max_len >= 1, "max_len", "must be positive"),
-            (self.bins >= 1, "bins", "must be positive"),
             (self.precision in ("fp32", "fp64"), "precision", "must be fp32 or fp64"),
-            (self.base_lr > 0, "base_lr", "must be positive"),
+            (self.min_count >= 1, "min_count", "must be at least 1"),
+            (self.bins >= 1, "bins", "must be positive"),
         ]
-        for rate_key in ("dropout_residual", "dropout_attention", "dropout_activation"):
-            checks.append((0 <= getattr(self, rate_key) < 1, rate_key, "must lie in [0, 1)"))
-        for size_key in ("embed_dim", "ff_dim", "heads"):
-            checks.append((getattr(self, size_key) >= 1, size_key, "must be positive"))
-        for layers_key in ("enc_layers", "dec_layers", "lm_layers"):
-            checks.append((getattr(self, layers_key) >= 0, layers_key, "must be non-negative"))
-        checks.append((self.heads < 1 or self.embed_dim % self.heads == 0, "heads",
-                       f"must divide embed_dim {self.embed_dim}"))
         for ok, key, message in checks:
             if not ok:
-                raise ConfigError(f"invalid value for {ATTR_TO_KEY.get(key, key)}: {message}")
+                raise ConfigError(f"invalid value for {key}: {message}")
+        try:
+            self.train_config()
+            self.beam_config()
+            self.model_config(1, 1)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return self
 
     # ---- derived configs ----
@@ -189,11 +143,20 @@ class FullConfig:
         return self._matching(BeamConfig)
 
     def echo_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            out[ATTR_TO_KEY.get(f.name, f.name)] = getattr(self, f.name)
-        return out
+        return {ATTR_TO_KEY.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
 
+
+FullConfig = make_dataclass(
+    "FullConfig",
+    [
+        (f.name, f.type, f.default)
+        for cls, set_by_program in _COMPONENTS
+        for f in fields(cls)
+        if f.name not in set_by_program
+    ],
+    bases=(_FullConfigBase,),
+    namespace={"__module__": __name__},
+)
 
 _FIELD_TYPES: dict[str, type] = {
     f.name: {"int": int, "float": float, "bool": bool, "str": str}[f.type]
@@ -250,9 +213,9 @@ def parse_config(path: str | Path | None, overrides: dict[str, object] | None = 
             raise ConfigError(f"unknown config key {attr!r}")
 
     merged_for_selectors = {**file_values, **overrides}
-    preset = str(merged_for_selectors.get("preset", "desk"))
-    profile = str(merged_for_selectors.get("profile", "en_de"))
-    scheme = str(merged_for_selectors.get("scheme", "none"))
+    preset = str(merged_for_selectors.get("preset", FullConfig.preset))
+    profile = str(merged_for_selectors.get("profile", FullConfig.profile))
+    scheme = str(merged_for_selectors.get("scheme", FullConfig.scheme))
     if preset not in M.MODEL_PRESETS:
         raise ConfigError(f"invalid value for preset: {preset!r}")
     if profile not in PROFILES:
@@ -274,8 +237,8 @@ def parse_config(path: str | Path | None, overrides: dict[str, object] | None = 
 # argument parsing
 
 
-# flags are "--" plus the attribute name with dashes, except these two
-_FLAG_SPELLINGS = {"lam": "--lambda", "beam_size": "--beam"}
+# flags are "--" plus the file key with dashes, except this one
+_FLAG_SPELLINGS = {"beam_size": "--beam"}
 
 
 def _config_flags() -> argparse.ArgumentParser:
@@ -286,7 +249,7 @@ def _config_flags() -> argparse.ArgumentParser:
     group = parser.add_argument_group("configuration (flags override --config)")
     group.add_argument("--config", type=str, default=None, help="flat key=value config file")
     for attr, kind in _FIELD_TYPES.items():
-        flag = _FLAG_SPELLINGS.get(attr, "--" + attr.replace("_", "-"))
+        flag = _FLAG_SPELLINGS.get(attr, "--" + ATTR_TO_KEY.get(attr, attr).replace("_", "-"))
         if kind is bool:
             group.add_argument(flag, dest=attr, type=_parse_bool, default=None, metavar="BOOL")
         else:
@@ -483,6 +446,8 @@ def cmd_analyze_cbmi(args) -> int:
     config = _effective_config(args)
     params, meta, src_vocab, tgt_vocab = _load_checkpoint_for(args, need_lm=True)
     pairs = load_parallel_corpus(args.src, args.tgt, src_vocab, tgt_vocab, config.max_len)
+    if not pairs:
+        raise CorpusError(f"no sentence pairs to analyze in {args.src}")
     analysis = analyze_cbmi(params, pairs, bins=config.bins)
     write_analysis(
         args.out,

@@ -50,7 +50,8 @@ class Vocabulary:
         self._counts = counts
         self._ids = {tok: i for i, tok in enumerate(tokens)}
         if len(self._ids) != len(tokens):
-            raise CorpusError("duplicate token in vocabulary")
+            duplicate = next(tok for i, tok in enumerate(tokens) if self._ids[tok] != i)
+            raise CorpusError(f"duplicate token {duplicate!r} in vocabulary")
 
     @classmethod
     def build(cls, lines: Iterable[str], min_count: int = 1) -> "Vocabulary":
@@ -99,13 +100,22 @@ class Vocabulary:
         tokens: list[str] = []
         counts: list[int] = []
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 tok, _, count = line.rstrip("\n").partition("\t")
+                try:
+                    counts.append(int(count))
+                except ValueError:
+                    raise CorpusError(
+                        f"vocabulary file {path} line {lineno}: expected <token><tab><count>, "
+                        f"got {line.rstrip()!r}"
+                    ) from None
                 tokens.append(tok)
-                counts.append(int(count))
         if tokens[: len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
             raise CorpusError(f"vocabulary file {path} is missing reserved tokens")
-        return cls(tokens, counts)
+        try:
+            return cls(tokens, counts)
+        except CorpusError as exc:
+            raise CorpusError(f"vocabulary file {path}: {exc}") from None
 
     def content_hash(self) -> str:
         import hashlib

@@ -41,7 +41,7 @@ class BeamConfig:
 
     def __post_init__(self):
         if self.beam_size < 1:
-            raise ValueError("beam_size must be at least 1")
+            raise ValueError("invalid value for beam_size: must be at least 1")
 
     def max_len(self, src_len: int) -> int:
         return max(2, int(self.max_len_ratio * src_len) + self.max_len_offset)

@@ -47,13 +47,17 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("vocab_size_src", "vocab_size_tgt", "embed_dim", "ff_dim", "heads"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"invalid value for {name}: must be positive")
         for name in ("enc_layers", "dec_layers", "lm_layers"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise ValueError(f"invalid value for {name}: must be non-negative")
+        for name in ("dropout_residual", "dropout_attention", "dropout_activation"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"invalid value for {name}: must lie in [0, 1)")
         if self.embed_dim % self.heads != 0:
             raise ValueError(
-                f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}"
+                f"invalid value for heads: embed_dim {self.embed_dim} must be divisible by "
+                f"heads {self.heads}"
             )
 
 

@@ -54,14 +54,20 @@ class TrainConfig:
     reset_optimizer_phase2: bool = False
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.warmup_steps < 1:
-            raise ValueError("warmup_steps must be at least 1")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ValueError("label_smoothing must lie in [0, 1)")
-        if self.phase1_steps < 0 or self.phase2_steps < 0:
-            raise ValueError("phase step counts must be non-negative")
+        checks = (
+            (self.base_lr > 0, "base_lr", "must be positive"),
+            (self.warmup_steps >= 1, "warmup_steps", "must be at least 1"),
+            (self.phase1_steps >= 0, "phase1_steps", "must be non-negative"),
+            (self.phase2_steps >= 0, "phase2_steps", "must be non-negative"),
+            (self.token_budget >= 1, "token_budget", "must be positive"),
+            (self.seed >= 0, "seed", "must be non-negative"),
+            (0 <= self.label_smoothing < 1, "label_smoothing", "must lie in [0, 1)"),
+            (self.checkpoint_every >= 0, "checkpoint_every", "must be non-negative"),
+            (self.keep_checkpoints >= 0, "keep_checkpoints", "must be non-negative"),
+        )
+        for ok, name, reason in checks:
+            if not ok:
+                raise ValueError(f"invalid value for {name}: {reason}")
 
     @property
     def total_steps(self) -> int:

@@ -35,10 +35,11 @@ class CbmiConfig:
     sigma_floor: float = 1e-6
 
     def __post_init__(self):
-        if self.scale_t < 0 or self.scale_s < 0:
-            raise ValueError("scales must be non-negative")
+        for name in ("scale_t", "scale_s"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"invalid value for {name}: must be non-negative")
         if self.sigma_floor <= 0:
-            raise ValueError("sigma_floor must be positive")
+            raise ValueError("invalid value for sigma_floor: must be positive")
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,12 @@ class BaselineConfig:
     th1: float = 0.0
     th2: float = 8.0
     soften_teacher_only: bool = False
+
+    def __post_init__(self):
+        if self.tau <= 0:
+            raise ValueError("invalid value for tau: must be positive")
+        if self.th1 >= self.th2:
+            raise ValueError("invalid value for th1: must be below th2")
 
 
 SCHEME_KINDS = (

@@ -9,6 +9,10 @@ from cbmi_nmt import cli
 from cbmi_nmt import models as M
 from cbmi_nmt.cli import ConfigError, FullConfig, parse_config, run
 from cbmi_nmt.corpus import UNK_ID, BmiTable, FrequencyTable, Vocabulary, load_parallel_corpus
+from cbmi_nmt.decoding import BeamConfig
+from cbmi_nmt.models import ModelConfig
+from cbmi_nmt.training import TrainConfig
+from cbmi_nmt.weighting import BaselineConfig, CbmiConfig
 from conftest import scalar_bmi_values
 
 
@@ -130,6 +134,62 @@ class TestParseConfig:
             parse_config(None, {"th1": 9.0, "th2": 8.0})
 
 
+# every key, in order: the own keys, then the fields of CbmiConfig, BaselineConfig,
+# ModelConfig, TrainConfig and BeamConfig; a new component field must be added here
+FULL_CONFIG_KEYS = [
+    "scheme", "profile", "preset", "max_len", "precision", "min_count", "bins",
+    "scale_t", "scale_s", "use_token", "use_sentence", "sigma_floor",
+    "freq_a", "freq_t", "bmi_s", "bmi_b", "alpha", "gamma", "lam", "tau", "th1", "th2",
+    "soften_teacher_only",
+    "embed_dim", "ff_dim", "enc_layers", "dec_layers", "lm_layers", "heads",
+    "dropout_residual", "dropout_attention", "dropout_activation", "share_vocab",
+    "base_lr", "warmup_steps", "phase1_steps", "phase2_steps", "token_budget", "seed",
+    "label_smoothing", "clip_norm", "checkpoint_every", "keep_checkpoints",
+    "reset_optimizer_phase2",
+    "beam_size", "length_penalty", "max_len_ratio",
+]
+
+
+def test_full_config_keys_are_pinned():
+    assert [f.name for f in fields(FullConfig)] == FULL_CONFIG_KEYS
+
+
+def _model_config(**values):
+    return ModelConfig(10, 10, **values)
+
+
+_RANGE_CASES = [
+    (CbmiConfig, {"scale_s": -0.5}, "scale_s"),
+    (CbmiConfig, {"sigma_floor": 0.0}, "sigma_floor"),
+    (BaselineConfig, {"tau": 0.0}, "tau"),
+    (BaselineConfig, {"th1": 9.0, "th2": 8.0}, "th1"),
+    (TrainConfig, {"token_budget": 0}, "token_budget"),
+    (TrainConfig, {"base_lr": 0.0}, "base_lr"),
+    (TrainConfig, {"label_smoothing": 1.0}, "label_smoothing"),
+    (TrainConfig, {"checkpoint_every": -1}, "checkpoint_every"),
+    (TrainConfig, {"keep_checkpoints": -1}, "keep_checkpoints"),
+    (_model_config, {"dropout_residual": 1.0}, "dropout_residual"),
+    (_model_config, {"dropout_attention": -0.1}, "dropout_attention"),
+    (_model_config, {"dropout_activation": 1.0}, "dropout_activation"),
+    (_model_config, {"ff_dim": 0}, "ff_dim"),
+    (_model_config, {"heads": 3, "embed_dim": 16}, "heads"),
+    (BeamConfig, {"beam_size": 0}, "beam_size"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, values, key", _RANGE_CASES, ids=[key for _, _, key in _RANGE_CASES]
+)
+def test_range_check_lives_in_the_component(build, values, key):
+    with pytest.raises(ValueError) as direct:
+        build(**values)
+    message = str(direct.value)
+    assert message.startswith(f"invalid value for {key}: ")
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(None, values)
+    assert str(parsed.value) == message
+
+
 # the string keys, and the two keys whose default + 1 would break embed_dim % heads == 0
 _CHOSEN_VALUES = {"scheme": "cbmi", "profile": "zh_en", "preset": "base", "precision": "fp64",
                   "embed_dim": 128, "heads": 8}
@@ -181,6 +241,8 @@ class TestCliRuns:
             ("lm_layers", ["--lm-layers", "-1"]),
             ("heads", ["--heads", "3", "--embed-dim", "16"]),
             ("heads", ["--heads", "0"]),
+            ("keep_checkpoints", ["--checkpoint-every", "1", "--keep-checkpoints", "-1"]),
+            ("checkpoint_every", ["--checkpoint-every", "-1"]),
         ]
         for key, flags in cases:
             code = run(train_args(corpus, tmp_path / "o", *flags))
@@ -304,6 +366,41 @@ class TestCliRuns:
             "--data-dir", str(corpus / "data"), "--out", str(dump),
         ]) == 0
         assert all(len(l.split("\t")) == 8 for l in dump.read_text().splitlines())
+
+    def test_analyze_empty_corpus_is_corpus_error(self, corpus, tmp_path, capsys):
+        out = tmp_path / "lmrun"
+        assert run(train_args(corpus, out, "--scheme", "cbmi", "--seed", "4")) == 0
+        for side in ("empty.src", "empty.tgt"):
+            (tmp_path / side).write_text("")
+        capsys.readouterr()
+        code = run([
+            "analyze-cbmi", "--checkpoint", str(out / "checkpoint_final"),
+            "--src", str(tmp_path / "empty.src"), "--tgt", str(tmp_path / "empty.tgt"),
+            "--data-dir", str(corpus / "data"), "--out", str(tmp_path / "a.txt"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:corpus:") and str(tmp_path / "empty.src") in err, err
+        assert not (tmp_path / "a.txt").exists()
+
+    @pytest.mark.parametrize("damage", ["junk_line", "duplicate_token"])
+    def test_malformed_vocabulary_is_corpus_error(self, corpus, tmp_path, capsys, damage):
+        data = tmp_path / "data"
+        shutil.copytree(corpus / "data", data)
+        vocab = data / "vocab.tgt.txt"
+        lines = vocab.read_text().splitlines(keepends=True)
+        lines.append("junk\n" if damage == "junk_line" else lines[-1])
+        vocab.write_text("".join(lines))
+        out = tmp_path / "run"
+        code = run([
+            "train", "--src", str(corpus / "train.src"), "--tgt", str(corpus / "train.tgt"),
+            "--data-dir", str(data), "--out-dir", str(out), *FAST_TRAIN,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:corpus:") and str(vocab) in err, err
+        assert (f"line {len(lines)}:" if damage == "junk_line" else "duplicate token") in err
+        assert not out.exists()
 
     def test_vocab_mismatch_detected(self, corpus, tmp_path, capsys):
         out = tmp_path / "vm"
