@@ -5,7 +5,7 @@ CBMI-driven prior-selection objective."""
 __version__ = "0.1.0"
 
 from .corpus import BmiTable, FrequencyTable, SentencePair, Vocabulary, make_batches
-from .decoding import BeamConfig, BleuReport, analyze_cbmi, beam_search, bleu
+from .decoding import BeamConfig, BleuReport, analyze_cbmi, beam_search, beam_search_many, bleu
 from .models import ModelConfig, ModelParams, init_params, lm_forward, nmt_forward
 from .tensor import Tape, Tensor
 from .training import StepMetrics, TrainConfig, Trainer, lr_schedule, train
@@ -31,6 +31,7 @@ __all__ = [
     "WeightScheme",
     "analyze_cbmi",
     "beam_search",
+    "beam_search_many",
     "bleu",
     "init_params",
     "lm_forward",

@@ -10,8 +10,9 @@ a flat key=value file, then flag overrides, in that precedence order.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from dataclasses import dataclass, fields, make_dataclass
+from dataclasses import dataclass, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .corpus import (
     make_batches,
     tokenize,
 )
-from .decoding import BeamConfig, DecodeStats, analyze_cbmi, beam_search, bleu, write_analysis
+from .decoding import BeamConfig, DecodeStats, analyze_cbmi, beam_search_many, bleu, write_analysis
 from .models import CheckpointError, ModelConfig, lm_forward, load_checkpoint, nmt_forward
 from .training import TrainConfig, Trainer, TrainingError
 from .weighting import (
@@ -71,6 +72,11 @@ _COMPONENTS = [
     (TrainConfig, ("scheme",)),
     (BeamConfig, ("max_len_offset",)),
 ]
+# the fields of each component that are keys
+_KEYS_OF = {
+    cls: tuple(f.name for f in fields(cls) if f.name not in set_by_program)
+    for cls, set_by_program in _COMPONENTS
+}
 
 
 @dataclass
@@ -87,9 +93,14 @@ class _FullConfigBase:
     min_count: int = 1
     bins: int = 10
 
+    # (train, beam, model) configs built by ``validate``; not a field
+    _components = None
+
     def validate(self) -> "FullConfig":
         """Check the own keys here and every component field by building the
-        components, whose ``__post_init__`` holds its range checks."""
+        components, whose ``__post_init__`` holds its range checks. The
+        components are kept: the accessors below return them, so a config
+        is not to be changed once validated."""
         checks = [
             (self.scheme in SCHEME_KINDS, "scheme", f"must be one of {SCHEME_KINDS}"),
             (self.profile in PROFILES, "profile", f"must be one of {tuple(PROFILES)}"),
@@ -103,9 +114,14 @@ class _FullConfigBase:
             if not ok:
                 raise ConfigError(f"invalid value for {key}: {message}")
         try:
-            self.train_config()
-            self.beam_config()
-            self.model_config(1, 1)
+            scheme = WeightScheme(kind=self.scheme, cbmi=self._matching(CbmiConfig),
+                                  baseline=self._matching(BaselineConfig))
+            self._components = (
+                self._matching(TrainConfig, scheme=scheme),
+                self._matching(BeamConfig),
+                self._matching(ModelConfig, vocab_size_src=1, vocab_size_tgt=1,
+                               max_len=max(self.max_len + 2, 16)),
+            )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return self
@@ -116,31 +132,28 @@ class _FullConfigBase:
         return np.float64 if self.precision == "fp64" else np.float32
 
     def _matching(self, cls, **explicit):
-        """An instance of ``cls`` whose fields shared with this config are
-        copied by name; ``explicit`` supplies the rest."""
-        shared = [f.name for f in fields(cls) if f.name in _FIELD_TYPES and f.name not in explicit]
-        return cls(**{name: getattr(self, name) for name in shared}, **explicit)
+        """An instance of the component ``cls`` whose key fields are copied
+        from this config by name; ``explicit`` supplies those the program
+        sets."""
+        return cls(**{name: getattr(self, name) for name in _KEYS_OF[cls]}, **explicit)
+
+    def _kept(self) -> tuple[TrainConfig, BeamConfig, ModelConfig]:
+        if self._components is None:
+            self.validate()
+        return self._components
 
     def weight_scheme(self) -> WeightScheme:
-        return WeightScheme(
-            kind=self.scheme,
-            cbmi=self._matching(CbmiConfig),
-            baseline=self._matching(BaselineConfig),
-        )
+        return self._kept()[0].scheme
 
     def model_config(self, vocab_size_src: int, vocab_size_tgt: int) -> ModelConfig:
-        return self._matching(
-            ModelConfig,
-            vocab_size_src=vocab_size_src,
-            vocab_size_tgt=vocab_size_tgt,
-            max_len=max(self.max_len + 2, 16),
-        )
+        return replace(self._kept()[2], vocab_size_src=vocab_size_src,
+                       vocab_size_tgt=vocab_size_tgt)
 
     def train_config(self) -> TrainConfig:
-        return self._matching(TrainConfig, scheme=self.weight_scheme())
+        return self._kept()[0]
 
     def beam_config(self) -> BeamConfig:
-        return self._matching(BeamConfig)
+        return self._kept()[1]
 
     def echo_dict(self) -> dict:
         return {ATTR_TO_KEY.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
@@ -150,9 +163,9 @@ FullConfig = make_dataclass(
     "FullConfig",
     [
         (f.name, f.type, f.default)
-        for cls, set_by_program in _COMPONENTS
+        for cls, _ in _COMPONENTS
         for f in fields(cls)
-        if f.name not in set_by_program
+        if f.name in _KEYS_OF[cls]
     ],
     bases=(_FullConfigBase,),
     namespace={"__module__": __name__},
@@ -345,10 +358,10 @@ def _target_frequency_table(pairs, vocab_size: int) -> FrequencyTable:
 
 def cmd_preprocess(args) -> int:
     config = _effective_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     src_lines = Path(args.src).read_text(encoding="utf-8").splitlines()
     tgt_lines = Path(args.tgt).read_text(encoding="utf-8").splitlines()
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     src_vocab, tgt_vocab = build_vocabularies(
         src_lines, tgt_lines, min_count=config.min_count, share=config.share_vocab
     )
@@ -415,16 +428,15 @@ def cmd_translate(args) -> int:
     config = _effective_config(args)
     params, _, src_vocab, tgt_vocab = _load_checkpoint_for(args)
     beam_config = config.beam_config()
-    lines = Path(args.src).read_text(encoding="utf-8").splitlines()
-    outputs = []
-    stats = DecodeStats()
-    for lineno, line in enumerate(lines, start=1):
+    sources = []
+    for lineno, line in enumerate(Path(args.src).read_text(encoding="utf-8").splitlines(), 1):
         tokens = tokenize(line)
         if not tokens:
             raise CorpusError(f"empty source sentence at line {lineno}")
-        ids = src_vocab.encode(tokens)
-        hyp_ids = beam_search(params, ids, beam_config, stats)
-        outputs.append(" ".join(tgt_vocab.decode(hyp_ids)))
+        sources.append(src_vocab.encode(tokens))
+    stats = DecodeStats()
+    outputs = [" ".join(tgt_vocab.decode(hyp_ids))
+               for hyp_ids in beam_search_many(params, sources, beam_config, stats)]
     Path(args.out).write_text("\n".join(outputs) + ("\n" if outputs else ""), encoding="utf-8")
     print(f"translate: {len(outputs)} sentences -> {args.out}; {stats.summary()}")
     return 0
@@ -462,7 +474,10 @@ def cmd_dump_weights(args) -> int:
     config = _effective_config(args)
     params, _, src_vocab, tgt_vocab = _load_checkpoint_for(args, need_lm=True)
     pairs = load_parallel_corpus(args.src, args.tgt, src_vocab, tgt_vocab, config.max_len)
+    if not pairs:
+        raise CorpusError(f"no sentence pairs to dump weights for in {args.src}")
     batches = make_batches(pairs, config.token_budget, seed=config.seed)
+    cbmi_config = config.weight_scheme().cbmi
     with open(args.out, "w", encoding="utf-8") as fh:
         for index, batch in enumerate(batches):
             nmt_lp = nmt_forward(params, batch.src, batch.tgt_in).data
@@ -471,7 +486,7 @@ def cmd_dump_weights(args) -> int:
                 gold_token_probs(nmt_lp, batch.tgt_out),
                 gold_token_probs(lm_lp, batch.tgt_out),
                 batch.tgt_mask,
-                config.weight_scheme().cbmi,
+                cbmi_config,
             )
             for line in weight_dump_lines(index, schedule, batch.tgt_mask, batch.tgt_out):
                 fh.write(line + "\n")
@@ -494,14 +509,20 @@ _ERROR_CATEGORIES = [
     (CheckpointError, "checkpoint"),
     (TrainingError, "train"),
     (FileNotFoundError, "io"),
+    (OSError, "io"),
     (ValueError, "invalid"),
 ]
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``run``, built once per process."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
     """Parse and dispatch; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - single reporting point

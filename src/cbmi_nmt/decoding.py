@@ -6,15 +6,25 @@ generated tokens including the end marker. The decoder always keeps the
 greedy rollout among its candidates, so the returned hypothesis never
 scores below the greedy one.
 
-``beam_search`` decodes incrementally: a ``models.DecoderState`` encodes
-the source once and keeps each decoder layer's keys and values, so a step
-feeds one new position per distinct prefix. The beam and the greedy rollout
-are two widths of one search loop, and their alive prefixes share each
-step. ``beam_search_core`` and ``greedy_core`` run that loop at one width
-over any step function; over ``_nmt_step_fn``, which recomputes the encoder
-and every prefix through ``nmt_forward``, they are the reference the cached
-path is tested against. Neither step function lets ``<pad>`` or ``<s>``
-follow a prefix.
+``beam_search_many`` decodes incrementally and in groups: sentences of
+equal source length, at most ``MAX_GROUP_SIZE`` of them, share one
+``models.DecoderState``, which encodes them once and keeps each decoder
+layer's keys and values, so a step feeds one new position per distinct
+prefix of each sentence. Each sentence's beam and greedy rollout are two
+widths of one search loop, ``_search``, which advances every search of the
+group in lockstep; ``beam_search`` is its one-sentence case.
+``beam_search_core`` and ``greedy_core`` run that loop at one width over any
+step function; over ``_nmt_step_fn``, which recomputes the encoder and every
+prefix through ``nmt_forward``, they are the reference the cached path is
+tested against. Neither step function lets ``<pad>`` or ``<s>`` follow a
+prefix.
+
+A sentence's hypothesis does not depend on the other sentences of its
+group, up to rounding: a row runs the arithmetic of a one-sentence decode,
+but a matmul over one row (the first step of a sentence decoded alone) may
+round differently from one over many, up to about 5e-6 apart in an fp32
+log-probability. The output of ``translate`` stays a deterministic function
+of its input file.
 """
 
 from __future__ import annotations
@@ -59,60 +69,97 @@ StepFn = Callable[[list[list[int]]], np.ndarray]
 """Maps a list of prefixes (each starting with BOS) to next-token
 log-probability rows, one per prefix."""
 
+GroupStepFn = Callable[[list[list[list[int]]]], np.ndarray]
+"""Maps the prefixes of each sentence of a group to next-token
+log-probability rows, one per prefix, sentence by sentence."""
+
+# the most sentences one decoder state holds
+MAX_GROUP_SIZE = 64
+
 
 def _extend(
-    alive: list[tuple[list[int], float]], rows: np.ndarray, width: int, alpha: float, eos: int,
-    finished: list[tuple[list[int], float]],
-) -> list[tuple[list[int], float]]:
-    """One step of one beam: the best ``width`` continuations of the alive
-    prefixes that do not end the sentence; those that do go to ``finished``."""
-    candidates: list[tuple[float, int, int]] = []
-    for i, (tokens, score) in enumerate(alive):
-        row = rows[i]
-        top = np.argsort(-row, kind="stable")[: 2 * width]
-        for tok in top:
-            candidates.append((score + float(row[tok]), i, int(tok)))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-    next_alive: list[tuple[list[int], float]] = []
-    for score, i, tok in candidates:
-        if len(next_alive) >= width:
-            break
-        tokens = alive[i][0] + [tok]
+    alive: list[list[tuple[list[int], float]]], rows: np.ndarray, row_of: list[list[int]],
+    widths: Sequence[int], alpha: float, eos: int, finished: list[list[tuple[list[int], float]]],
+) -> list[list[tuple[list[int], float]]]:
+    """One step of several beams: per beam ``b``, the best ``widths[b]``
+    continuations of its alive prefixes (prefix ``i`` scored by row
+    ``row_of[b][i]`` of ``rows``) that do not end the sentence; those that
+    do go to ``finished[b]``. Each alive prefix offers its ``2 * width``
+    best tokens; candidates rank by (score, prefix, token), and a beam
+    takes them in that order until it holds ``width`` alive prefixes."""
+    counts = np.array([len(prefixes) for prefixes in alive])
+    most = min(2 * max(widths), rows.shape[1])
+    # stable: equal log-probabilities keep the lower token first
+    top = np.argsort(-rows, axis=1, kind="stable")[:, :most]
+    beam = np.repeat(np.arange(len(alive)), counts)
+    prefix = np.arange(beam.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    row = np.array([r for rows_b in row_of for r in rows_b], dtype=np.int64)
+    score = np.array([s for prefixes in alive for _, s in prefixes], dtype=np.float64)
+    width = np.asarray(widths)[beam]
+    entry, col = np.nonzero(np.arange(most) < np.minimum(2 * width, most)[:, None])
+    token = top[row[entry], col]
+    cand_score = score[entry] + rows[row[entry], token]
+    order = np.lexsort((token, prefix[entry], -cand_score, beam[entry]))
+    entry, token, cand_score = entry[order], token[order], cand_score[order]
+    # a beam takes its candidates up to its ``width``-th that does not end
+    going = token != eos
+    before = np.cumsum(going) - going
+    first = np.searchsorted(beam[entry], beam[entry], side="left")
+    taken = np.flatnonzero(before - before[first] < width[entry])
+    chosen = entry[taken]
+    grown: list[list[tuple[list[int], float]]] = [[] for _ in alive]
+    for b, i, tok, value in zip(beam[chosen].tolist(), prefix[chosen].tolist(),
+                                token[taken].tolist(), cand_score[taken].tolist()):
+        tokens = alive[b][i][0] + [tok]
         if tok == eos:
-            gen_len = len(tokens) - 1
-            finished.append((tokens[1:-1], _penalized(score, gen_len, alpha)))
+            finished[b].append((tokens[1:-1], _penalized(value, len(tokens) - 1, alpha)))
         else:
-            next_alive.append((tokens, score))
-    return next_alive
+            grown[b].append((tokens, value))
+    return [beam_b if len(done) < w else [] for beam_b, done, w in zip(grown, finished, widths)]
 
 
 def _search(
-    step_fn: StepFn, widths: Sequence[int], alpha: float, max_len: int, bos: int, eos: int
-) -> list[tuple[tuple[list[int], float], int]]:
-    """Beam searches of each of ``widths`` in lockstep: every step scores the
-    alive prefixes of all of them in one ``step_fn`` call, in width order.
-    Returns, per width, the best finished hypothesis and how many hypotheses
-    were force-finished at ``max_len``."""
-    alive: list[list[tuple[list[int], float]]] = [[([bos], 0.0)] for _ in widths]
-    finished: list[list[tuple[list[int], float]]] = [[] for _ in widths]
+    step_fn: GroupStepFn, widths: Sequence[Sequence[int]], alpha: float, max_len: int, bos: int,
+    eos: int,
+) -> list[list[tuple[tuple[list[int], float], int]]]:
+    """Beam searches of a group of sentences in lockstep: sentence ``s`` runs
+    one search of each width in ``widths[s]``, and every step scores the
+    distinct alive prefixes of each sentence in one ``step_fn`` call.
+    Returns, per sentence and width, the best finished hypothesis and how
+    many hypotheses were force-finished at ``max_len``."""
+    owner = [s for s, sentence_widths in enumerate(widths) for _ in sentence_widths]
+    flat_widths = [w for sentence_widths in widths for w in sentence_widths]
+    alive: list[list[tuple[list[int], float]]] = [[([bos], 0.0)] for _ in owner]
+    finished: list[list[tuple[list[int], float]]] = [[] for _ in owner]
     for _ in range(max_len):
-        rows = step_fn([tokens for beam in alive for tokens, _ in beam])
-        start = 0
-        for s, width in enumerate(widths):
-            beam = alive[s]
-            alive[s] = _extend(beam, rows[start : start + len(beam)], width, alpha, eos, finished[s])
-            start += len(beam)
-            if len(finished[s]) >= width:
-                alive[s] = []
+        prefixes: list[list[list[int]]] = [[] for _ in widths]
+        row_of: dict[tuple[int, ...], int] = {}
+        rows_of_beam: list[list[int]] = []
+        for s, beam in zip(owner, alive):
+            rows_b = []
+            for tokens, _ in beam:
+                key = (s, *tokens)
+                row = row_of.get(key)
+                if row is None:
+                    row = row_of[key] = len(row_of)
+                    prefixes[s].append(tokens)
+                rows_b.append(row)
+            rows_of_beam.append(rows_b)
+        rows = step_fn(prefixes)
+        alive = _extend(alive, rows, rows_of_beam, flat_widths, alpha, eos, finished)
         if not any(alive):
             break
-    results = []
-    for beam, done in zip(alive, finished):
+    results: list[list[tuple[tuple[list[int], float], int]]] = [[] for _ in widths]
+    for s, beam, done in zip(owner, alive, finished):
         for tokens, score in beam:
             gen_len = len(tokens) - 1
             done.append((tokens[1:], _penalized(score, gen_len, alpha)))
-        results.append((min(done, key=lambda f: (-f[1], f[0])), len(beam)))
+        results[s].append((min(done, key=lambda f: (-f[1], f[0])), len(beam)))
     return results
+
+
+def _one_sentence(step_fn: StepFn) -> GroupStepFn:
+    return lambda prefixes: step_fn(prefixes[0])
 
 
 def beam_search_core(
@@ -128,13 +175,16 @@ def beam_search_core(
     hypothesis; hypotheses still alive at ``max_len`` are force-finished.
     Ties break toward lower token ids, keeping results deterministic.
     """
-    return _search(step_fn, (config.beam_size,), config.length_penalty, max_len, bos, eos)[0][0]
+    results = _search(_one_sentence(step_fn), [(config.beam_size,)], config.length_penalty,
+                      max_len, bos, eos)
+    return results[0][0][0]
 
 
 def greedy_core(step_fn: StepFn, config: BeamConfig, max_len: int,
                 bos: int = BOS_ID, eos: int = EOS_ID) -> tuple[list[int], float]:
     """The greedy rollout: beam search at width 1."""
-    return _search(step_fn, (1,), config.length_penalty, max_len, bos, eos)[0][0]
+    results = _search(_one_sentence(step_fn), [(1,)], config.length_penalty, max_len, bos, eos)
+    return results[0][0][0]
 
 
 def _next_token_rows(log_probs: np.ndarray) -> np.ndarray:
@@ -163,9 +213,12 @@ def _nmt_step_fn(params: ModelParams, src_ids: list[int]) -> StepFn:
 
 @dataclass
 class DecodeStats:
-    """Work counts of ``beam_search`` calls: decoder steps, rows the decoder
-    computed, sentences whose greedy rollout outscored the beam, and beam
-    hypotheses force-finished at the length limit."""
+    """Work counts of beam searches, summed over sentences however they were
+    grouped: ``steps`` counts, per sentence, the decoder steps in which the
+    sentence had a live row; ``rows`` the decoder rows computed for it, each
+    distinct prefix once; ``greedy_won`` the sentences whose greedy rollout
+    outscored the beam; ``force_finished`` the beam hypotheses cut at the
+    length limit."""
 
     steps: int = 0
     rows: int = 0
@@ -177,50 +230,96 @@ class DecodeStats:
                 f"force_finished={self.force_finished}")
 
 
-def _cached_step_fn(params: ModelParams, src_ids: list[int], stats: DecodeStats) -> StepFn:
-    """The rows of ``_nmt_step_fn`` from one ``DecoderState``. Each call feeds
-    the last token of each distinct prefix, continuing the row of the
+def _cached_group_step_fn(params: ModelParams, sources: list[list[int]],
+                          stats: DecodeStats) -> GroupStepFn:
+    """The rows of ``_nmt_step_fn`` for each sentence of a group of equal
+    source length, from one ``DecoderState``. Each call feeds the last token
+    of each distinct prefix of each sentence, continuing the row of the
     previous call that held the prefix without it."""
-    state = DecoderState(params, src_ids)
-    previous: dict[tuple[int, ...], int] = {}
+    state = DecoderState(params, sources)
+    # before the first call, the state's rows are the sentences
+    previous: dict[tuple[int, ...], int] = {(s,): s for s in range(len(sources))}
 
-    def step(prefixes: list[list[int]]) -> np.ndarray:
+    def step(prefixes: list[list[list[int]]]) -> np.ndarray:
         nonlocal previous
         rows: dict[tuple[int, ...], int] = {}
-        for prefix in prefixes:
-            rows.setdefault(tuple(prefix), len(rows))
-        parents = [previous[prefix[:-1]] for prefix in rows] if previous else None
-        log_probs = state.advance([prefix[-1] for prefix in rows], parents)
+        wanted = []
+        for s, sentence_prefixes in enumerate(prefixes):
+            stats.steps += bool(sentence_prefixes)
+            for prefix in sentence_prefixes:
+                wanted.append(rows.setdefault((s, *prefix), len(rows)))
+        parents = [previous[key[:-1]] for key in rows]
+        log_probs = state.advance([key[-1] for key in rows], parents)
         previous = rows
-        stats.steps += 1
         stats.rows += len(rows)
-        return _next_token_rows(log_probs)[[rows[tuple(prefix)] for prefix in prefixes]]
+        out = _next_token_rows(log_probs)
+        return out if len(wanted) == len(rows) else out[wanted]
 
     return step
+
+
+def _cached_step_fn(params: ModelParams, src_ids: list[int], stats: DecodeStats) -> StepFn:
+    """``_cached_group_step_fn`` for one sentence: the rows of
+    ``_nmt_step_fn`` from one ``DecoderState``."""
+    group_step = _cached_group_step_fn(params, [src_ids], stats)
+    return lambda prefixes: group_step([prefixes])
+
+
+def _beam_search_group(
+    params: ModelParams, sources: list[list[int]], config: BeamConfig, stats: DecodeStats,
+) -> list[list[int]]:
+    """Translate encoded source sentences of one length together: their
+    beams and greedy rollouts advance in the same decoder steps over one
+    ``DecoderState``."""
+    srcs = [list(src) + [EOS_ID] for src in sources]
+    widths = (config.beam_size,) if config.beam_size == 1 else (config.beam_size, 1)
+    results = _search(_cached_group_step_fn(params, srcs, stats), [widths] * len(srcs),
+                      config.length_penalty, config.max_len(len(srcs[0])), BOS_ID, EOS_ID)
+    hypotheses = []
+    for result in results:
+        (best_tokens, best_score), forced = result[0]
+        stats.force_finished += forced
+        if len(result) > 1 and result[1][0][1] > best_score:
+            stats.greedy_won += 1
+            best_tokens = result[1][0][0]
+        hypotheses.append(best_tokens)
+    return hypotheses
+
+
+def beam_search_many(
+    params: ModelParams, sources: Sequence[Sequence[int]], config: BeamConfig,
+    stats: DecodeStats | None = None,
+) -> list[list[int]]:
+    """Translate encoded source sentences (no specials, EOS appended
+    internally), returning the hypotheses in input order. Sentences of
+    equal length are decoded together, at most ``MAX_GROUP_SIZE`` to a
+    group; work counts are added to ``stats`` when given."""
+    if any(len(src) == 0 for src in sources):
+        raise ValueError("cannot translate an empty source sentence")
+    stats = stats if stats is not None else DecodeStats()
+    by_length: dict[int, list[int]] = {}
+    for i, src in enumerate(sources):
+        by_length.setdefault(len(src), []).append(i)
+    hypotheses: list[list[int]] = [[] for _ in sources]
+    for indices in by_length.values():
+        for start in range(0, len(indices), MAX_GROUP_SIZE):
+            group = indices[start : start + MAX_GROUP_SIZE]
+            decoded = _beam_search_group(params, [list(sources[i]) for i in group], config, stats)
+            for i, hyp in zip(group, decoded):
+                hypotheses[i] = hyp
+    return hypotheses
 
 
 def beam_search(
     params: ModelParams, src_ids: Sequence[int], config: BeamConfig,
     stats: DecodeStats | None = None,
 ) -> list[int]:
-    """Translate one encoded source sentence (no specials, EOS appended
-    internally). Dropout is off: decoding is deterministic given a
-    checkpoint. The beam and the greedy rollout advance together, in the
-    same decoder steps over one cached ``DecoderState``; work counts are
-    added to ``stats`` when given."""
-    if len(src_ids) == 0:
-        raise ValueError("cannot translate an empty source sentence")
-    stats = stats if stats is not None else DecodeStats()
-    src = list(src_ids) + [EOS_ID]
-    widths = (config.beam_size,) if config.beam_size == 1 else (config.beam_size, 1)
-    results = _search(_cached_step_fn(params, src, stats), widths, config.length_penalty,
-                      config.max_len(len(src)), BOS_ID, EOS_ID)
-    (best_tokens, best_score), forced = results[0]
-    stats.force_finished += forced
-    if len(results) > 1 and results[1][0][1] > best_score:
-        stats.greedy_won += 1
-        return results[1][0][0]
-    return best_tokens
+    """Translate one encoded source sentence: ``beam_search_many`` of one.
+    Dropout is off: decoding is deterministic given a checkpoint. The beam
+    and the greedy rollout advance together, in the same decoder steps over
+    one cached ``DecoderState``; work counts are added to ``stats`` when
+    given."""
+    return beam_search_many(params, [src_ids], config, stats)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -245,23 +245,23 @@ def _maybe_dropout(x: Tensor, rate: float, training: bool, rng) -> Tensor:
 @dataclass
 class _KV:
     """Keys and values of one attention sublayer in a forward-only decoder,
-    split into heads as [batch, heads, positions, head_dim]. Self-attention
+    split into heads as [rows, heads, positions, head_dim]. Self-attention
     (``grows``) appends the keys and values of each new position to those
-    held; cross-attention computes the memory's once and reuses them."""
+    held; cross-attention holds the memory's, computed once."""
 
     grows: bool
     k: Tensor | None = None
     v: Tensor | None = None
 
     def store(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        if self.grows and self.k is not None:
+        if self.k is not None:
             k = Tensor(np.concatenate((self.k.data, k.data), axis=2))
             v = Tensor(np.concatenate((self.v.data, v.data), axis=2))
         self.k, self.v = k, v
         return k, v
 
     def reorder(self, rows: np.ndarray) -> None:
-        if self.grows and self.k is not None:
+        if self.k is not None:
             self.k, self.v = Tensor(self.k.data[rows]), Tensor(self.v.data[rows])
 
 
@@ -274,11 +274,21 @@ def _split_heads(x2d: Tensor, batch: int, length: int, heads: int, head_dim: int
     return T.transpose(x, (0, 2, 1, 3))
 
 
+def _keys_values(p: dict[str, Tensor], prefix: str, kv_in: Tensor, heads: int
+                 ) -> tuple[Tensor, Tensor]:
+    batch, t_k, d = kv_in.shape
+    size = (batch, t_k, heads, d // heads)
+    kv2d = T.reshape(kv_in, (batch * t_k, d))
+    k = _split_heads(_linear(kv2d, p, f"{prefix}.wk", f"{prefix}.bk"), *size)
+    v = _split_heads(_linear(kv2d, p, f"{prefix}.wv", f"{prefix}.bv"), *size)
+    return k, v
+
+
 def _attention(
     p: dict[str, Tensor],
     prefix: str,
     q_in: Tensor,
-    kv_in: Tensor,
+    kv_in: Tensor | None,
     mask_add: np.ndarray | None,
     config: ModelConfig,
     training: bool,
@@ -289,14 +299,10 @@ def _attention(
     heads, head_dim = config.heads, d // config.heads
     q2d = T.reshape(q_in, (batch * t_q, d))
     q = _split_heads(_linear(q2d, p, f"{prefix}.wq", f"{prefix}.bq"), batch, t_q, heads, head_dim)
-    if cache is not None and cache.k is not None and not cache.grows:
+    if cache is not None and not cache.grows:
         k, v = cache.k, cache.v
     else:
-        # a memory of batch 1 serves every query row by broadcasting
-        kv_batch, t_k = kv_in.shape[0], kv_in.shape[1]
-        kv2d = T.reshape(kv_in, (kv_batch * t_k, d))
-        k = _split_heads(_linear(kv2d, p, f"{prefix}.wk", f"{prefix}.bk"), kv_batch, t_k, heads, head_dim)
-        v = _split_heads(_linear(kv2d, p, f"{prefix}.wv", f"{prefix}.bv"), kv_batch, t_k, heads, head_dim)
+        k, v = _keys_values(p, prefix, kv_in, heads)
         if cache is not None:
             k, v = cache.store(k, v)
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
@@ -341,19 +347,21 @@ def _stack(
     training: bool, rng, memory: Tensor | None = None, memory_mask: np.ndarray | None = None,
     caches: list[tuple[_KV, _KV]] | None = None,
 ) -> Tensor:
-    # the layers _add_stack initializes; cross-attention runs only over a
-    # memory; ``caches`` holds each layer's (self, cross) keys and values
+    # the layers _add_stack initializes; ``caches`` holds each layer's (self,
+    # cross) keys and values; cross-attention runs over a memory, or over the
+    # memory keys and values the caches hold
+    has_cross = memory is not None or caches is not None
     for i in range(n_layers):
         layer = f"{prefix}.{i}"
         self_kv, cross_kv = caches[i] if caches else (None, None)
         attn = _attention(p, f"{layer}.self", x, x, self_mask, cfg, training, rng, self_kv)
         x = _residual_norm(p, f"{layer}.ln1", x, attn, cfg, training, rng)
-        if memory is not None:
+        if has_cross:
             cross = _attention(p, f"{layer}.cross", x, memory, memory_mask, cfg, training, rng,
                                cross_kv)
             x = _residual_norm(p, f"{layer}.ln2", x, cross, cfg, training, rng)
         ff = _feed_forward(p, f"{layer}.ff", x, cfg, training, rng)
-        x = _residual_norm(p, f"{layer}.ln{2 if memory is None else 3}", x, ff, cfg, training, rng)
+        x = _residual_norm(p, f"{layer}.ln{3 if has_cross else 2}", x, ff, cfg, training, rng)
     return x
 
 
@@ -424,47 +432,60 @@ def nmt_forward(
 
 
 class DecoderState:
-    """Forward-only incremental decoding of one source sentence, after the
-    incremental decoder state of fairseq.
+    """Forward-only incremental decoding of a group of source sentences of
+    one length, after the incremental decoder state of fairseq.
 
-    The encoder runs once. Each decoder layer keeps the cross-attention keys
-    and values of the memory, computed once, and the self-attention keys and
-    values of every target position fed so far, one row per hypothesis.
-    :meth:`advance` feeds one new position per row, so a row's output equals
-    the ``nmt_forward`` row at that position of its whole prefix.
+    The encoder runs once over the ``[sentences, length]`` group (a 1-D
+    source is a group of one), and each decoder layer computes the
+    cross-attention keys and values of every sentence's memory once. The
+    state holds rows, one per hypothesis: before the first step, one per
+    sentence. Each row keeps its sentence's memory keys, values and mask,
+    gathered through the row index of each step, and the self-attention keys
+    and values of every target position it was fed. Sentences of one length
+    need no source padding, so a row's arithmetic is that of a one-sentence
+    decode and its output equals the ``nmt_forward`` row at that position of
+    its whole prefix; only the rounding of a matmul may depend on how many
+    rows share it.
     """
 
     def __init__(self, params: ModelParams, src):
-        cfg = params.config
+        cfg, p = params.config, params.tensors
         src_ids = np.asarray(src, dtype=np.int64)
-        if src_ids.ndim != 1:
-            raise ValueError("a decoder state holds one source sentence (1-D token ids)")
-        src_ids = src_ids[None, :]
+        if src_ids.ndim == 1:
+            src_ids = src_ids[None, :]
+        if src_ids.ndim != 2:
+            raise ValueError("a decoder state holds a [sentences, length] group of token ids")
         _check_ids(src_ids, cfg.vocab_size_src, "source")
         self.params = params
         self.memory_mask = _pad_key_mask(src_ids, params.dtype)
-        x = _embed_positions(params.tensors, "nmt.src_embed", src_ids, cfg, False, None)
-        self.memory = _stack(params.tensors, "nmt.enc", cfg.enc_layers, x, self.memory_mask, cfg,
-                             False, None)
-        self.caches = [(_KV(grows=True), _KV(grows=False)) for _ in range(cfg.dec_layers)]
+        x = _embed_positions(p, "nmt.src_embed", src_ids, cfg, False, None)
+        memory = _stack(p, "nmt.enc", cfg.enc_layers, x, self.memory_mask, cfg, False, None)
+        self.caches = [
+            (_KV(grows=True), _KV(False, *_keys_values(p, f"nmt.dec.{i}.cross", memory, cfg.heads)))
+            for i in range(cfg.dec_layers)
+        ]
         self.length = 0
 
-    def advance(self, tokens, parents=None) -> np.ndarray:
+    def advance(self, tokens, parents) -> np.ndarray:
         """Feed ``tokens[r]`` as the next position of row ``r``, which
-        continues row ``parents[r]`` of the previous call (no ``parents`` on
-        the first call). Returns the [rows, vocab] log-probabilities of the
-        position after it."""
+        continues row ``parents[r]`` of the previous call; before the first
+        call the rows are the sentences, so there ``parents[r]`` names the
+        sentence row ``r`` starts. Returns the [rows, vocab]
+        log-probabilities of the position after it."""
         cfg, p = self.params.config, self.params.tensors
-        if parents is not None:
-            rows = np.asarray(parents, dtype=np.int64)
-            for self_kv, _ in self.caches:
-                self_kv.reorder(rows)
+        rows = np.asarray(parents, dtype=np.int64)
         ids = np.asarray(tokens, dtype=np.int64)[:, None]
+        if ids.shape[0] != rows.size:
+            raise ValueError(f"{ids.shape[0]} tokens for {rows.size} decoder rows")
         _check_ids(ids, cfg.vocab_size_tgt, "target")
+        self.memory_mask = self.memory_mask[rows]
+        for self_kv, cross_kv in self.caches:
+            self_kv.reorder(rows)
+            cross_kv.reorder(rows)
         x = _embed_positions(p, "nmt.tgt_embed", ids, cfg, False, None, offset=self.length)
         # one query per row sees only keys up to its own position: no causal
         # mask, and prefixes hold no <pad>, so no pad mask either
-        x = _stack(p, "nmt.dec", cfg.dec_layers, x, None, cfg, False, None, self.memory,
+        x = _stack(p, "nmt.dec", cfg.dec_layers, x, None, cfg, False, None, None,
                    self.memory_mask, self.caches)
         self.length += 1
         return _project_log_probs(p, "nmt.out", x, cfg.vocab_size_tgt).data[:, 0, :]

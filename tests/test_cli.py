@@ -383,6 +383,44 @@ class TestCliRuns:
         assert err.startswith("error:corpus:") and str(tmp_path / "empty.src") in err, err
         assert not (tmp_path / "a.txt").exists()
 
+    def test_dump_weights_empty_corpus_is_corpus_error(self, corpus, tmp_path, capsys):
+        out = tmp_path / "lmrun"
+        assert run(train_args(corpus, out, "--scheme", "cbmi", "--seed", "4")) == 0
+        for side in ("empty.src", "empty.tgt"):
+            (tmp_path / side).write_text("")
+        capsys.readouterr()
+        code = run([
+            "dump-weights", "--checkpoint", str(out / "checkpoint_final"),
+            "--src", str(tmp_path / "empty.src"), "--tgt", str(tmp_path / "empty.tgt"),
+            "--data-dir", str(corpus / "data"), "--out", str(tmp_path / "w.txt"),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        empty = tmp_path / "empty.src"
+        assert captured.err == f"error:corpus: no sentence pairs to dump weights for in {empty}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "w.txt").exists()
+
+    @pytest.mark.parametrize("command", ["translate_out", "preprocess_src"])
+    def test_directory_path_is_io_error(self, corpus, tmp_path, capsys, command):
+        directory = tmp_path / "a_directory"
+        directory.mkdir()
+        if command == "translate_out":
+            out = tmp_path / "run"
+            assert run(train_args(corpus, out, "--seed", "5")) == 0
+            argv = ["translate", "--checkpoint", str(out / "checkpoint_final"),
+                    "--src", str(corpus / "train.src"), "--out", str(directory),
+                    "--data-dir", str(corpus / "data")]
+        else:
+            argv = ["preprocess", "--src", str(directory), "--tgt", str(corpus / "train.tgt"),
+                    "--out-dir", str(tmp_path / "data")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:io:"), err
+        assert str(directory) in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
     @pytest.mark.parametrize("damage", ["junk_line", "duplicate_token"])
     def test_malformed_vocabulary_is_corpus_error(self, corpus, tmp_path, capsys, damage):
         data = tmp_path / "data"

@@ -8,7 +8,7 @@ from cbmi_nmt import decoding as D
 from cbmi_nmt import weighting as W
 from cbmi_nmt.corpus import BOS_ID, EOS_ID, PAD_ID, SentencePair, collate
 from cbmi_nmt.decoding import BeamConfig, beam_search, bleu
-from cbmi_nmt.models import ModelConfig, init_params, lm_forward, nmt_forward
+from cbmi_nmt.models import DecoderState, ModelConfig, init_params, lm_forward, nmt_forward
 
 VOCAB = 6  # pad, bos, eos, w3, w4, w5
 
@@ -190,6 +190,139 @@ class TestBeamSearchModel:
     def test_empty_source_rejected(self, decode_params):
         with pytest.raises(ValueError, match="empty"):
             beam_search(decode_params, [], BeamConfig())
+
+
+def _recording_group_steps(record):
+    """A stand-in for ``D._cached_group_step_fn`` that keeps every row it
+    returns under (source, prefix)."""
+    real = D._cached_group_step_fn
+
+    def make(params, sources, stats):
+        step = real(params, sources, stats)
+
+        def recorded(prefixes):
+            rows = step(prefixes)
+            keys = [(tuple(sources[s]), tuple(prefix))
+                    for s, group in enumerate(prefixes) for prefix in group]
+            for key, row in zip(keys, rows):
+                record.setdefault(key, []).append(row)
+            return rows
+
+        return recorded
+
+    return make
+
+
+def _scalar_extend(alive, rows, width, alpha, eos, finished):
+    """One step of one beam, one candidate at a time: the oracle for the
+    vectorized ``D._extend``."""
+    candidates = []
+    for i, (tokens, score) in enumerate(alive):
+        row = rows[i]
+        top = np.argsort(-row, kind="stable")[: 2 * width]
+        for tok in top:
+            candidates.append((score + float(row[tok]), i, int(tok)))
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    next_alive = []
+    for score, i, tok in candidates:
+        if len(next_alive) >= width:
+            break
+        tokens = alive[i][0] + [tok]
+        if tok == eos:
+            finished.append((tokens[1:-1], D._penalized(score, len(tokens) - 1, alpha)))
+        else:
+            next_alive.append((tokens, score))
+    return next_alive if len(finished) < width else []
+
+
+def test_extend_matches_scalar_reference():
+    # log-probabilities drawn from a few values, so equal scores are common
+    # and the (score, prefix, token) order decides between them; most rows
+    # are longer than 16, where an unstable argsort would reorder equal values
+    rng = np.random.default_rng(0)
+    levels = np.log([0.05, 0.1, 0.2, 0.25])
+    for trial in range(200):
+        vocab = int(rng.integers(3, 40))
+        widths = [int(w) for w in rng.integers(1, 6, size=rng.integers(1, 6))]
+        alive = [[([BOS_ID, *rng.integers(3, 9, size=2).tolist()], float(rng.choice(levels)))
+                  for _ in range(rng.integers(0, w + 1))] for w in widths]
+        n_rows = sum(len(beam) for beam in alive)
+        if n_rows == 0:
+            continue
+        rows = rng.choice(levels, size=(n_rows, vocab))
+        rows[:, rng.integers(0, vocab)] = -np.inf
+        finished = [[] for _ in widths]
+        row_of, start = [], 0
+        for beam in alive:
+            row_of.append(list(range(start, start + len(beam))))
+            start += len(beam)
+        got = D._extend(alive, rows, row_of, widths, 0.6, EOS_ID, finished)
+        for b, width in enumerate(widths):
+            expected_finished = []
+            expected = _scalar_extend(alive[b], rows[row_of[b]], width, 0.6, EOS_ID,
+                                      expected_finished)
+            assert got[b] == expected, (trial, b)
+            assert finished[b] == expected_finished, (trial, b)
+
+
+class TestGroupedDecoding:
+    # lengths 3, 1, 3, 4, 3, 3, 1, 4, 3: with groups capped at 2, the
+    # length-3 sentences decode as the groups (0, 2), (4, 5) and (8,)
+    SOURCES = [[4, 5, 6], [8], [3, 3, 5], [7, 4, 4, 8], [5, 6, 7], [6, 8, 3], [4], [8, 8, 4, 3],
+               [3, 7, 6]]
+    GROUPS = [(0, 2), (4, 5), (8,), (1, 6), (3, 7)]
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_group_decodes_as_each_sentence_alone(self, monkeypatch, dtype, tol):
+        monkeypatch.setattr(D, "MAX_GROUP_SIZE", 2)
+        cfg = ModelConfig(9, 9, embed_dim=16, ff_dim=16, enc_layers=1,
+                          dec_layers=2, lm_layers=1, heads=2)
+        forced = uneven = 0
+        for seed, width in itertools.product(range(3), (1, 2, 4)):
+            params = init_params(cfg, seed=seed, dtype=dtype, with_lm=False)
+            config = BeamConfig(beam_size=width)
+            alone_rows, group_rows = {}, {}
+            monkeypatch.setattr(D, "_cached_group_step_fn", _recording_group_steps(alone_rows))
+            alone_stats = [D.DecodeStats() for _ in self.SOURCES]
+            alone = [beam_search(params, src, config, st)
+                     for src, st in zip(self.SOURCES, alone_stats)]
+            monkeypatch.setattr(D, "_cached_group_step_fn", _recording_group_steps(group_rows))
+            stats = D.DecodeStats()
+            assert D.beam_search_many(params, self.SOURCES, config, stats) == alone, (seed, width)
+            # the counts are per sentence, however the sentences were grouped
+            for name in ("steps", "rows", "greedy_won", "force_finished"):
+                assert getattr(stats, name) == sum(getattr(st, name) for st in alone_stats)
+            assert group_rows.keys() == alone_rows.keys()
+            for key, rows in group_rows.items():
+                for row in rows:
+                    np.testing.assert_allclose(row, alone_rows[key][0], rtol=0, atol=tol)
+            forced += sum(st.force_finished for st in alone_stats)
+            uneven += sum(len({alone_stats[i].steps for i in group}) > 1 for group in self.GROUPS)
+        # the cases hold sentences cut at max_len, and groups whose sentences end apart
+        assert forced > 0 and uneven > 0
+
+    def test_decoder_state_rows_follow_their_sentence(self):
+        cfg = ModelConfig(9, 9, embed_dim=16, ff_dim=24, enc_layers=2,
+                          dec_layers=2, lm_layers=1, heads=2)
+        params = init_params(cfg, seed=3, dtype=np.float64, with_lm=False)
+        sources = [[4, 5, 6, EOS_ID], [7, 3, 8, EOS_ID]]
+        state = DecoderState(params, sources)
+
+        def full(s, prefix):
+            return nmt_forward(params, sources[s], prefix).data[-1]
+
+        # the first rows start sentences 1, 0 and 1
+        rows = state.advance([BOS_ID, BOS_ID, BOS_ID], parents=[1, 0, 1])
+        for row, s in zip(rows, (1, 0, 1)):
+            np.testing.assert_allclose(row, full(s, [BOS_ID]), rtol=0, atol=1e-12)
+        # then row 0 continues row 1 (sentence 0) and row 1 continues row 2 (sentence 1)
+        rows = state.advance([5, 6], parents=[1, 2])
+        np.testing.assert_allclose(rows[0], full(0, [BOS_ID, 5]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rows[1], full(1, [BOS_ID, 6]), rtol=0, atol=1e-12)
+
+    def test_empty_source_in_a_group_rejected(self, decode_params):
+        with pytest.raises(ValueError, match="empty"):
+            D.beam_search_many(decode_params, [[4, 5], []], BeamConfig())
 
 
 def brute_force_bleu(hyps, refs):
