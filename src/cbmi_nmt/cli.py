@@ -10,7 +10,9 @@ a flat key=value file, then flag overrides, in that precedence order.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 from dataclasses import dataclass, fields, make_dataclass, replace
 from pathlib import Path
@@ -424,8 +426,19 @@ def _load_checkpoint_for(args, need_lm: bool = False):
     return params, meta, src_vocab, tgt_vocab
 
 
+def _check_output_path(path: Path) -> None:
+    """Raise the error that writing ``path`` would raise if it is a
+    directory or its parent directory is missing, without creating it."""
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+
+
 def cmd_translate(args) -> int:
     config = _effective_config(args)
+    # decoding is the slow part, so a path it cannot write fails before it
+    _check_output_path(Path(args.out))
     params, _, src_vocab, tgt_vocab = _load_checkpoint_for(args)
     beam_config = config.beam_config()
     sources = []

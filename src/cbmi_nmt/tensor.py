@@ -11,12 +11,15 @@ accumulates gradients into the ``grad`` field of leaf tensors that were
 created with ``requires_grad=True``.
 
 Tensors are treated as immutable values after construction (the optimizer
-rebinds ``data`` rather than writing into shared arrays). A tape must stay
-confined to a single thread.
+rebinds ``data`` rather than writing into shared arrays). Each thread has at
+most one active tape, and that tape records only the operations run on its
+own thread, so two threads can each run a forward and backward pass at once
+as long as they share no tensor that either updates.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,15 +83,13 @@ class Tape:
         self.nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _ACTIVE.tape is not None:
             raise RuntimeError("a Tape is already active; tapes do not nest")
-        _ACTIVE_TAPE = self
+        _ACTIVE.tape = self
         return self
 
     def __exit__(self, *exc) -> None:
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _ACTIVE.tape = None
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into ``leaf.grad`` for every
@@ -123,11 +124,17 @@ class Tape:
                     parent.grad += pgrad
 
 
-_ACTIVE_TAPE: Tape | None = None
+class _ActiveTape(threading.local):
+    """The calling thread's active tape; None in a thread that has none."""
+
+    tape: Tape | None = None
+
+
+_ACTIVE = _ActiveTape()
 
 
 def _record(out: Tensor, parents: Sequence[Tensor], grad_fn: Callable) -> Tensor:
-    tape = _ACTIVE_TAPE
+    tape = _ACTIVE.tape
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         tape.nodes.append(_Node(out, tuple(parents), grad_fn))

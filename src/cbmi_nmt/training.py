@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -144,14 +147,54 @@ class StepMetrics:
     weight_max: float
     clamped_frac: float
     n_tokens: int
-    tokens_per_sec: float
+    tokens_per_sec: float = 0.0
+    lm_s: float | None = None
+    nmt_s: float = 0.0
+
+    @classmethod
+    def of_step(
+        cls,
+        step: int,
+        phase: int,
+        batch: SentencePairBatch,
+        nmt_loss: float,
+        lm_loss: float | None,
+        weights: np.ndarray,
+        cbmi_batch: W.CbmiBatch | None,
+    ) -> "StepMetrics":
+        """A step's metrics from its losses, weights and CBMI schedule; the
+        wall-clock fields stay at their defaults."""
+        mask = batch.tgt_mask
+        live = weights[mask]
+        return cls(
+            step=step,
+            phase=phase,
+            nmt_loss=nmt_loss,
+            lm_loss=lm_loss,
+            mean_token_cbmi=None if cbmi_batch is None else float(cbmi_batch.token_cbmi[mask].mean()),
+            weight_mean=float(live.mean()),
+            weight_min=float(live.min()),
+            weight_max=float(live.max()),
+            clamped_frac=float((live == 0.0).mean()),
+            n_tokens=batch.n_tokens,
+        )
 
     def log_line(self) -> str:
-        # tokens_per_sec is wall-clock noise; it goes to the timing sidecar
-        # so metrics logs stay byte-identical across same-seed runs
+        # the rate and the per-pass seconds are wall-clock noise; they go to
+        # the timing sidecar so metrics logs stay byte-identical across
+        # same-seed runs
         record = dataclasses.asdict(self)
-        del record["tokens_per_sec"]
+        for wall_clock in ("tokens_per_sec", "lm_s", "nmt_s"):
+            del record[wall_clock]
         return json.dumps(record, sort_keys=True)
+
+    def timing_line(self) -> str:
+        """The step's ``timing.log`` line: step, wall seconds, tokens per
+        second, then the LM pass's and the NMT pass's own wall seconds
+        (``-`` when no LM trains)."""
+        seconds = self.n_tokens / max(self.tokens_per_sec, 1e-9)
+        lm = "-" if self.lm_s is None else f"{self.lm_s:.6f}"
+        return f"{self.step}\t{seconds:.6f}\t{self.tokens_per_sec:.1f}\t{lm}\t{self.nmt_s:.6f}"
 
 
 def _stream_rng(seed: int, stream: int, index: int) -> np.random.Generator:
@@ -253,13 +296,143 @@ def _mean_token_ce(out: Tensor, batch: SentencePairBatch, weights: np.ndarray, s
     return T.mul(ce, 1.0 / batch.n_tokens)
 
 
-def _backward(tape: Tape, loss: Tensor, model: str, step: int) -> float:
-    """Backpropagate a finite ``loss``; returns its value."""
+def _finite_value(loss: Tensor, model: str, step: int) -> float:
+    """The value of ``loss``; raises unless it is finite."""
     value = loss.item()
     if not np.isfinite(value):
         raise TrainingError(f"non-finite {model} loss at step {step}")
-    tape.backward(loss)
     return value
+
+
+def _update(tensors: dict[str, Tensor], opt: AdamState, cfg: TrainConfig, lr: float) -> None:
+    """Clip and apply one model's gradients, then clear them."""
+    clip_gradients(tensors, cfg.clip_norm)
+    adam_update(tensors, opt, lr)
+    for p in tensors.values():
+        p.zero_grad()
+
+
+def lm_pass(
+    state: TrainerState,
+    batch: SentencePairBatch,
+    cfg: TrainConfig,
+    step: int,
+    lr: float,
+    publish: Callable[[np.ndarray], None],
+) -> float:
+    """The language model's part of a train step: forward, plain-CE
+    backward, clip and Adam on ``lm.*``. Hands the LM's [B, T, V] log-probs
+    to ``publish`` as soon as its loss is known to be finite, before the
+    backward; returns the loss. Reads and writes no NMT parameter."""
+    rng = _stream_rng(cfg.seed, _STREAM_LM_DROPOUT, step)
+    with Tape() as tape:
+        out = lm_forward(state.params, batch.tgt_in, training=True, rng=rng)
+        loss = _mean_token_ce(out, batch, batch.tgt_mask.astype(np.float64), cfg.label_smoothing)
+        value = _finite_value(loss, "LM", step)
+        publish(out.data)
+        tape.backward(loss)
+    _update(state.params.named("lm."), state.opt_lm, cfg, lr)
+    return value
+
+
+def nmt_pass(
+    state: TrainerState,
+    batch: SentencePairBatch,
+    cfg: TrainConfig,
+    step: int,
+    lr: float,
+    lm_log_probs: Callable[[], np.ndarray | None],
+    freq_table: FrequencyTable | None = None,
+    bmi_table: BmiTable | None = None,
+) -> tuple[float, np.ndarray, W.CbmiBatch | None]:
+    """The translation model's part of a train step: forward, the scheme's
+    weights, weighted-CE backward, clip and Adam on ``nmt.*``. Calls
+    ``lm_log_probs`` once, after the forward, for the LM's log-probs (None
+    when the scheme needs no LM). Returns the loss, the per-token weights
+    and the CBMI schedule, if the scheme computed one."""
+    phase = 1 if step <= cfg.phase1_steps else 2
+    rng = _stream_rng(cfg.seed, _STREAM_NMT_DROPOUT, step)
+    with Tape() as tape:
+        out = nmt_forward(state.params, batch.src, batch.tgt_in, training=True, rng=rng)
+        weights, cbmi_batch, addend = compute_scheme_weights(
+            cfg.scheme, batch, out, lm_log_probs(), freq_table, bmi_table, phase
+        )
+        loss = _mean_token_ce(out, batch, weights, cfg.label_smoothing)
+        if addend is not None:
+            loss = T.add(loss, addend)
+        value = _finite_value(loss, "NMT", step)
+        tape.backward(loss)
+    _update(state.params.named("nmt."), state.opt_nmt, cfg, lr)
+    return value, weights, cbmi_batch
+
+
+def _idle_core() -> bool:
+    """Whether this process may run on more cores than it has threads that
+    keep one busy: the calling thread, plus every thread that Python did not
+    start. The latter are a native library's, above all a multi-threaded
+    BLAS, whose idle workers spin on their cores between calls (OpenBLAS
+    starts one thread per core unless ``OPENBLAS_NUM_THREADS`` says less).
+    Where ``/proc/self/task`` does not list the threads, only Python's own
+    are counted."""
+    try:
+        native = len(os.listdir("/proc/self/task"))
+    except OSError:
+        native = threading.active_count()
+    busy = 1 + max(0, native - threading.active_count())
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cores or 1) > busy
+
+
+class _LmThread(threading.Thread):
+    """Runs ``lm_pass`` on its own thread, so that the LM's whole step
+    overlaps the NMT pass on the caller's. The two passes touch disjoint
+    parameters, Adam states and dropout streams, and each thread records on
+    its own tape, so the numbers are those of running them one after the
+    other. numpy's matmul, ufuncs and ``Generator.random`` release the GIL,
+    so the passes run in parallel on two cores. ``run`` may also be called
+    on the caller's thread, which runs the LM pass before the NMT pass.
+
+    numpy's floating-point error state (``np.errstate``) belongs to a
+    thread and a new thread does not inherit it. Nothing sets it today;
+    whatever sets it later must set it inside ``run`` as well."""
+
+    def __init__(self, state: TrainerState, batch: SentencePairBatch, cfg: TrainConfig,
+                 step: int, lr: float):
+        super().__init__(name=f"lm-pass-{step}", daemon=True)
+        self._args = (state, batch, cfg, step, lr)
+        self._forward_done = threading.Event()
+        self._log_probs: np.ndarray | None = None
+        self.loss: float | None = None
+        self.error: BaseException | None = None
+        self.seconds = 0.0
+        self.waited = 0.0
+
+    def run(self) -> None:
+        started = time.perf_counter()
+        try:
+            self.loss = lm_pass(*self._args, publish=self._publish)
+        except BaseException as exc:  # noqa: BLE001 - re-raised on the caller's thread
+            self.error = exc
+        finally:
+            self.seconds = time.perf_counter() - started
+            self._forward_done.set()
+
+    def _publish(self, log_probs: np.ndarray) -> None:
+        self._log_probs = log_probs
+        self._forward_done.set()
+
+    def log_probs(self) -> np.ndarray:
+        """The LM's log-probs once its forward is done; raises the LM pass's
+        error if it failed before that."""
+        started = time.perf_counter()
+        self._forward_done.wait()
+        self.waited += time.perf_counter() - started
+        # the caller holds the only reference from here on, so the array
+        # can be freed as soon as the caller is done with it
+        log_probs, self._log_probs = self._log_probs, None
+        if log_probs is None:  # ``run`` has ended with an error
+            raise self.error
+        return log_probs
 
 
 def train_step(
@@ -271,68 +444,57 @@ def train_step(
     bmi_table: BmiTable | None = None,
     dump_sink=None,
 ) -> StepMetrics:
-    """One optimization step: NMT forward, optional LM forward, gradient-
-    opaque weights, weighted-CE update of the NMT, plain-CE update of the LM.
+    """One optimization step: ``nmt_pass`` and, when the scheme needs an LM,
+    ``lm_pass``. The NMT's weights are gradient-opaque functions of both
+    models' log-probs; the NMT trains on weighted CE, the LM on plain CE.
+
+    The LM pass runs on a thread of its own, overlapping the NMT pass, when
+    the process has an idle core for it (``_idle_core``); otherwise it runs
+    first on this thread. Both orders give the same numbers.
 
     Phase 1 (steps <= phase1_steps) forces unit weights; the LM trains in
     both phases whenever the configured scheme needs it, and never sees the
     weighting scheme itself.
+
+    Failures end as they would with the LM pass run first: an error of the
+    LM pass wins over one of the NMT pass, and the LM thread has ended
+    whenever this returns or raises. A pass that does not fail still
+    updates its own model's parameters.
     """
     phase = 1 if step <= cfg.phase1_steps else 2
-    scheme = cfg.scheme
-    params = state.params
-    mask = batch.tgt_mask
+    lr = lr_schedule(step, cfg.base_lr, cfg.warmup_steps)
     started = time.perf_counter()
 
-    lm_log_probs = lm_loss_value = None
-    if scheme.needs_lm:
-        lm_rng = _stream_rng(cfg.seed, _STREAM_LM_DROPOUT, step)
-        with Tape() as lm_tape:
-            lm_out = lm_forward(params, batch.tgt_in, training=True, rng=lm_rng)
-            lm_log_probs = lm_out.data
-            lm_loss = _mean_token_ce(lm_out, batch, mask.astype(np.float64), cfg.label_smoothing)
-            lm_loss_value = _backward(lm_tape, lm_loss, "LM", step)
-
-    nmt_rng = _stream_rng(cfg.seed, _STREAM_NMT_DROPOUT, step)
-    with Tape() as nmt_tape:
-        nmt_out = nmt_forward(params, batch.src, batch.tgt_in, training=True, rng=nmt_rng)
-        weights, cbmi_batch, addend = compute_scheme_weights(
-            scheme, batch, nmt_out, lm_log_probs, freq_table, bmi_table, phase
+    lm = _LmThread(state, batch, cfg, step, lr) if cfg.scheme.needs_lm else None
+    overlap = lm is not None and _idle_core()
+    if overlap:
+        lm.start()
+    elif lm is not None:
+        lm.run()
+    try:
+        nmt_started = time.perf_counter()
+        loss_value, weights, cbmi_batch = nmt_pass(
+            state, batch, cfg, step, lr, (lambda: None) if lm is None else lm.log_probs,
+            freq_table, bmi_table,
         )
-        loss = _mean_token_ce(nmt_out, batch, weights, cfg.label_smoothing)
-        if addend is not None:
-            loss = T.add(loss, addend)
-        loss_value = _backward(nmt_tape, loss, "NMT", step)
-
-    lr = lr_schedule(step, cfg.base_lr, cfg.warmup_steps)
-    updates = [("nmt.", state.opt_nmt)] + ([("lm.", state.opt_lm)] if scheme.needs_lm else [])
-    for prefix, opt in updates:
-        tensors = params.named(prefix)
-        clip_gradients(tensors, cfg.clip_norm)
-        adam_update(tensors, opt, lr)
-    for p in params.tensors.values():
-        p.zero_grad()
+        nmt_seconds = time.perf_counter() - nmt_started - (0.0 if lm is None else lm.waited)
+    finally:
+        if overlap:
+            lm.join()
+        if lm is not None and lm.error is not None:
+            raise lm.error
 
     if dump_sink is not None and cbmi_batch is not None:
-        for line in W.weight_dump_lines(step, cbmi_batch, mask, batch.tgt_out):
+        for line in W.weight_dump_lines(step, cbmi_batch, batch.tgt_mask, batch.tgt_out):
             dump_sink.write(line + "\n")
 
-    live = weights[mask]
-    n_tokens = batch.n_tokens
+    metrics = StepMetrics.of_step(step, phase, batch, loss_value, None if lm is None else lm.loss,
+                                  weights, cbmi_batch)
     elapsed = time.perf_counter() - started
-    return StepMetrics(
-        step=step,
-        phase=phase,
-        nmt_loss=loss_value,
-        lm_loss=lm_loss_value,
-        mean_token_cbmi=None if cbmi_batch is None else float(cbmi_batch.token_cbmi[mask].mean()),
-        weight_mean=float(live.mean()),
-        weight_min=float(live.min()),
-        weight_max=float(live.max()),
-        clamped_frac=float((live == 0.0).mean()),
-        n_tokens=n_tokens,
-        tokens_per_sec=(n_tokens / elapsed) if elapsed > 0 else 0.0,
-    )
+    metrics.tokens_per_sec = (batch.n_tokens / elapsed) if elapsed > 0 else 0.0
+    metrics.lm_s = None if lm is None else lm.seconds
+    metrics.nmt_s = nmt_seconds
+    return metrics
 
 
 def _dump_divergent_batch(out_dir: Path, step: int, batch: SentencePairBatch) -> Path:
@@ -520,10 +682,7 @@ class Trainer:
                         ) from exc
                     self.state.step = step
                     metrics_fh.write(metrics.log_line() + "\n")
-                    timing_fh.write(
-                        f"{step}\t{metrics.n_tokens / max(metrics.tokens_per_sec, 1e-9):.6f}"
-                        f"\t{metrics.tokens_per_sec:.1f}\n"
-                    )
+                    timing_fh.write(metrics.timing_line() + "\n")
                     if cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0:
                         self.save_checkpoint(f"step{step}")
                         self._prune_checkpoints()

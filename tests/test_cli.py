@@ -421,6 +421,29 @@ class TestCliRuns:
         assert str(directory) in err and "Traceback" not in err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("out", ["a_directory", "missing/hyp.txt", "hyp.txt"])
+    def test_translate_checks_out_before_decoding(self, corpus, tmp_path, capsys, monkeypatch, out):
+        run_dir = tmp_path / "run"
+        assert run(train_args(corpus, run_dir, "--seed", "5")) == 0
+        (tmp_path / "a_directory").mkdir()
+
+        def failing_decoder(*args, **kwargs):
+            raise ValueError("decoding failed")
+
+        monkeypatch.setattr(cli, "beam_search_many", failing_decoder)
+        path = tmp_path / out
+        capsys.readouterr()
+        assert run(["translate", "--checkpoint", str(run_dir / "checkpoint_final"),
+                    "--src", str(corpus / "train.src"), "--out", str(path),
+                    "--data-dir", str(corpus / "data")]) == 1
+        err = capsys.readouterr().err
+        if out == "hyp.txt":
+            assert err == "error:invalid: decoding failed\n"
+            assert not path.exists()
+        else:  # refused before the decoder was called
+            assert err.count("\n") == 1 and err.startswith("error:io:"), err
+            assert str(path) in err
+
     @pytest.mark.parametrize("damage", ["junk_line", "duplicate_token"])
     def test_malformed_vocabulary_is_corpus_error(self, corpus, tmp_path, capsys, damage):
         data = tmp_path / "data"

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -159,6 +161,71 @@ class TestBackward:
 
         a, b = run(), run()
         assert (a == b).all()
+
+
+class TestTapePerThread:
+    def test_other_threads_ops_are_not_recorded(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        other = {}
+
+        def thread_b():
+            # runs while the main thread's tape is active
+            y = Tensor(np.ones(3), requires_grad=True)
+            other["untaped"] = T.sum_all(T.mul(y, 2.0))
+            with Tape() as tape_b:  # a tape of its own does not clash with A's
+                other["loss"] = T.sum_all(T.mul(y, 3.0))
+                tape_b.backward(other["loss"])
+            other["nodes"] = len(tape_b.nodes)
+            other["grad"] = y.grad
+
+        with Tape() as tape_a:
+            worker = threading.Thread(target=thread_b)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            loss = T.sum_all(T.mul(x, 4.0))
+            tape_a.backward(loss)
+        assert [node.out for node in tape_a.nodes][-1] is loss and len(tape_a.nodes) == 2
+        assert not other["untaped"].requires_grad
+        assert other["nodes"] == 2
+        np.testing.assert_array_equal(other["grad"], np.full(3, 3.0))
+        np.testing.assert_array_equal(x.grad, np.full(3, 4.0))
+
+    def test_concurrent_tapes_keep_their_own_gradients(self):
+        # more threads than cores, switching as often as the interpreter can
+        results = {}
+
+        def work(k):
+            x = Tensor(np.arange(4.0), requires_grad=True)
+            sizes = set()
+            for _ in range(200):
+                x.grad = None
+                with Tape() as tape:
+                    tape.backward(T.sum_all(T.mul(T.mul(x, float(k)), x)))
+                sizes.add(len(tape.nodes))
+            results[k] = (x.grad, sizes)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(1, 5)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(1, 5):
+            grad, sizes = results[k]
+            assert sizes == {3}
+            np.testing.assert_array_equal(grad, 2.0 * k * np.arange(4.0))
+
+    def test_nested_tape_in_one_thread_raises(self):
+        with Tape():
+            with pytest.raises(RuntimeError, match="do not nest"):
+                with Tape():
+                    pass
 
 
 class TestLayerNorm:

@@ -1,22 +1,29 @@
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cbmi_nmt import tensor as T
+from cbmi_nmt import training
 from cbmi_nmt.corpus import FrequencyTable, SentencePair, make_batches
-from cbmi_nmt.models import CheckpointError, ModelConfig, init_params, load_checkpoint
+from cbmi_nmt.models import CheckpointError, ModelConfig, init_params, lm_forward, load_checkpoint
 from cbmi_nmt.tensor import Tensor
 from cbmi_nmt.training import (
     AdamState,
+    StepMetrics,
     TrainConfig,
     Trainer,
     TrainingError,
     adam_update,
     clip_gradients,
+    lm_pass,
     lr_schedule,
+    nmt_pass,
     teacher_forced_accuracy,
     train,
+    train_step,
 )
 from cbmi_nmt.weighting import CbmiConfig, WeightScheme
 
@@ -247,8 +254,10 @@ class TestTrainRuns:
         train(cfg, mc, pairs, run_dir, resume=run_dir / "checkpoint_step4", **kwargs)
         for path, data in uninterrupted.items():
             assert path.read_bytes() == data
-        timing = (run_dir / "timing.log").read_text().splitlines()
-        assert [int(line.split("\t")[0]) for line in timing] == list(range(1, 9))
+        timing = [line.split("\t") for line in (run_dir / "timing.log").read_text().splitlines()]
+        assert [int(fields[0]) for fields in timing] == list(range(1, 9))
+        # step, seconds, tokens/s, then the LM pass's and the NMT pass's seconds
+        assert all(len(fields) == 5 and min(map(float, fields[1:])) > 0 for fields in timing)
 
     def test_final_checkpoint_and_metrics_written(self, tmp_path):
         pairs = toy_pairs()
@@ -257,7 +266,11 @@ class TestTrainRuns:
         assert (ckpt / "manifest.txt").exists()
         metrics = read_metrics(tmp_path / "run")
         assert len(metrics) == 10
-        assert (tmp_path / "run" / "timing.log").exists()
+        timing = (tmp_path / "run" / "timing.log").read_text().splitlines()
+        assert len(timing) == 10
+        for line in timing:  # no LM trains under scheme none
+            step, seconds, rate, lm_s, nmt_s = line.split("\t")
+            assert lm_s == "-" and 0 < float(nmt_s) <= float(seconds)
 
     def test_checkpoint_retention(self, tmp_path):
         pairs = toy_pairs()
@@ -312,6 +325,103 @@ class TestTrainRuns:
     def test_empty_corpus_rejected(self, tmp_path):
         with pytest.raises(TrainingError, match="empty"):
             Trainer(tiny_train_config(), tiny_model_config(), [], tmp_path / "x")
+
+
+def _nan_lm_forward(*args, **kwargs):
+    # a recorded op, so the LM loss is NaN rather than an error in the forward
+    return T.mul(lm_forward(*args, **kwargs), np.nan)
+
+
+class TestLmOverlap:
+    """The LM pass runs on its own thread during the NMT pass when the
+    process has an idle core, and before it otherwise."""
+
+    def test_idle_core_counts_native_threads(self, monkeypatch):
+        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for tasks, idle in ((1, True), (2, False)):  # e.g. a BLAS pool of two threads
+            monkeypatch.setattr(training.os, "listdir", lambda path: ["task"] * tasks)
+            monkeypatch.setattr(training.threading, "active_count", lambda: 1)
+            assert training._idle_core() is idle
+
+    @staticmethod
+    def serial_step(state, batch, cfg, step):
+        # the LM pass, then the NMT pass, on this thread
+        lr = lr_schedule(step, cfg.base_lr, cfg.warmup_steps)
+        published = []
+        lm_loss = lm_pass(state, batch, cfg, step, lr, published.append)
+        nmt_loss, weights, cbmi_batch = nmt_pass(state, batch, cfg, step, lr, published.pop)
+        phase = 1 if step <= cfg.phase1_steps else 2
+        return StepMetrics.of_step(step, phase, batch, nmt_loss, lm_loss, weights, cbmi_batch)
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["cbmi", "lm_prior", "prior_select"])
+    def test_train_step_is_bitwise_the_serial_step(self, tmp_path, monkeypatch, kind, dtype,
+                                                    overlap):
+        monkeypatch.setattr(training, "_idle_core", lambda: overlap)
+        pairs = toy_pairs()
+        cfg = tiny_train_config(scheme=WeightScheme(kind), phase1_steps=2, phase2_steps=3)
+        overlapped, serial = (
+            Trainer(cfg, tiny_model_config(), pairs, tmp_path / name, dtype=dtype).state
+            for name in ("overlapped", "serial")
+        )
+        batches = make_batches(pairs, cfg.token_budget, seed=1)
+        for step in range(1, cfg.total_steps + 1):
+            batch = batches[step % len(batches)]
+            got = train_step(overlapped, batch, cfg, step)
+            want = self.serial_step(serial, batch, cfg, step)
+            assert got.log_line() == want.log_line()
+            assert got.lm_s > 0 and got.nmt_s > 0
+            for name, tensor in serial.params.tensors.items():
+                assert tensor.data.tobytes() == overlapped.params.tensors[name].data.tobytes(), name
+            for opt, other in ((serial.opt_nmt, overlapped.opt_nmt), (serial.opt_lm, overlapped.opt_lm)):
+                assert opt.t == other.t == step
+                for name in opt.m:
+                    assert opt.m[name].tobytes() == other.m[name].tobytes(), name
+                    assert opt.v[name].tobytes() == other.v[name].tobytes(), name
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_non_finite_lm_loss_message(self, tmp_path, monkeypatch, overlap):
+        monkeypatch.setattr(training, "_idle_core", lambda: overlap)
+        monkeypatch.setattr(training, "lm_forward", _nan_lm_forward)
+        trainer = Trainer(tiny_train_config(scheme=WeightScheme("cbmi")), tiny_model_config(),
+                          toy_pairs(), tmp_path / "run")
+        with pytest.raises(TrainingError) as info:
+            trainer.run()
+        dump = tmp_path / "run" / "divergence_step1.json"
+        assert str(info.value) == (
+            f"aborted at step 1 (non-finite LM loss at step 1); offending batch dumped to {dump}"
+        )
+        assert dump.exists()
+
+    @pytest.mark.parametrize("nmt_error", [ValueError, KeyboardInterrupt])
+    @pytest.mark.parametrize("lm_fails", [False, True])
+    def test_failing_step_joins_lm_thread(self, tmp_path, monkeypatch, nmt_error, lm_fails):
+        nmt_failed = threading.Event()
+
+        def failing_nmt_forward(*args, **kwargs):
+            nmt_failed.set()
+            raise nmt_error("NMT pass failed")
+
+        def late_lm_forward(*args, **kwargs):
+            # fails only after the NMT pass has failed
+            assert nmt_failed.wait(timeout=30)
+            return _nan_lm_forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "_idle_core", lambda: True)
+        monkeypatch.setattr(training, "nmt_forward", failing_nmt_forward)
+        if lm_fails:
+            monkeypatch.setattr(training, "lm_forward", late_lm_forward)
+        trainer = Trainer(tiny_train_config(scheme=WeightScheme("cbmi")), tiny_model_config(),
+                          toy_pairs(), tmp_path / "run")
+        threads = threading.active_count()
+        expected = KeyboardInterrupt if nmt_error is KeyboardInterrupt and not lm_fails else TrainingError
+        with pytest.raises(expected) as info:
+            trainer.run()
+        assert threading.active_count() == threads
+        message = "non-finite LM loss at step 1" if lm_fails else "NMT pass failed"
+        assert message in str(info.value)
+        assert trainer.state.step == 0
 
 
 class TestGradientEquivalence:
