@@ -1,6 +1,7 @@
 import json
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -336,12 +337,13 @@ class TestLmOverlap:
     """The LM pass runs on its own thread during the NMT pass when the
     process has an idle core, and before it otherwise."""
 
-    def test_idle_core_counts_native_threads(self, monkeypatch):
-        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        for tasks, idle in ((1, True), (2, False)):  # e.g. a BLAS pool of two threads
-            monkeypatch.setattr(training.os, "listdir", lambda path: ["task"] * tasks)
-            monkeypatch.setattr(training.threading, "active_count", lambda: 1)
-            assert training._idle_core() is idle
+    @pytest.mark.parametrize("native_only, idle", [(0, True), (1, False)])  # 1: a BLAS worker
+    def test_idle_core_counts_native_threads(self, monkeypatch, native_only, idle):
+        tasks = threading.active_count() + native_only
+        two_cores = SimpleNamespace(listdir=lambda path: ["task"] * tasks,
+                                    sched_getaffinity=lambda pid: {0, 1})
+        monkeypatch.setattr(training, "os", two_cores)
+        assert training._idle_core() is idle
 
     @staticmethod
     def serial_step(state, batch, cfg, step):
