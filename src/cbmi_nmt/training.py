@@ -13,6 +13,7 @@ an LM trains alongside.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import threading
@@ -366,14 +367,25 @@ def nmt_pass(
     return value, weights, cbmi_batch
 
 
-def _idle_core() -> bool:
+# Below this many token-dimensions (token budget times model width) a pass
+# is mostly Python dispatch of small ops, which holds the interpreter lock,
+# so the two passes take turns instead of running at once. Measured with one
+# BLAS thread on a 2-vCPU host: at a 1024-token budget the overlapped cbmi
+# step was 6% slower than the serial one at width 16 and 7-8% faster at
+# widths 32, 64 and 128; at width 64 with a 256-token budget it was 14% slower.
+_MIN_OVERLAP_WORK = 32 * 1024
+
+
+@functools.cache
+def _spare_core() -> bool:
     """Whether this process may run on more cores than it has threads that
     keep one busy: the calling thread, plus every thread that Python did not
     start. The latter are a native library's, above all a multi-threaded
     BLAS, whose idle workers spin on their cores between calls (OpenBLAS
-    starts one thread per core unless ``OPENBLAS_NUM_THREADS`` says less).
-    Where ``/proc/self/task`` does not list the threads, only Python's own
-    are counted."""
+    starts one thread per core unless ``OPENBLAS_NUM_THREADS`` says less;
+    its threads exist from the moment numpy is imported). Where
+    ``/proc/self/task`` does not list the threads, only Python's own are
+    counted. Checked once per process, so a run never changes its path."""
     try:
         native = len(os.listdir("/proc/self/task"))
     except OSError:
@@ -383,14 +395,29 @@ def _idle_core() -> bool:
     return (cores or 1) > busy
 
 
+def _overlap_lm(cfg: TrainConfig, model: M.ModelConfig) -> bool:
+    """Whether ``train_step`` runs the LM pass on its own thread: the scheme
+    trains an LM, a batch's ops are large enough to run outside the
+    interpreter lock, and the process has a core that no other thread keeps
+    busy. Where the LM pass shares a core with a spinning BLAS worker, as
+    with OpenBLAS's default pool on a 2-core host, the overlapped cbmi steps
+    of acceptance criterion 09 took 12-27% longer than the serial ones. A
+    run's configuration and process fix the answer, and both answers give
+    the same numbers."""
+    return (
+        cfg.scheme.needs_lm
+        and cfg.token_budget * model.embed_dim >= _MIN_OVERLAP_WORK
+        and _spare_core()
+    )
+
+
 class _LmThread(threading.Thread):
     """Runs ``lm_pass`` on its own thread, so that the LM's whole step
     overlaps the NMT pass on the caller's. The two passes touch disjoint
     parameters, Adam states and dropout streams, and each thread records on
     its own tape, so the numbers are those of running them one after the
     other. numpy's matmul, ufuncs and ``Generator.random`` release the GIL,
-    so the passes run in parallel on two cores. ``run`` may also be called
-    on the caller's thread, which runs the LM pass before the NMT pass.
+    so the passes run in parallel on two cores.
 
     numpy's floating-point error state (``np.errstate``) belongs to a
     thread and a new thread does not inherit it. Nothing sets it today;
@@ -449,8 +476,8 @@ def train_step(
     models' log-probs; the NMT trains on weighted CE, the LM on plain CE.
 
     The LM pass runs on a thread of its own, overlapping the NMT pass, when
-    the process has an idle core for it (``_idle_core``); otherwise it runs
-    first on this thread. Both orders give the same numbers.
+    ``_overlap_lm`` says it pays; otherwise it runs first on this thread.
+    Both orders give the same numbers.
 
     Phase 1 (steps <= phase1_steps) forces unit weights; the LM trains in
     both phases whenever the configured scheme needs it, and never sees the
@@ -458,41 +485,48 @@ def train_step(
 
     Failures end as they would with the LM pass run first: an error of the
     LM pass wins over one of the NMT pass, and the LM thread has ended
-    whenever this returns or raises. A pass that does not fail still
-    updates its own model's parameters.
+    whenever this returns or raises. Run serially, a failing LM pass stops
+    the step before the NMT pass starts; overlapped, the NMT pass may
+    already have updated the NMT's parameters.
     """
     phase = 1 if step <= cfg.phase1_steps else 2
     lr = lr_schedule(step, cfg.base_lr, cfg.warmup_steps)
     started = time.perf_counter()
 
-    lm = _LmThread(state, batch, cfg, step, lr) if cfg.scheme.needs_lm else None
-    overlap = lm is not None and _idle_core()
-    if overlap:
+    lm: _LmThread | None = None
+    lm_loss = lm_seconds = None
+    lm_log_probs: Callable[[], np.ndarray | None] = lambda: None
+    if _overlap_lm(cfg, state.params.config):
+        lm = _LmThread(state, batch, cfg, step, lr)
         lm.start()
-    elif lm is not None:
-        lm.run()
+        lm_log_probs = lm.log_probs
+    elif cfg.scheme.needs_lm:
+        published: list[np.ndarray] = []
+        lm_loss = lm_pass(state, batch, cfg, step, lr, published.append)
+        lm_seconds = time.perf_counter() - started
+        lm_log_probs = published.pop
     try:
         nmt_started = time.perf_counter()
         loss_value, weights, cbmi_batch = nmt_pass(
-            state, batch, cfg, step, lr, (lambda: None) if lm is None else lm.log_probs,
-            freq_table, bmi_table,
+            state, batch, cfg, step, lr, lm_log_probs, freq_table, bmi_table
         )
         nmt_seconds = time.perf_counter() - nmt_started - (0.0 if lm is None else lm.waited)
     finally:
-        if overlap:
+        if lm is not None:
             lm.join()
-        if lm is not None and lm.error is not None:
-            raise lm.error
+            if lm.error is not None:
+                raise lm.error
+    if lm is not None:
+        lm_loss, lm_seconds = lm.loss, lm.seconds
 
     if dump_sink is not None and cbmi_batch is not None:
         for line in W.weight_dump_lines(step, cbmi_batch, batch.tgt_mask, batch.tgt_out):
             dump_sink.write(line + "\n")
 
-    metrics = StepMetrics.of_step(step, phase, batch, loss_value, None if lm is None else lm.loss,
-                                  weights, cbmi_batch)
+    metrics = StepMetrics.of_step(step, phase, batch, loss_value, lm_loss, weights, cbmi_batch)
     elapsed = time.perf_counter() - started
     metrics.tokens_per_sec = (batch.n_tokens / elapsed) if elapsed > 0 else 0.0
-    metrics.lm_s = None if lm is None else lm.seconds
+    metrics.lm_s = lm_seconds
     metrics.nmt_s = nmt_seconds
     return metrics
 

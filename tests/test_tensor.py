@@ -221,11 +221,32 @@ class TestTapePerThread:
             assert sizes == {3}
             np.testing.assert_array_equal(grad, 2.0 * k * np.arange(4.0))
 
+    def test_untaped_thread_records_nothing_while_another_has_a_tape(self):
+        entered, done = threading.Event(), threading.Event()
+
+        def thread_b():
+            with Tape():
+                entered.set()
+                assert done.wait(timeout=30)
+
+        worker = threading.Thread(target=thread_b)
+        worker.start()
+        try:
+            assert entered.wait(timeout=30)
+            x = Tensor(np.arange(3.0), requires_grad=True)
+            assert not T.mul(x, 2.0).requires_grad
+        finally:
+            done.set()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert T._LIVE_TAPES == 0
+
     def test_nested_tape_in_one_thread_raises(self):
         with Tape():
             with pytest.raises(RuntimeError, match="do not nest"):
                 with Tape():
                     pass
+        assert T._LIVE_TAPES == 0
 
 
 class TestLayerNorm:

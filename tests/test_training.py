@@ -334,16 +334,40 @@ def _nan_lm_forward(*args, **kwargs):
 
 
 class TestLmOverlap:
-    """The LM pass runs on its own thread during the NMT pass when the
-    process has an idle core, and before it otherwise."""
+    """The LM pass runs on its own thread during the NMT pass when that
+    pays (``_overlap_lm``), and before it otherwise."""
 
-    @pytest.mark.parametrize("native_only, idle", [(0, True), (1, False)])  # 1: a BLAS worker
-    def test_idle_core_counts_native_threads(self, monkeypatch, native_only, idle):
+    @pytest.mark.parametrize("native_only, spare", [(0, True), (1, False)])  # 1: a BLAS worker
+    def test_spare_core_counts_native_threads(self, monkeypatch, native_only, spare):
         tasks = threading.active_count() + native_only
         two_cores = SimpleNamespace(listdir=lambda path: ["task"] * tasks,
                                     sched_getaffinity=lambda pid: {0, 1})
         monkeypatch.setattr(training, "os", two_cores)
-        assert training._idle_core() is idle
+        assert training._spare_core.__wrapped__() is spare
+
+    def test_spare_core_is_checked_once(self, monkeypatch):
+        first = training._spare_core()
+        # a host on which the check would now give the other answer
+        tasks = threading.active_count() + (0 if not first else 8)
+        other_host = SimpleNamespace(listdir=lambda path: ["task"] * tasks,
+                                     sched_getaffinity=lambda pid: set(range(4)))
+        monkeypatch.setattr(training, "os", other_host)
+        assert training._spare_core.__wrapped__() is not first
+        assert training._spare_core() is first
+
+    @pytest.mark.parametrize("kind, width, budget, spare, overlap", [
+        ("cbmi", 64, 1024, True, True),
+        ("prior_select", 32, 1024, True, True),
+        ("cbmi", 16, 1024, True, False),   # small ops: dispatch under the GIL
+        ("lm_prior", 64, 256, True, False),
+        ("cbmi", 64, 1024, False, False),  # no spare core
+        ("none", 64, 1024, True, False),   # no LM
+        ("focal", 64, 1024, True, False),
+    ])
+    def test_overlap_lm(self, monkeypatch, kind, width, budget, spare, overlap):
+        monkeypatch.setattr(training, "_spare_core", lambda: spare)
+        cfg = tiny_train_config(scheme=WeightScheme(kind), token_budget=budget)
+        assert training._overlap_lm(cfg, tiny_model_config(embed_dim=width)) is overlap
 
     @staticmethod
     def serial_step(state, batch, cfg, step):
@@ -360,7 +384,7 @@ class TestLmOverlap:
     @pytest.mark.parametrize("kind", ["cbmi", "lm_prior", "prior_select"])
     def test_train_step_is_bitwise_the_serial_step(self, tmp_path, monkeypatch, kind, dtype,
                                                     overlap):
-        monkeypatch.setattr(training, "_idle_core", lambda: overlap)
+        monkeypatch.setattr(training, "_overlap_lm", lambda cfg, model: overlap)
         pairs = toy_pairs()
         cfg = tiny_train_config(scheme=WeightScheme(kind), phase1_steps=2, phase2_steps=3)
         overlapped, serial = (
@@ -384,7 +408,7 @@ class TestLmOverlap:
 
     @pytest.mark.parametrize("overlap", [True, False])
     def test_non_finite_lm_loss_message(self, tmp_path, monkeypatch, overlap):
-        monkeypatch.setattr(training, "_idle_core", lambda: overlap)
+        monkeypatch.setattr(training, "_overlap_lm", lambda cfg, model: overlap)
         monkeypatch.setattr(training, "lm_forward", _nan_lm_forward)
         trainer = Trainer(tiny_train_config(scheme=WeightScheme("cbmi")), tiny_model_config(),
                           toy_pairs(), tmp_path / "run")
@@ -410,7 +434,7 @@ class TestLmOverlap:
             assert nmt_failed.wait(timeout=30)
             return _nan_lm_forward(*args, **kwargs)
 
-        monkeypatch.setattr(training, "_idle_core", lambda: True)
+        monkeypatch.setattr(training, "_overlap_lm", lambda cfg, model: True)
         monkeypatch.setattr(training, "nmt_forward", failing_nmt_forward)
         if lm_fails:
             monkeypatch.setattr(training, "lm_forward", late_lm_forward)
@@ -423,6 +447,26 @@ class TestLmOverlap:
         assert threading.active_count() == threads
         message = "non-finite LM loss at step 1" if lm_fails else "NMT pass failed"
         assert message in str(info.value)
+        assert trainer.state.step == 0
+
+    @pytest.mark.parametrize("lm_error", [ValueError, KeyboardInterrupt])
+    def test_serial_lm_failure_stops_before_nmt_pass(self, tmp_path, monkeypatch, lm_error):
+        def failing_lm_forward(*args, **kwargs):
+            raise lm_error("LM pass failed")
+
+        def nmt_forward_not_called(*args, **kwargs):
+            raise AssertionError("the NMT pass ran after the LM pass failed")
+
+        monkeypatch.setattr(training, "_overlap_lm", lambda cfg, model: False)
+        monkeypatch.setattr(training, "lm_forward", failing_lm_forward)
+        monkeypatch.setattr(training, "nmt_forward", nmt_forward_not_called)
+        trainer = Trainer(tiny_train_config(scheme=WeightScheme("cbmi")), tiny_model_config(),
+                          toy_pairs(), tmp_path / "run")
+        threads = threading.active_count()
+        with pytest.raises(TrainingError if lm_error is ValueError else KeyboardInterrupt) as info:
+            trainer.run()
+        assert "LM pass failed" in str(info.value)
+        assert threading.active_count() == threads
         assert trainer.state.step == 0
 
 
