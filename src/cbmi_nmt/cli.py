@@ -29,6 +29,8 @@ from .corpus import (
     build_vocabularies,
     load_parallel_corpus,
     make_batches,
+    read_aligned_lines,
+    read_lines,
     tokenize,
 )
 from .decoding import BeamConfig, DecodeStats, analyze_cbmi, beam_search_many, bleu, write_analysis
@@ -360,8 +362,7 @@ def _target_frequency_table(pairs, vocab_size: int) -> FrequencyTable:
 
 def cmd_preprocess(args) -> int:
     config = _effective_config(args)
-    src_lines = Path(args.src).read_text(encoding="utf-8").splitlines()
-    tgt_lines = Path(args.tgt).read_text(encoding="utf-8").splitlines()
+    src_lines, tgt_lines = read_aligned_lines(args.src, args.tgt)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     src_vocab, tgt_vocab = build_vocabularies(
@@ -442,7 +443,7 @@ def cmd_translate(args) -> int:
     params, _, src_vocab, tgt_vocab = _load_checkpoint_for(args)
     beam_config = config.beam_config()
     sources = []
-    for lineno, line in enumerate(Path(args.src).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_lines(args.src), 1):
         tokens = tokenize(line)
         if not tokens:
             raise CorpusError(f"empty source sentence at line {lineno}")
@@ -457,8 +458,7 @@ def cmd_translate(args) -> int:
 
 def cmd_score(args) -> int:
     _effective_config(args)
-    hyps = Path(args.hyp).read_text(encoding="utf-8").splitlines()
-    refs = Path(args.ref).read_text(encoding="utf-8").splitlines()
+    hyps, refs = read_aligned_lines(args.hyp, args.ref)
     report = bleu(hyps, refs)
     for line in report.lines():
         print(line)

@@ -156,6 +156,26 @@ class SentencePair:
         return max(len(self.src), len(self.tgt))
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file; a file that is not UTF-8 is a
+    ``CorpusError`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def read_aligned_lines(first: str | Path, second: str | Path) -> tuple[list[str], list[str]]:
+    """The lines of two files that align line by line; files of different
+    line counts are a ``CorpusError`` naming both."""
+    first_lines, second_lines = read_lines(first), read_lines(second)
+    if len(first_lines) != len(second_lines):
+        raise CorpusError(
+            f"line count mismatch: {first} has {len(first_lines)}, {second} has {len(second_lines)}"
+        )
+    return first_lines, second_lines
+
+
 def load_parallel_corpus(
     src_path: str | Path,
     tgt_path: str | Path,
@@ -168,12 +188,7 @@ def load_parallel_corpus(
     ``max_len`` > 0 rejects pairs whose raw side exceeds it; empty lines and
     line-count mismatches are errors naming the offending line.
     """
-    src_lines = Path(src_path).read_text(encoding="utf-8").splitlines()
-    tgt_lines = Path(tgt_path).read_text(encoding="utf-8").splitlines()
-    if len(src_lines) != len(tgt_lines):
-        raise CorpusError(
-            f"line count mismatch: {src_path} has {len(src_lines)}, {tgt_path} has {len(tgt_lines)}"
-        )
+    src_lines, tgt_lines = read_aligned_lines(src_path, tgt_path)
     pairs = []
     for i, (s, t) in enumerate(zip(src_lines, tgt_lines), start=1):
         s_toks, t_toks = tokenize(s), tokenize(t)

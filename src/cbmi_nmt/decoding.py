@@ -6,13 +6,17 @@ generated tokens including the end marker. The decoder always keeps the
 greedy rollout among its candidates, so the returned hypothesis never
 scores below the greedy one.
 
-``beam_search_many`` decodes incrementally and in groups: sentences of
-equal source length, at most ``MAX_GROUP_SIZE`` of them, share one
-``models.DecoderState``, which encodes them once and keeps each decoder
-layer's keys and values, so a step feeds one new position per distinct
-prefix of each sentence. Each sentence's beam and greedy rollout are two
-widths of one search loop, ``_search``, which advances every search of the
-group in lockstep; ``beam_search`` is its one-sentence case.
+``beam_search_many`` decodes incrementally and in groups: it sorts the
+sentences by source length (a stable sort) and cuts that order into groups
+of at most ``MAX_GROUP_SIZE``, whatever their lengths. A group shares one
+``models.DecoderState``, which encodes its sources once, each padded with
+``<pad>`` to the group's longest and the padding masked, and keeps each
+decoder layer's keys and values, so a step feeds one new position per
+distinct prefix of each sentence. Each sentence's beam and greedy rollout
+are two widths of one search loop, ``_search``, which advances every search
+of the group in lockstep; a sentence stops at its own length limit,
+``BeamConfig.max_len`` of its source length, where its hypotheses still
+alive are force-finished. ``beam_search`` is the one-sentence case.
 ``beam_search_core`` and ``greedy_core`` run that loop at one width over any
 step function; over ``_nmt_step_fn``, which recomputes the encoder and every
 prefix through ``nmt_forward``, they are the reference the cached path is
@@ -20,11 +24,11 @@ tested against. Neither step function lets ``<pad>`` or ``<s>`` follow a
 prefix.
 
 A sentence's hypothesis does not depend on the other sentences of its
-group, up to rounding: a row runs the arithmetic of a one-sentence decode,
-but a matmul over one row (the first step of a sentence decoded alone) may
-round differently from one over many, up to about 5e-6 apart in an fp32
-log-probability. The output of ``translate`` stays a deterministic function
-of its input file.
+group, up to rounding: a masked pad key gets exactly zero attention, so a
+row runs the arithmetic of a one-sentence decode, but a matmul over one row
+(the first step of a sentence decoded alone) or over padded keys may round
+differently, up to about 6e-6 apart in an fp32 log-probability. The output
+of ``translate`` stays a deterministic function of its input file.
 """
 
 from __future__ import annotations
@@ -119,25 +123,32 @@ def _extend(
 
 
 def _search(
-    step_fn: GroupStepFn, widths: Sequence[Sequence[int]], alpha: float, max_len: int, bos: int,
-    eos: int,
+    step_fn: GroupStepFn, widths: Sequence[Sequence[int]], alpha: float, max_lens: Sequence[int],
+    bos: int, eos: int,
 ) -> list[list[tuple[tuple[list[int], float], int]]]:
     """Beam searches of a group of sentences in lockstep: sentence ``s`` runs
-    one search of each width in ``widths[s]``, and every step scores the
-    distinct alive prefixes of each sentence in one ``step_fn`` call.
-    Returns, per sentence and width, the best finished hypothesis and how
-    many hypotheses were force-finished at ``max_len``."""
+    one search of each width in ``widths[s]`` for at most ``max_lens[s]``
+    steps, and every step scores the distinct alive prefixes of each
+    sentence in one ``step_fn`` call. Returns, per sentence and width, the
+    best finished hypothesis and how many hypotheses were force-finished at
+    the sentence's length limit."""
     owner = [s for s, sentence_widths in enumerate(widths) for _ in sentence_widths]
     flat_widths = [w for sentence_widths in widths for w in sentence_widths]
     alive: list[list[tuple[list[int], float]]] = [[([bos], 0.0)] for _ in owner]
     finished: list[list[tuple[list[int], float]]] = [[] for _ in owner]
-    for _ in range(max_len):
+    for t in range(max(max_lens)):
+        # a beam at its sentence's limit is no longer advanced; what it holds
+        # is force-finished below
+        going = [b for b, s in enumerate(owner) if alive[b] and t < max_lens[s]]
+        if not going:
+            break
         prefixes: list[list[list[int]]] = [[] for _ in widths]
         row_of: dict[tuple[int, ...], int] = {}
         rows_of_beam: list[list[int]] = []
-        for s, beam in zip(owner, alive):
+        for b in going:
+            s = owner[b]
             rows_b = []
-            for tokens, _ in beam:
+            for tokens, _ in alive[b]:
                 key = (s, *tokens)
                 row = row_of.get(key)
                 if row is None:
@@ -146,9 +157,10 @@ def _search(
                 rows_b.append(row)
             rows_of_beam.append(rows_b)
         rows = step_fn(prefixes)
-        alive = _extend(alive, rows, rows_of_beam, flat_widths, alpha, eos, finished)
-        if not any(alive):
-            break
+        grown = _extend([alive[b] for b in going], rows, rows_of_beam,
+                        [flat_widths[b] for b in going], alpha, eos, [finished[b] for b in going])
+        for b, beam in zip(going, grown):
+            alive[b] = beam
     results: list[list[tuple[tuple[list[int], float], int]]] = [[] for _ in widths]
     for s, beam, done in zip(owner, alive, finished):
         for tokens, score in beam:
@@ -176,14 +188,14 @@ def beam_search_core(
     Ties break toward lower token ids, keeping results deterministic.
     """
     results = _search(_one_sentence(step_fn), [(config.beam_size,)], config.length_penalty,
-                      max_len, bos, eos)
+                      [max_len], bos, eos)
     return results[0][0][0]
 
 
 def greedy_core(step_fn: StepFn, config: BeamConfig, max_len: int,
                 bos: int = BOS_ID, eos: int = EOS_ID) -> tuple[list[int], float]:
     """The greedy rollout: beam search at width 1."""
-    results = _search(_one_sentence(step_fn), [(1,)], config.length_penalty, max_len, bos, eos)
+    results = _search(_one_sentence(step_fn), [(1,)], config.length_penalty, [max_len], bos, eos)
     return results[0][0][0]
 
 
@@ -232,11 +244,14 @@ class DecodeStats:
 
 def _cached_group_step_fn(params: ModelParams, sources: list[list[int]],
                           stats: DecodeStats) -> GroupStepFn:
-    """The rows of ``_nmt_step_fn`` for each sentence of a group of equal
-    source length, from one ``DecoderState``. Each call feeds the last token
-    of each distinct prefix of each sentence, continuing the row of the
-    previous call that held the prefix without it."""
-    state = DecoderState(params, sources)
+    """The rows of ``_nmt_step_fn`` for each sentence of a group, from one
+    ``DecoderState`` over the sources padded to the longest. Each call feeds
+    the last token of each distinct prefix of each sentence, continuing the
+    row of the previous call that held the prefix without it."""
+    padded = np.full((len(sources), max(map(len, sources))), PAD_ID, dtype=np.int64)
+    for s, src in enumerate(sources):
+        padded[s, : len(src)] = src
+    state = DecoderState(params, padded)
     # before the first call, the state's rows are the sentences
     previous: dict[tuple[int, ...], int] = {(s,): s for s in range(len(sources))}
 
@@ -268,13 +283,14 @@ def _cached_step_fn(params: ModelParams, src_ids: list[int], stats: DecodeStats)
 def _beam_search_group(
     params: ModelParams, sources: list[list[int]], config: BeamConfig, stats: DecodeStats,
 ) -> list[list[int]]:
-    """Translate encoded source sentences of one length together: their
-    beams and greedy rollouts advance in the same decoder steps over one
-    ``DecoderState``."""
+    """Translate encoded source sentences together: their beams and greedy
+    rollouts advance in the same decoder steps over one ``DecoderState``,
+    each sentence up to its own length limit."""
     srcs = [list(src) + [EOS_ID] for src in sources]
     widths = (config.beam_size,) if config.beam_size == 1 else (config.beam_size, 1)
     results = _search(_cached_group_step_fn(params, srcs, stats), [widths] * len(srcs),
-                      config.length_penalty, config.max_len(len(srcs[0])), BOS_ID, EOS_ID)
+                      config.length_penalty, [config.max_len(len(src)) for src in srcs],
+                      BOS_ID, EOS_ID)
     hypotheses = []
     for result in results:
         (best_tokens, best_score), forced = result[0]
@@ -291,22 +307,19 @@ def beam_search_many(
     stats: DecodeStats | None = None,
 ) -> list[list[int]]:
     """Translate encoded source sentences (no specials, EOS appended
-    internally), returning the hypotheses in input order. Sentences of
-    equal length are decoded together, at most ``MAX_GROUP_SIZE`` to a
-    group; work counts are added to ``stats`` when given."""
+    internally), returning the hypotheses in input order. The sentences,
+    sorted by source length, are decoded together in groups of at most
+    ``MAX_GROUP_SIZE``; work counts are added to ``stats`` when given."""
     if any(len(src) == 0 for src in sources):
         raise ValueError("cannot translate an empty source sentence")
     stats = stats if stats is not None else DecodeStats()
-    by_length: dict[int, list[int]] = {}
-    for i, src in enumerate(sources):
-        by_length.setdefault(len(src), []).append(i)
+    order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
     hypotheses: list[list[int]] = [[] for _ in sources]
-    for indices in by_length.values():
-        for start in range(0, len(indices), MAX_GROUP_SIZE):
-            group = indices[start : start + MAX_GROUP_SIZE]
-            decoded = _beam_search_group(params, [list(sources[i]) for i in group], config, stats)
-            for i, hyp in zip(group, decoded):
-                hypotheses[i] = hyp
+    for start in range(0, len(order), MAX_GROUP_SIZE):
+        group = order[start : start + MAX_GROUP_SIZE]
+        decoded = _beam_search_group(params, [list(sources[i]) for i in group], config, stats)
+        for i, hyp in zip(group, decoded):
+            hypotheses[i] = hyp
     return hypotheses
 
 

@@ -432,20 +432,21 @@ def nmt_forward(
 
 
 class DecoderState:
-    """Forward-only incremental decoding of a group of source sentences of
-    one length, after the incremental decoder state of fairseq.
+    """Forward-only incremental decoding of a group of source sentences,
+    after the incremental decoder state of fairseq.
 
     The encoder runs once over the ``[sentences, length]`` group (a 1-D
-    source is a group of one), and each decoder layer computes the
-    cross-attention keys and values of every sentence's memory once. The
-    state holds rows, one per hypothesis: before the first step, one per
-    sentence. Each row keeps its sentence's memory keys, values and mask,
-    gathered through the row index of each step, and the self-attention keys
-    and values of every target position it was fed. Sentences of one length
-    need no source padding, so a row's arithmetic is that of a one-sentence
-    decode and its output equals the ``nmt_forward`` row at that position of
-    its whole prefix; only the rounding of a matmul may depend on how many
-    rows share it.
+    source is a group of one; shorter sources are padded with ``<pad>``),
+    and each decoder layer computes the cross-attention keys and values of
+    every sentence's memory once. The state holds rows, one per hypothesis:
+    before the first step, one per sentence. Each row keeps its sentence's
+    memory keys, values and pad mask, gathered through the row index of each
+    step, and the self-attention keys and values of every target position it
+    was fed. The mask gives a pad key exactly zero attention in the encoder
+    and in cross-attention, so a row's arithmetic is that of a one-sentence
+    decode of the unpadded source and its output equals the ``nmt_forward``
+    row at that position of its whole prefix; only the rounding of a matmul
+    may depend on how many rows or padded keys share it.
     """
 
     def __init__(self, params: ModelParams, src):
@@ -639,18 +640,16 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray
         raise CheckpointError("manifest config hash does not match its own config fields")
 
     blob_file, index_file = path / "tensors.bin", path / "tensors.idx"
-    blob = blob_file.read_bytes()
+    # read once into one writable buffer; every array is a view into it
+    blob = np.fromfile(blob_file, dtype=np.uint8)
     arrays: dict[str, np.ndarray] = {}
     try:
         for line in index_file.read_text(encoding="utf-8").splitlines():
             name, dtype_str, shape_str, offset_str = line.split("\t")
             shape = tuple(int(s) for s in shape_str.split(",")) if shape_str else ()
-            dtype = np.dtype(dtype_str)
-            count = int(np.prod(shape)) if shape else 1
-            offset = int(offset_str)
             arrays[name] = np.frombuffer(
-                blob, dtype=dtype, count=count, offset=offset
-            ).reshape(shape).copy()
+                blob, dtype=np.dtype(dtype_str), count=math.prod(shape), offset=int(offset_str)
+            ).reshape(shape)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{blob_file} does not hold the tensors {index_file} lists: {exc}") from exc
 

@@ -421,6 +421,47 @@ class TestCliRuns:
         assert str(directory) in err and "Traceback" not in err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("case", [
+        "score_line_count", "score_hyp_not_utf8", "score_ref_not_utf8", "translate_src_not_utf8",
+        "preprocess_src_not_utf8", "train_tgt_not_utf8",
+    ])
+    def test_unreadable_text_is_corpus_error_naming_the_file(self, corpus, tmp_path, capsys, case):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"s1 s2\ns3 \xff s4\n")
+        out = tmp_path / "out.txt"
+        train_src, train_tgt = str(corpus / "train.src"), str(corpus / "train.tgt")
+        if case == "score_line_count":
+            hyp = tmp_path / "hyp.txt"
+            hyp.write_text("t1 t2\nt3\n", encoding="utf-8")
+            argv = ["score", "--hyp", str(hyp), "--ref", train_tgt, "--out", str(out)]
+            expected = f"error:corpus: line count mismatch: {hyp} has 2, {train_tgt} has 60\n"
+        elif case.startswith("score"):
+            hyp, ref = (bad, train_tgt) if case == "score_hyp_not_utf8" else (train_tgt, bad)
+            argv = ["score", "--hyp", str(hyp), "--ref", str(ref), "--out", str(out)]
+        elif case == "translate_src_not_utf8":
+            run_dir = tmp_path / "run"
+            assert run(train_args(corpus, run_dir, "--seed", "5")) == 0
+            argv = ["translate", "--checkpoint", str(run_dir / "checkpoint_final"),
+                    "--src", str(bad), "--out", str(out), "--data-dir", str(corpus / "data")]
+        elif case == "preprocess_src_not_utf8":
+            out = tmp_path / "data"
+            argv = ["preprocess", "--src", str(bad), "--tgt", train_tgt, "--out-dir", str(out)]
+        else:
+            out = tmp_path / "run"
+            argv = ["train", "--src", train_src, "--tgt", str(bad),
+                    "--data-dir", str(corpus / "data"), "--out-dir", str(out), *FAST_TRAIN]
+        capsys.readouterr()
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err
+        assert err.count("\n") == 1 and err.startswith("error:corpus:"), err
+        assert "Traceback" not in err and captured.out == ""
+        if case == "score_line_count":
+            assert err == expected
+        else:
+            assert err.startswith(f"error:corpus: {bad} is not UTF-8 text:"), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["a_directory", "missing/hyp.txt", "hyp.txt"])
     def test_translate_checks_out_before_decoding(self, corpus, tmp_path, capsys, monkeypatch, out):
         run_dir = tmp_path / "run"

@@ -266,18 +266,32 @@ def test_extend_matches_scalar_reference():
 
 
 class TestGroupedDecoding:
-    # lengths 3, 1, 3, 4, 3, 3, 1, 4, 3: with groups capped at 2, the
-    # length-3 sentences decode as the groups (0, 2), (4, 5) and (8,)
+    # lengths 3, 1, 3, 4, 3, 3, 1, 4, 3: sorted by length (a stable sort) and
+    # cut into groups of at most 2, they decode as these groups; (8, 3) holds
+    # lengths 3 and 4, so its sentences have different length limits
     SOURCES = [[4, 5, 6], [8], [3, 3, 5], [7, 4, 4, 8], [5, 6, 7], [6, 8, 3], [4], [8, 8, 4, 3],
                [3, 7, 6]]
-    GROUPS = [(0, 2), (4, 5), (8,), (1, 6), (3, 7)]
+    GROUPS = [(1, 6), (0, 2), (4, 5), (8, 3), (7,)]
+
+    def test_groups_are_length_sorted_chunks(self, monkeypatch, decode_params):
+        monkeypatch.setattr(D, "MAX_GROUP_SIZE", 2)
+        groups = []
+        real = D._beam_search_group
+
+        def recorded(params, sources, config, stats):
+            groups.append(tuple(self.SOURCES.index(src) for src in sources))
+            return real(params, sources, config, stats)
+
+        monkeypatch.setattr(D, "_beam_search_group", recorded)
+        D.beam_search_many(decode_params, self.SOURCES, BeamConfig(beam_size=2))
+        assert groups == self.GROUPS
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     def test_group_decodes_as_each_sentence_alone(self, monkeypatch, dtype, tol):
         monkeypatch.setattr(D, "MAX_GROUP_SIZE", 2)
         cfg = ModelConfig(9, 9, embed_dim=16, ff_dim=16, enc_layers=1,
                           dec_layers=2, lm_layers=1, heads=2)
-        forced = uneven = 0
+        forced = uneven = forced_beside_other_limit = 0
         for seed, width in itertools.product(range(3), (1, 2, 4)):
             params = init_params(cfg, seed=seed, dtype=dtype, with_lm=False)
             config = BeamConfig(beam_size=width)
@@ -298,8 +312,16 @@ class TestGroupedDecoding:
                     np.testing.assert_allclose(row, alone_rows[key][0], rtol=0, atol=tol)
             forced += sum(st.force_finished for st in alone_stats)
             uneven += sum(len({alone_stats[i].steps for i in group}) > 1 for group in self.GROUPS)
+            # a sentence cut at its own max_len beside one whose max_len differs
+            forced_beside_other_limit += sum(
+                alone_stats[i].force_finished > 0
+                and len({config.max_len(len(self.SOURCES[j]) + 1) for j in group}) > 1
+                for group in self.GROUPS for i in group
+            )
         # the cases hold sentences cut at max_len, and groups whose sentences end apart
-        assert forced > 0 and uneven > 0
+        assert forced > 0 and uneven > 0 and forced_beside_other_limit > 0
+        # and groups that mix source lengths
+        assert any(len({len(self.SOURCES[i]) for i in group}) > 1 for group in self.GROUPS)
 
     def test_decoder_state_rows_follow_their_sentence(self):
         cfg = ModelConfig(9, 9, embed_dim=16, ff_dim=24, enc_layers=2,
@@ -319,6 +341,19 @@ class TestGroupedDecoding:
         rows = state.advance([5, 6], parents=[1, 2])
         np.testing.assert_allclose(rows[0], full(0, [BOS_ID, 5]), rtol=0, atol=1e-12)
         np.testing.assert_allclose(rows[1], full(1, [BOS_ID, 6]), rtol=0, atol=1e-12)
+
+        # a padded group, sources of lengths 2 and 4: each row follows the
+        # unpadded sentence
+        sources = [[6, EOS_ID], [7, 3, 8, EOS_ID]]
+        state = DecoderState(params, [[6, EOS_ID, PAD_ID, PAD_ID], [7, 3, 8, EOS_ID]])
+        rows = state.advance([BOS_ID, BOS_ID, BOS_ID], parents=[0, 1, 0])
+        for row, s in zip(rows, (0, 1, 0)):
+            np.testing.assert_allclose(row, full(s, [BOS_ID]), rtol=0, atol=1e-12)
+        rows = state.advance([4, 5, 8], parents=[0, 1, 2])
+        for row, (s, token) in zip(rows, ((0, 4), (1, 5), (0, 8))):
+            np.testing.assert_allclose(row, full(s, [BOS_ID, token]), rtol=0, atol=1e-12)
+        rows = state.advance([3], parents=[1])
+        np.testing.assert_allclose(rows[0], full(1, [BOS_ID, 5, 3]), rtol=0, atol=1e-12)
 
     def test_empty_source_in_a_group_rejected(self, decode_params):
         with pytest.raises(ValueError, match="empty"):
