@@ -16,12 +16,15 @@ distinct prefix of each sentence. Each sentence's beam and greedy rollout
 are two widths of one search loop, ``_search``, which advances every search
 of the group in lockstep; a sentence stops at its own length limit,
 ``BeamConfig.max_len`` of its source length, where its hypotheses still
-alive are force-finished. ``beam_search`` is the one-sentence case.
+alive are force-finished. Only ``_search`` names decoder rows: it keys a
+prefix by its parent row and last token, so the beam and the greedy rollout
+share a row, and hands each step's ``(tokens, parents)`` to
+``DecoderState.advance``. ``beam_search`` is the one-sentence case.
 ``beam_search_core`` and ``greedy_core`` run that loop at one width over any
-step function; over ``_nmt_step_fn``, which recomputes the encoder and every
-prefix through ``nmt_forward``, they are the reference the cached path is
-tested against. Neither step function lets ``<pad>`` or ``<s>`` follow a
-prefix.
+step function of whole prefixes; over ``_nmt_step_fn``, which recomputes the
+encoder and every prefix through ``nmt_forward``, they are the reference the
+cached path is tested against. Neither step function lets ``<pad>`` or
+``<s>`` follow a prefix.
 
 A sentence's hypothesis does not depend on the other sentences of its
 group, up to rounding: a masked pad key gets exactly zero attention, so a
@@ -73,24 +76,52 @@ StepFn = Callable[[list[list[int]]], np.ndarray]
 """Maps a list of prefixes (each starting with BOS) to next-token
 log-probability rows, one per prefix."""
 
-GroupStepFn = Callable[[list[list[list[int]]]], np.ndarray]
-"""Maps the prefixes of each sentence of a group to next-token
-log-probability rows, one per prefix, sentence by sentence."""
+GroupStepFn = Callable[[list[int], list[int]], np.ndarray]
+"""Maps ``(tokens, parents)`` to next-token log-probability rows, one per
+new decoder row: row ``r`` is row ``parents[r]`` of the previous call
+followed by ``tokens[r]``; before the first call the rows are the
+sentences, so there ``parents[r]`` names the sentence. The signature of
+``DecoderState.advance``."""
 
 # the most sentences one decoder state holds
 MAX_GROUP_SIZE = 64
 
 
+@dataclass
+class DecodeStats:
+    """Work counts of beam searches, summed over sentences however they were
+    grouped: ``steps`` counts, per sentence, the decoder steps in which the
+    sentence had a live row; ``rows`` the decoder rows computed for it, each
+    distinct prefix once; ``greedy_won`` the sentences whose greedy rollout
+    outscored the beam; ``force_finished`` the beam hypotheses cut at the
+    length limit."""
+
+    steps: int = 0
+    rows: int = 0
+    greedy_won: int = 0
+    force_finished: int = 0
+
+    def summary(self) -> str:
+        return (f"steps={self.steps} rows={self.rows} greedy_won={self.greedy_won} "
+                f"force_finished={self.force_finished}")
+
+
+# an alive prefix, its log-probability and the row that scored it without
+# its last token (before the first step, the sentence)
+Hypothesis = tuple[list[int], float, int]
+
+
 def _extend(
-    alive: list[list[tuple[list[int], float]]], rows: np.ndarray, row_of: list[list[int]],
+    alive: list[list[Hypothesis]], rows: np.ndarray, row_of: list[list[int]],
     widths: Sequence[int], alpha: float, eos: int, finished: list[list[tuple[list[int], float]]],
-) -> list[list[tuple[list[int], float]]]:
+) -> list[list[Hypothesis]]:
     """One step of several beams: per beam ``b``, the best ``widths[b]``
     continuations of its alive prefixes (prefix ``i`` scored by row
-    ``row_of[b][i]`` of ``rows``) that do not end the sentence; those that
-    do go to ``finished[b]``. Each alive prefix offers its ``2 * width``
-    best tokens; candidates rank by (score, prefix, token), and a beam
-    takes them in that order until it holds ``width`` alive prefixes."""
+    ``row_of[b][i]`` of ``rows``, which the continuation carries) that do not
+    end the sentence; those that do go to ``finished[b]``. Each alive prefix
+    offers its ``2 * width`` best tokens; candidates rank by (score, prefix,
+    token), and a beam takes them in that order until it holds ``width``
+    alive prefixes."""
     counts = np.array([len(prefixes) for prefixes in alive])
     most = min(2 * max(widths), rows.shape[1])
     # stable: equal log-probabilities keep the lower token first
@@ -98,7 +129,7 @@ def _extend(
     beam = np.repeat(np.arange(len(alive)), counts)
     prefix = np.arange(beam.size) - np.repeat(np.cumsum(counts) - counts, counts)
     row = np.array([r for rows_b in row_of for r in rows_b], dtype=np.int64)
-    score = np.array([s for prefixes in alive for _, s in prefixes], dtype=np.float64)
+    score = np.array([s for prefixes in alive for _, s, _ in prefixes], dtype=np.float64)
     width = np.asarray(widths)[beam]
     entry, col = np.nonzero(np.arange(most) < np.minimum(2 * width, most)[:, None])
     token = top[row[entry], col]
@@ -111,30 +142,31 @@ def _extend(
     first = np.searchsorted(beam[entry], beam[entry], side="left")
     taken = np.flatnonzero(before - before[first] < width[entry])
     chosen = entry[taken]
-    grown: list[list[tuple[list[int], float]]] = [[] for _ in alive]
-    for b, i, tok, value in zip(beam[chosen].tolist(), prefix[chosen].tolist(),
-                                token[taken].tolist(), cand_score[taken].tolist()):
+    grown: list[list[Hypothesis]] = [[] for _ in alive]
+    for b, i, r, tok, value in zip(beam[chosen].tolist(), prefix[chosen].tolist(),
+                                   row[chosen].tolist(), token[taken].tolist(),
+                                   cand_score[taken].tolist()):
         tokens = alive[b][i][0] + [tok]
         if tok == eos:
             finished[b].append((tokens[1:-1], _penalized(value, len(tokens) - 1, alpha)))
         else:
-            grown[b].append((tokens, value))
+            grown[b].append((tokens, value, r))
     return [beam_b if len(done) < w else [] for beam_b, done, w in zip(grown, finished, widths)]
 
 
 def _search(
     step_fn: GroupStepFn, widths: Sequence[Sequence[int]], alpha: float, max_lens: Sequence[int],
-    bos: int, eos: int,
-) -> list[list[tuple[tuple[list[int], float], int]]]:
+    bos: int, eos: int, stats: DecodeStats,
+) -> list[list[tuple[list[int], float]]]:
     """Beam searches of a group of sentences in lockstep: sentence ``s`` runs
     one search of each width in ``widths[s]`` for at most ``max_lens[s]``
-    steps, and every step scores the distinct alive prefixes of each
-    sentence in one ``step_fn`` call. Returns, per sentence and width, the
-    best finished hypothesis and how many hypotheses were force-finished at
-    the sentence's length limit."""
+    steps, and every step feeds the distinct alive prefixes of all sentences
+    to one ``step_fn`` call. Returns, per sentence and width, the best
+    finished hypothesis; adds the work to ``stats``, where the hypotheses
+    force-finished at the length limit count for the first width only."""
     owner = [s for s, sentence_widths in enumerate(widths) for _ in sentence_widths]
     flat_widths = [w for sentence_widths in widths for w in sentence_widths]
-    alive: list[list[tuple[list[int], float]]] = [[([bos], 0.0)] for _ in owner]
+    alive: list[list[Hypothesis]] = [[([bos], 0.0, s)] for s in owner]
     finished: list[list[tuple[list[int], float]]] = [[] for _ in owner]
     for t in range(max(max_lens)):
         # a beam at its sentence's limit is no longer advanced; what it holds
@@ -142,61 +174,57 @@ def _search(
         going = [b for b, s in enumerate(owner) if alive[b] and t < max_lens[s]]
         if not going:
             break
-        prefixes: list[list[list[int]]] = [[] for _ in widths]
-        row_of: dict[tuple[int, ...], int] = {}
-        rows_of_beam: list[list[int]] = []
-        for b in going:
-            s = owner[b]
-            rows_b = []
-            for tokens, _ in alive[b]:
-                key = (s, *tokens)
-                row = row_of.get(key)
-                if row is None:
-                    row = row_of[key] = len(row_of)
-                    prefixes[s].append(tokens)
-                rows_b.append(row)
-            rows_of_beam.append(rows_b)
-        rows = step_fn(prefixes)
+        # the parent row is distinct per prefix, so (parent, last token) is too
+        row_of: dict[tuple[int, int], int] = {}
+        rows_of_beam = [[row_of.setdefault((parent, tokens[-1]), len(row_of))
+                         for tokens, _, parent in alive[b]] for b in going]
+        rows = step_fn([token for _, token in row_of], [parent for parent, _ in row_of])
+        stats.steps += len({owner[b] for b in going})
+        stats.rows += len(row_of)
         grown = _extend([alive[b] for b in going], rows, rows_of_beam,
                         [flat_widths[b] for b in going], alpha, eos, [finished[b] for b in going])
         for b, beam in zip(going, grown):
             alive[b] = beam
-    results: list[list[tuple[tuple[list[int], float], int]]] = [[] for _ in widths]
+    results: list[list[tuple[list[int], float]]] = [[] for _ in widths]
     for s, beam, done in zip(owner, alive, finished):
-        for tokens, score in beam:
-            gen_len = len(tokens) - 1
-            done.append((tokens[1:], _penalized(score, gen_len, alpha)))
-        results[s].append((min(done, key=lambda f: (-f[1], f[0])), len(beam)))
+        if not results[s]:
+            stats.force_finished += len(beam)
+        done.extend((tokens[1:], _penalized(score, len(tokens) - 1, alpha))
+                    for tokens, score, _ in beam)
+        results[s].append(min(done, key=lambda f: (-f[1], f[0])))
     return results
 
 
-def _one_sentence(step_fn: StepFn) -> GroupStepFn:
-    return lambda prefixes: step_fn(prefixes[0])
+def _from_prefixes(step_fn: StepFn) -> GroupStepFn:
+    """A one-sentence ``GroupStepFn`` over whole prefixes, rebuilt from the
+    parents' prefixes."""
+    prefixes: list[list[int]] = [[]]
+
+    def step(tokens: list[int], parents: list[int]) -> np.ndarray:
+        nonlocal prefixes
+        prefixes = [prefixes[p] + [tok] for tok, p in zip(tokens, parents)]
+        return step_fn(prefixes)
+
+    return step
 
 
-def beam_search_core(
-    step_fn: StepFn,
-    config: BeamConfig,
-    max_len: int,
-    bos: int = BOS_ID,
-    eos: int = EOS_ID,
-) -> tuple[list[int], float]:
+def beam_search_core(step_fn: StepFn, config: BeamConfig, max_len: int,
+                     bos: int = BOS_ID, eos: int = EOS_ID) -> tuple[list[int], float]:
     """Generic beam search over an autoregressive scorer.
 
     Returns (token ids without BOS/EOS, penalized score) of the best finished
     hypothesis; hypotheses still alive at ``max_len`` are force-finished.
     Ties break toward lower token ids, keeping results deterministic.
     """
-    results = _search(_one_sentence(step_fn), [(config.beam_size,)], config.length_penalty,
-                      [max_len], bos, eos)
-    return results[0][0][0]
+    return _search(_from_prefixes(step_fn), [(config.beam_size,)], config.length_penalty,
+                   [max_len], bos, eos, DecodeStats())[0][0]
 
 
 def greedy_core(step_fn: StepFn, config: BeamConfig, max_len: int,
                 bos: int = BOS_ID, eos: int = EOS_ID) -> tuple[list[int], float]:
     """The greedy rollout: beam search at width 1."""
-    results = _search(_one_sentence(step_fn), [(1,)], config.length_penalty, [max_len], bos, eos)
-    return results[0][0][0]
+    return _search(_from_prefixes(step_fn), [(1,)], config.length_penalty, [max_len], bos, eos,
+                   DecodeStats())[0][0]
 
 
 def _next_token_rows(log_probs: np.ndarray) -> np.ndarray:
@@ -223,61 +251,14 @@ def _nmt_step_fn(params: ModelParams, src_ids: list[int]) -> StepFn:
     return step
 
 
-@dataclass
-class DecodeStats:
-    """Work counts of beam searches, summed over sentences however they were
-    grouped: ``steps`` counts, per sentence, the decoder steps in which the
-    sentence had a live row; ``rows`` the decoder rows computed for it, each
-    distinct prefix once; ``greedy_won`` the sentences whose greedy rollout
-    outscored the beam; ``force_finished`` the beam hypotheses cut at the
-    length limit."""
-
-    steps: int = 0
-    rows: int = 0
-    greedy_won: int = 0
-    force_finished: int = 0
-
-    def summary(self) -> str:
-        return (f"steps={self.steps} rows={self.rows} greedy_won={self.greedy_won} "
-                f"force_finished={self.force_finished}")
-
-
-def _cached_group_step_fn(params: ModelParams, sources: list[list[int]],
-                          stats: DecodeStats) -> GroupStepFn:
+def _cached_group_step_fn(params: ModelParams, sources: list[list[int]]) -> GroupStepFn:
     """The rows of ``_nmt_step_fn`` for each sentence of a group, from one
-    ``DecoderState`` over the sources padded to the longest. Each call feeds
-    the last token of each distinct prefix of each sentence, continuing the
-    row of the previous call that held the prefix without it."""
+    ``DecoderState`` over the sources padded to the longest."""
     padded = np.full((len(sources), max(map(len, sources))), PAD_ID, dtype=np.int64)
     for s, src in enumerate(sources):
         padded[s, : len(src)] = src
     state = DecoderState(params, padded)
-    # before the first call, the state's rows are the sentences
-    previous: dict[tuple[int, ...], int] = {(s,): s for s in range(len(sources))}
-
-    def step(prefixes: list[list[list[int]]]) -> np.ndarray:
-        nonlocal previous
-        rows: dict[tuple[int, ...], int] = {}
-        wanted = []
-        for s, sentence_prefixes in enumerate(prefixes):
-            stats.steps += bool(sentence_prefixes)
-            for prefix in sentence_prefixes:
-                wanted.append(rows.setdefault((s, *prefix), len(rows)))
-        parents = [previous[key[:-1]] for key in rows]
-        log_probs = state.advance([key[-1] for key in rows], parents)
-        previous = rows
-        stats.rows += len(rows)
-        out = _next_token_rows(log_probs)
-        return out if len(wanted) == len(rows) else out[wanted]
-
-    return step
-
-
-def _cached_step_fn(params: ModelParams, src_ids: list[int], stats: DecodeStats) -> StepFn:
-    """``_cached_group_step_fn`` for one sentence: the rows of
-    ``_nmt_step_fn`` from one ``DecoderState``."""
-    group_step = _cached_group_step_fn(params, [src_ids], stats)
-    return lambda prefixes: group_step([prefixes])
+    return lambda tokens, parents: _next_token_rows(state.advance(tokens, parents))
 
 
 def _beam_search_group(
@@ -288,16 +269,15 @@ def _beam_search_group(
     each sentence up to its own length limit."""
     srcs = [list(src) + [EOS_ID] for src in sources]
     widths = (config.beam_size,) if config.beam_size == 1 else (config.beam_size, 1)
-    results = _search(_cached_group_step_fn(params, srcs, stats), [widths] * len(srcs),
+    results = _search(_cached_group_step_fn(params, srcs), [widths] * len(srcs),
                       config.length_penalty, [config.max_len(len(src)) for src in srcs],
-                      BOS_ID, EOS_ID)
+                      BOS_ID, EOS_ID, stats)
     hypotheses = []
     for result in results:
-        (best_tokens, best_score), forced = result[0]
-        stats.force_finished += forced
-        if len(result) > 1 and result[1][0][1] > best_score:
+        best_tokens, best_score = result[0]
+        if len(result) > 1 and result[1][1] > best_score:
             stats.greedy_won += 1
-            best_tokens = result[1][0][0]
+            best_tokens = result[1][0]
         hypotheses.append(best_tokens)
     return hypotheses
 

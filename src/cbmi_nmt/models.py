@@ -640,24 +640,28 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray
         raise CheckpointError("manifest config hash does not match its own config fields")
 
     blob_file, index_file = path / "tensors.bin", path / "tensors.idx"
-    # read once into one writable buffer; every array is a view into it
-    blob = np.fromfile(blob_file, dtype=np.uint8)
-    arrays: dict[str, np.ndarray] = {}
+    # parameters and extras each fill one writable buffer, every array a view
+    # into its own, so a caller that drops the extras frees their bytes
+    groups: tuple[list, list] = ([], [])
     try:
         for line in index_file.read_text(encoding="utf-8").splitlines():
             name, dtype_str, shape_str, offset_str = line.split("\t")
             shape = tuple(int(s) for s in shape_str.split(",")) if shape_str else ()
-            arrays[name] = np.frombuffer(
-                blob, dtype=np.dtype(dtype_str), count=math.prod(shape), offset=int(offset_str)
-            ).reshape(shape)
+            dtype = np.dtype(dtype_str)
+            groups[not name.startswith(("nmt.", "lm."))].append(
+                (name, dtype, shape, int(offset_str), dtype.itemsize * math.prod(shape)))
+        arrays: tuple[dict[str, np.ndarray], dict[str, np.ndarray]] = ({}, {})
+        with open(blob_file, "rb") as fh:
+            for entries, out in zip(groups, arrays):
+                view, start = memoryview(bytearray(sum(entry[-1] for entry in entries))), 0
+                for name, dtype, shape, offset, size in entries:
+                    chunk = view[start : start + size]
+                    if offset < 0 or fh.seek(offset) != offset or fh.readinto(chunk) != size:
+                        raise ValueError(f"{name} lies outside the file")
+                    out[name] = np.frombuffer(chunk, dtype).reshape(shape)
+                    start += size
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{blob_file} does not hold the tensors {index_file} lists: {exc}") from exc
 
-    tensors = {
-        k: Tensor(v, requires_grad=True)
-        for k, v in arrays.items()
-        if k.startswith(("nmt.", "lm."))
-    }
-    extras = {k: v for k, v in arrays.items() if not k.startswith(("nmt.", "lm."))}
-    params = ModelParams(config=config, tensors=tensors)
-    return params, extras, meta
+    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays[0].items()}
+    return ModelParams(config=config, tensors=tensors), arrays[1], meta

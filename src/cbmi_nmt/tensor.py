@@ -13,11 +13,11 @@ created with ``requires_grad=True``.
 Tensors are treated as immutable values after construction (the optimizer
 rebinds ``data`` rather than writing into shared arrays), so a tensor may
 hold a view into a shared buffer: ``models.load_checkpoint`` returns every
-parameter, and every Adam moment, as a view into the one buffer it read
-the checkpoint's blob into. Each thread has at most one active tape, and
-that tape records only the operations run on its own thread, so two threads
-can each run a forward and backward pass at once as long as they share no
-tensor that either updates.
+parameter as a view into one buffer, and every Adam moment as a view into
+another. Each thread has at most one active tape, and that tape records
+only the operations run on its own thread, so two threads can each run a
+forward and backward pass at once as long as they share no tensor that
+either updates.
 """
 
 from __future__ import annotations

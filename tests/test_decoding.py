@@ -172,20 +172,22 @@ class TestBeamSearchModel:
         params = init_params(cfg, seed=3, dtype=dtype, with_lm=False)
         src = [4, 5, 6, 7, EOS_ID]
         reference = D._nmt_step_fn(params, src)
-        stats = D.DecodeStats()
-        cached = D._cached_step_fn(params, src, stats)
+        cached = D._cached_group_step_fn(params, [src])
+        # (tokens, parents) per call; the rows hold these prefixes:
         calls = [
-            [[1], [1]],
-            [[1, 5], [1, 3], [1, 5]],
+            ([1], [0]),  # [1]
+            ([5, 3], [0, 0]),  # [1, 5], [1, 3]
             # reordered: the first row continues the second row of the last call
-            [[1, 3, 4], [1, 5, 6], [1, 5, 8], [1, 3, 4]],
-            [[1, 5, 8, 8], [1, 3, 4, 7], [1, 3, 4, 5], [1, 5, 8, 8], [1, 5, 6, 3]],
-            [[1, 5, 6, 3, 4]],
+            ([4, 6, 8], [1, 0, 0]),  # [1, 3, 4], [1, 5, 6], [1, 5, 8]
+            ([8, 7, 5, 3], [2, 0, 0, 1]),  # [1, 5, 8, 8], [1, 3, 4, 7], [1, 3, 4, 5], [1, 5, 6, 3]
+            ([4], [3]),  # [1, 5, 6, 3, 4]
         ]
-        for prefixes in calls:
-            np.testing.assert_allclose(cached(prefixes), reference(prefixes), rtol=0, atol=tol)
-        # duplicated prefixes are computed once
-        assert (stats.steps, stats.rows) == (5, 1 + 2 + 3 + 4 + 1)
+        prefixes = [[]]
+        for tokens, parents in calls:
+            prefixes = [prefixes[p] + [tok] for tok, p in zip(tokens, parents)]
+            np.testing.assert_allclose(cached(tokens, parents), reference(prefixes),
+                                       rtol=0, atol=tol)
+        assert prefixes == [[1, 5, 6, 3, 4]]
 
     def test_empty_source_rejected(self, decode_params):
         with pytest.raises(ValueError, match="empty"):
@@ -194,18 +196,20 @@ class TestBeamSearchModel:
 
 def _recording_group_steps(record):
     """A stand-in for ``D._cached_group_step_fn`` that keeps every row it
-    returns under (source, prefix)."""
+    returns under (source, prefix), the prefix rebuilt from the parents."""
     real = D._cached_group_step_fn
 
-    def make(params, sources, stats):
-        step = real(params, sources, stats)
+    def make(params, sources):
+        step = real(params, sources)
+        # before the first call, the rows are the sentences
+        held = [(s, ()) for s in range(len(sources))]
 
-        def recorded(prefixes):
-            rows = step(prefixes)
-            keys = [(tuple(sources[s]), tuple(prefix))
-                    for s, group in enumerate(prefixes) for prefix in group]
-            for key, row in zip(keys, rows):
-                record.setdefault(key, []).append(row)
+        def recorded(tokens, parents):
+            nonlocal held
+            rows = step(tokens, parents)
+            held = [(held[p][0], held[p][1] + (tok,)) for tok, p in zip(tokens, parents)]
+            for (s, prefix), row in zip(held, rows):
+                record.setdefault((tuple(sources[s]), prefix), []).append(row)
             return rows
 
         return recorded
@@ -213,12 +217,12 @@ def _recording_group_steps(record):
     return make
 
 
-def _scalar_extend(alive, rows, width, alpha, eos, finished):
+def _scalar_extend(alive, rows, row_of, width, alpha, eos, finished):
     """One step of one beam, one candidate at a time: the oracle for the
     vectorized ``D._extend``."""
     candidates = []
-    for i, (tokens, score) in enumerate(alive):
-        row = rows[i]
+    for i, (tokens, score, _) in enumerate(alive):
+        row = rows[row_of[i]]
         top = np.argsort(-row, kind="stable")[: 2 * width]
         for tok in top:
             candidates.append((score + float(row[tok]), i, int(tok)))
@@ -231,7 +235,8 @@ def _scalar_extend(alive, rows, width, alpha, eos, finished):
         if tok == eos:
             finished.append((tokens[1:-1], D._penalized(score, len(tokens) - 1, alpha)))
         else:
-            next_alive.append((tokens, score))
+            # the continuation carries the row that scored its prefix
+            next_alive.append((tokens, score, row_of[i]))
     return next_alive if len(finished) < width else []
 
 
@@ -244,7 +249,7 @@ def test_extend_matches_scalar_reference():
     for trial in range(200):
         vocab = int(rng.integers(3, 40))
         widths = [int(w) for w in rng.integers(1, 6, size=rng.integers(1, 6))]
-        alive = [[([BOS_ID, *rng.integers(3, 9, size=2).tolist()], float(rng.choice(levels)))
+        alive = [[([BOS_ID, *rng.integers(3, 9, size=2).tolist()], float(rng.choice(levels)), -1)
                   for _ in range(rng.integers(0, w + 1))] for w in widths]
         n_rows = sum(len(beam) for beam in alive)
         if n_rows == 0:
@@ -259,10 +264,39 @@ def test_extend_matches_scalar_reference():
         got = D._extend(alive, rows, row_of, widths, 0.6, EOS_ID, finished)
         for b, width in enumerate(widths):
             expected_finished = []
-            expected = _scalar_extend(alive[b], rows[row_of[b]], width, 0.6, EOS_ID,
+            expected = _scalar_extend(alive[b], rows, row_of[b], width, 0.6, EOS_ID,
                                       expected_finished)
             assert got[b] == expected, (trial, b)
             assert finished[b] == expected_finished, (trial, b)
+
+
+def test_search_work_counts():
+    # two sentences over the hand model, each searched at beam 2 and greedy;
+    # sentence 0 stops at its limit of 2 steps, sentence 1 finishes in 3
+    table = _hand_model()
+    fed = []
+    held = [(0, ()), (1, ())]
+
+    def step(tokens, parents):
+        nonlocal held
+        held = [(held[p][0], held[p][1] + (tok,)) for tok, p in zip(tokens, parents)]
+        fed.append(held)
+        return np.stack([table[prefix] for _, prefix in held])
+
+    stats = D.DecodeStats()
+    results = D._search(step, [(2, 1), (2, 1)], 0.6, [2, 4], BOS_ID, EOS_ID, stats)
+    # the beam and the greedy rollout share [<s>], [<s>, w3] and [<s>, w3, w3]:
+    # each distinct (sentence, prefix) is one row of its step
+    assert [len(rows) for rows in fed] == [2, 4, 2]
+    assert all(len(set(rows)) == len(rows) for rows in fed)
+    assert {s for s, _ in fed[2]} == {1}
+    # steps count sentence 0 in two steps and sentence 1 in three; sentence 0's
+    # beam of 2 is force-finished, its greedy rollout is not counted
+    assert (stats.steps, stats.rows, stats.force_finished) == (5, 8, 2)
+    config = BeamConfig(beam_size=2, length_penalty=0.6)
+    for s, max_len in enumerate((2, 4)):
+        assert results[s] == [D.beam_search_core(_table_step_fn(table), config, max_len),
+                              D.greedy_core(_table_step_fn(table), config, max_len)]
 
 
 class TestGroupedDecoding:

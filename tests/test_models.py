@@ -241,6 +241,30 @@ class TestCheckpoint:
             assert loaded.tensors[name].requires_grad
         np.testing.assert_array_equal(loaded_extras["opt.nmt.t"], extras["opt.nmt.t"])
 
+    def test_parameters_do_not_hold_the_extras(self, tmp_path, tiny_config):
+        # a caller that drops the extras (optimizer state) frees their bytes
+        params = init_params(tiny_config, seed=21, dtype=np.float32)
+        extras = {"opt.nmt.t": np.array([17.0]), "opt.nmt.m.nmt.out.w": np.ones((16, VOCAB))}
+        M.save_checkpoint(tmp_path / "ckpt", params, step=17, extra_arrays=extras)
+        loaded, loaded_extras, _ = M.load_checkpoint(tmp_path / "ckpt")
+
+        def buffer(arr):
+            """The bytes object or array that owns ``arr``'s memory."""
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            if isinstance(arr.base, memoryview):
+                return arr.base.obj
+            return arr if arr.base is None else arr.base
+
+        param_buffers = {id(buffer(t.data)): buffer(t.data) for t in loaded.tensors.values()}
+        extra_buffers = {id(buffer(a)) for a in loaded_extras.values()}
+        assert not param_buffers.keys() & extra_buffers
+        assert sum(len(b) for b in param_buffers.values()) == sum(
+            t.data.nbytes for t in loaded.tensors.values())
+        for name, arr in loaded_extras.items():
+            np.testing.assert_array_equal(arr, extras[name])
+            assert arr.flags.writeable
+
     def test_manifest_is_sorted_key_value_text(self, tmp_path, tiny_config):
         params = init_params(tiny_config, seed=1)
         M.save_checkpoint(tmp_path / "c", params, step=0)

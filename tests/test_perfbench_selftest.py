@@ -1,0 +1,15 @@
+"""The benchmark's own self-test passes against this package: perfbench's
+translate check runs ``beam_search_core`` and ``greedy_core`` over its own
+prefix step function, so a change to their interface shows here."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_perfbench_selftest_passes():
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
