@@ -363,14 +363,17 @@ def _target_frequency_table(pairs, vocab_size: int) -> FrequencyTable:
 def cmd_preprocess(args) -> int:
     config = _effective_config(args)
     src_lines, tgt_lines = read_aligned_lines(args.src, args.tgt)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not src_lines:
+        raise CorpusError(f"no sentence pairs to preprocess in {args.src}")
     src_vocab, tgt_vocab = build_vocabularies(
         src_lines, tgt_lines, min_count=config.min_count, share=config.share_vocab
     )
+    # every pair is checked before anything is written
+    pairs = load_parallel_corpus(args.src, args.tgt, src_vocab, tgt_vocab, config.max_len)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     src_vocab.save(out_dir / "vocab.src.txt")
     tgt_vocab.save(out_dir / "vocab.tgt.txt")
-    pairs = load_parallel_corpus(args.src, args.tgt, src_vocab, tgt_vocab, config.max_len)
     src_freq = FrequencyTable.from_pairs(pairs, "src", len(src_vocab))
     tgt_freq = FrequencyTable.from_pairs(pairs, "tgt", len(tgt_vocab))
     bmi = BmiTable.build(pairs, src_freq, tgt_freq, len(tgt_vocab))
@@ -387,6 +390,8 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data_dir)
     src_vocab, tgt_vocab = _load_vocabs(data_dir)
     pairs = load_parallel_corpus(args.src, args.tgt, src_vocab, tgt_vocab, config.max_len)
+    if not pairs:
+        raise CorpusError(f"no sentence pairs to train on in {args.src}")
     scheme = config.weight_scheme()
     bmi_table = freq_table = None
     if scheme.kind == "bmi":
@@ -521,7 +526,6 @@ _ERROR_CATEGORIES = [
     (CorpusError, "corpus"),
     (CheckpointError, "checkpoint"),
     (TrainingError, "train"),
-    (FileNotFoundError, "io"),
     (OSError, "io"),
     (ValueError, "invalid"),
 ]

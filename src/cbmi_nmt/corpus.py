@@ -60,7 +60,8 @@ class Vocabulary:
         for line in lines:
             n_lines += 1
             counter.update(tokenize(line))
-        if n_lines == 0 or not counter:
+        # lines without tokens are left to the corpus reader, which names them
+        if n_lines == 0:
             raise CorpusError("cannot build a vocabulary from an empty corpus")
         kept = sorted(
             (tok for tok, c in counter.items() if c >= min_count),
@@ -186,16 +187,17 @@ def load_parallel_corpus(
     """Read two aligned one-sentence-per-line files into encoded pairs.
 
     ``max_len`` > 0 rejects pairs whose raw side exceeds it; empty lines and
-    line-count mismatches are errors naming the offending line.
+    line-count mismatches are errors naming the offending file and line.
     """
     src_lines, tgt_lines = read_aligned_lines(src_path, tgt_path)
     pairs = []
     for i, (s, t) in enumerate(zip(src_lines, tgt_lines), start=1):
         s_toks, t_toks = tokenize(s), tokenize(t)
         if not s_toks or not t_toks:
-            raise CorpusError(f"empty sentence at line {i}")
+            raise CorpusError(f"empty sentence at line {i} of {tgt_path if s_toks else src_path}")
         if max_len and (len(s_toks) > max_len or len(t_toks) > max_len):
-            raise CorpusError(f"sentence at line {i} exceeds max length {max_len}")
+            longer = src_path if len(s_toks) > max_len else tgt_path
+            raise CorpusError(f"sentence at line {i} of {longer} exceeds max length {max_len}")
         pairs.append(SentencePair(src_vocab.encode(s_toks), tgt_vocab.encode(t_toks)))
     return pairs
 

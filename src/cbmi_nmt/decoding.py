@@ -13,12 +13,13 @@ of at most ``MAX_GROUP_SIZE``, whatever their lengths. A group shares one
 ``<pad>`` to the group's longest and the padding masked, and keeps each
 decoder layer's keys and values, so a step feeds one new position per
 distinct prefix of each sentence. Each sentence's beam and greedy rollout
-are two widths of one search loop, ``_search``, which advances every search
-of the group in lockstep; a sentence stops at its own length limit,
-``BeamConfig.max_len`` of its source length, where its hypotheses still
-alive are force-finished. Only ``_search`` names decoder rows: it keys a
-prefix by its parent row and last token, so the beam and the greedy rollout
-share a row, and hands each step's ``(tokens, parents)`` to
+are two widths of one search loop, ``_search``, which advances the group's
+searches in lockstep over flat arrays: each alive hypothesis's beam,
+log-probability and parent row, and a token matrix that grows a column per
+step. A sentence stops at its own length limit, ``BeamConfig.max_len`` of
+its source length; the next step force-finishes what it still holds. The
+parent row and last token key a prefix, so the beam and the greedy rollout
+share a decoder row, and each step hands ``(tokens, parents)`` to
 ``DecoderState.advance``. ``beam_search`` is the one-sentence case.
 ``beam_search_core`` and ``greedy_core`` run that loop at one width over any
 step function of whole prefixes; over ``_nmt_step_fn``, which recomputes the
@@ -68,10 +69,6 @@ def length_penalty(length: int, alpha: float) -> float:
     return ((5.0 + length) / 6.0) ** alpha
 
 
-def _penalized(logp_sum: float, length: int, alpha: float) -> float:
-    return logp_sum / length_penalty(length, alpha)
-
-
 StepFn = Callable[[list[list[int]]], np.ndarray]
 """Maps a list of prefixes (each starting with BOS) to next-token
 log-probability rows, one per prefix."""
@@ -106,52 +103,29 @@ class DecodeStats:
                 f"force_finished={self.force_finished}")
 
 
-# an alive prefix, its log-probability and the row that scored it without
-# its last token (before the first step, the sentence)
-Hypothesis = tuple[list[int], float, int]
-
-
-def _extend(
-    alive: list[list[Hypothesis]], rows: np.ndarray, row_of: list[list[int]],
-    widths: Sequence[int], alpha: float, eos: int, finished: list[list[tuple[list[int], float]]],
-) -> list[list[Hypothesis]]:
-    """One step of several beams: per beam ``b``, the best ``widths[b]``
-    continuations of its alive prefixes (prefix ``i`` scored by row
-    ``row_of[b][i]`` of ``rows``, which the continuation carries) that do not
-    end the sentence; those that do go to ``finished[b]``. Each alive prefix
-    offers its ``2 * width`` best tokens; candidates rank by (score, prefix,
-    token), and a beam takes them in that order until it holds ``width``
-    alive prefixes."""
-    counts = np.array([len(prefixes) for prefixes in alive])
-    most = min(2 * max(widths), rows.shape[1])
+def _extend(beam: np.ndarray, score: np.ndarray, row: np.ndarray, rows: np.ndarray,
+            width: np.ndarray, eos: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step of several beams. Alive hypothesis ``h`` of beam ``beam[h]``
+    has log-probability ``score[h]`` and is scored by row ``row[h]`` of
+    ``rows``; a beam's hypotheses are listed in rank order. Each offers its
+    ``2 * width[beam[h]]`` best tokens; candidates rank by (beam, score,
+    hypothesis, token), and a beam takes them in that order up to its
+    ``width``-th that does not end the sentence. Returns the hypothesis, token
+    and log-probability of each candidate taken, in that order."""
+    most = min(2 * int(width.max()), rows.shape[1])
     # stable: equal log-probabilities keep the lower token first
     top = np.argsort(-rows, axis=1, kind="stable")[:, :most]
-    beam = np.repeat(np.arange(len(alive)), counts)
-    prefix = np.arange(beam.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    row = np.array([r for rows_b in row_of for r in rows_b], dtype=np.int64)
-    score = np.array([s for prefixes in alive for _, s, _ in prefixes], dtype=np.float64)
-    width = np.asarray(widths)[beam]
+    width = width[beam]
     entry, col = np.nonzero(np.arange(most) < np.minimum(2 * width, most)[:, None])
     token = top[row[entry], col]
-    cand_score = score[entry] + rows[row[entry], token]
-    order = np.lexsort((token, prefix[entry], -cand_score, beam[entry]))
-    entry, token, cand_score = entry[order], token[order], cand_score[order]
-    # a beam takes its candidates up to its ``width``-th that does not end
+    value = score[entry] + rows[row[entry], token]
+    order = np.lexsort((token, entry, -value, beam[entry]))
+    entry, token, value = entry[order], token[order], value[order]
     going = token != eos
     before = np.cumsum(going) - going
     first = np.searchsorted(beam[entry], beam[entry], side="left")
-    taken = np.flatnonzero(before - before[first] < width[entry])
-    chosen = entry[taken]
-    grown: list[list[Hypothesis]] = [[] for _ in alive]
-    for b, i, r, tok, value in zip(beam[chosen].tolist(), prefix[chosen].tolist(),
-                                   row[chosen].tolist(), token[taken].tolist(),
-                                   cand_score[taken].tolist()):
-        tokens = alive[b][i][0] + [tok]
-        if tok == eos:
-            finished[b].append((tokens[1:-1], _penalized(value, len(tokens) - 1, alpha)))
-        else:
-            grown[b].append((tokens, value, r))
-    return [beam_b if len(done) < w else [] for beam_b, done, w in zip(grown, finished, widths)]
+    taken = before - before[first] < width[entry]
+    return entry[taken], token[taken], value[taken]
 
 
 def _search(
@@ -164,34 +138,50 @@ def _search(
     to one ``step_fn`` call. Returns, per sentence and width, the best
     finished hypothesis; adds the work to ``stats``, where the hypotheses
     force-finished at the length limit count for the first width only."""
-    owner = [s for s, sentence_widths in enumerate(widths) for _ in sentence_widths]
-    flat_widths = [w for sentence_widths in widths for w in sentence_widths]
-    alive: list[list[Hypothesis]] = [[([bos], 0.0, s)] for s in owner]
-    finished: list[list[tuple[list[int], float]]] = [[] for _ in owner]
-    for t in range(max(max_lens)):
-        # a beam at its sentence's limit is no longer advanced; what it holds
-        # is force-finished below
-        going = [b for b, s in enumerate(owner) if alive[b] and t < max_lens[s]]
-        if not going:
+    owner = np.array([s for s, sentence_widths in enumerate(widths) for _ in sentence_widths])
+    width = np.array([w for sentence_widths in widths for w in sentence_widths])
+    lead = np.r_[True, owner[1:] != owner[:-1]]  # a sentence's first width
+    limit = np.asarray(max_lens)[owner]
+    done = np.zeros(owner.size, dtype=np.int64)  # hypotheses finished per beam
+    # per beam, its hypotheses alive at step ``t``: log-probability, the row
+    # that scored the prefix without its last token (before the first step,
+    # the sentence) and the prefix, ``t + 1`` tokens from <s>
+    beam, score, row = np.arange(owner.size), np.zeros(owner.size), owner
+    tokens = np.full((owner.size, 1), bos, dtype=np.int64)
+    # (beam, penalized score, tokens without <s> and </s>) of the finished
+    finished = []
+    for t in range(max(max_lens) + 1):
+        cut = limit[beam] <= t
+        stats.force_finished += int(np.count_nonzero(lead[beam[cut]]))
+        finished.append((beam[cut], score[cut] / length_penalty(t, alpha), tokens[cut, 1:]))
+        beam, score, row, tokens = beam[~cut], score[~cut], row[~cut], tokens[~cut]
+        if beam.size == 0:
             break
-        # the parent row is distinct per prefix, so (parent, last token) is too
-        row_of: dict[tuple[int, int], int] = {}
-        rows_of_beam = [[row_of.setdefault((parent, tokens[-1]), len(row_of))
-                         for tokens, _, parent in alive[b]] for b in going]
-        rows = step_fn([token for _, token in row_of], [parent for parent, _ in row_of])
-        stats.steps += len({owner[b] for b in going})
-        stats.rows += len(row_of)
-        grown = _extend([alive[b] for b in going], rows, rows_of_beam,
-                        [flat_widths[b] for b in going], alpha, eos, [finished[b] for b in going])
-        for b, beam in zip(going, grown):
-            alive[b] = beam
+        # the parent row is distinct per prefix, so (parent, last token) is
+        # too; rows are numbered in order of first use
+        _, first, key = np.unique(row << 32 | tokens[:, -1], return_index=True,
+                                  return_inverse=True)
+        order = np.argsort(first)
+        rows = step_fn(tokens[first[order], -1].tolist(), row[first[order]].tolist())
+        row = np.argsort(order)[key]
+        stats.steps += np.unique(owner[beam]).size
+        stats.rows += order.size
+        entry, token, value = _extend(beam, score, row, rows, width, eos)
+        ends = token == eos
+        finished.append((beam[entry[ends]], value[ends] / length_penalty(t + 1, alpha),
+                         tokens[entry[ends], 1:]))
+        done += np.bincount(beam[entry[ends]], minlength=owner.size)
+        grows = ~ends & (done[beam[entry]] < width[beam[entry]])
+        entry = entry[grows]
+        beam, score, row = beam[entry], value[grows], row[entry]
+        tokens = np.column_stack((tokens[entry], token[grows]))
+    done_of: list[list[tuple[list[int], float]]] = [[] for _ in owner]
+    for beams, scores, prefixes in finished:
+        for b, value, prefix in zip(beams.tolist(), scores.tolist(), prefixes.tolist()):
+            done_of[b].append((prefix, value))
     results: list[list[tuple[list[int], float]]] = [[] for _ in widths]
-    for s, beam, done in zip(owner, alive, finished):
-        if not results[s]:
-            stats.force_finished += len(beam)
-        done.extend((tokens[1:], _penalized(score, len(tokens) - 1, alpha))
-                    for tokens, score, _ in beam)
-        results[s].append(min(done, key=lambda f: (-f[1], f[0])))
+    for s, done_b in zip(owner.tolist(), done_of):
+        results[s].append(min(done_b, key=lambda f: (-f[1], f[0])))
     return results
 
 
@@ -272,14 +262,9 @@ def _beam_search_group(
     results = _search(_cached_group_step_fn(params, srcs), [widths] * len(srcs),
                       config.length_penalty, [config.max_len(len(src)) for src in srcs],
                       BOS_ID, EOS_ID, stats)
-    hypotheses = []
-    for result in results:
-        best_tokens, best_score = result[0]
-        if len(result) > 1 and result[1][1] > best_score:
-            stats.greedy_won += 1
-            best_tokens = result[1][0]
-        hypotheses.append(best_tokens)
-    return hypotheses
+    won = [len(result) > 1 and result[1][1] > result[0][1] for result in results]
+    stats.greedy_won += sum(won)
+    return [result[1][0] if greedy else result[0][0] for result, greedy in zip(results, won)]
 
 
 def beam_search_many(

@@ -640,26 +640,31 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray
         raise CheckpointError("manifest config hash does not match its own config fields")
 
     blob_file, index_file = path / "tensors.bin", path / "tensors.idx"
-    # parameters and extras each fill one writable buffer, every array a view
-    # into its own, so a caller that drops the extras frees their bytes
+    # parameters and extras each fill one writable buffer, read at once from
+    # the run of the blob that holds them, every array a view into its own,
+    # so a caller that drops the extras frees their bytes
     groups: tuple[list, list] = ([], [])
+    arrays: tuple[dict[str, np.ndarray], dict[str, np.ndarray]] = ({}, {})
     try:
+        blob_size = blob_file.stat().st_size
         for line in index_file.read_text(encoding="utf-8").splitlines():
             name, dtype_str, shape_str, offset_str = line.split("\t")
             shape = tuple(int(s) for s in shape_str.split(",")) if shape_str else ()
-            dtype = np.dtype(dtype_str)
-            groups[not name.startswith(("nmt.", "lm."))].append(
-                (name, dtype, shape, int(offset_str), dtype.itemsize * math.prod(shape)))
-        arrays: tuple[dict[str, np.ndarray], dict[str, np.ndarray]] = ({}, {})
+            dtype, offset = np.dtype(dtype_str), int(offset_str)
+            end = offset + dtype.itemsize * math.prod(shape)
+            if offset < 0 or end > blob_size:
+                raise ValueError(f"{name} lies outside the file")
+            groups[not name.startswith(("nmt.", "lm."))].append((name, dtype, shape, offset, end))
         with open(blob_file, "rb") as fh:
             for entries, out in zip(groups, arrays):
-                view, start = memoryview(bytearray(sum(entry[-1] for entry in entries))), 0
-                for name, dtype, shape, offset, size in entries:
-                    chunk = view[start : start + size]
-                    if offset < 0 or fh.seek(offset) != offset or fh.readinto(chunk) != size:
-                        raise ValueError(f"{name} lies outside the file")
-                    out[name] = np.frombuffer(chunk, dtype).reshape(shape)
-                    start += size
+                start = min((entry[3] for entry in entries), default=0)
+                buffer = bytearray(max((entry[4] for entry in entries), default=start) - start)
+                fh.seek(start)
+                fh.readinto(buffer)
+                for name, dtype, shape, offset, _ in entries:
+                    out[name] = np.frombuffer(buffer, dtype, math.prod(shape), offset - start).reshape(shape)
+    except FileNotFoundError as exc:
+        raise CheckpointError(f"no checkpoint file at {exc.filename}") from exc
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{blob_file} does not hold the tensors {index_file} lists: {exc}") from exc
 

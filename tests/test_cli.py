@@ -401,6 +401,34 @@ class TestCliRuns:
         assert captured.out == ""
         assert not (tmp_path / "w.txt").exists()
 
+    @pytest.mark.parametrize("case", ["preprocess_empty", "preprocess_empty_line",
+                                      "preprocess_blank_lines", "train_empty",
+                                      "train_empty_target_line"])
+    def test_bad_corpus_is_corpus_error_naming_the_file(self, corpus, tmp_path, capsys, case):
+        # every pair is checked before anything is written
+        src, tgt, out = tmp_path / "c.src", tmp_path / "c.tgt", tmp_path / "out"
+        src_text, tgt_text, message = {
+            "preprocess_empty": ("", "", f"no sentence pairs to preprocess in {src}"),
+            "preprocess_empty_line": ("s1 s2\n\ns3\n", "t1 t2\nt4\nt3\n",
+                                      f"empty sentence at line 2 of {src}"),
+            "preprocess_blank_lines": (" \n\n", "t1\nt2\n", f"empty sentence at line 1 of {src}"),
+            "train_empty": ("", "", f"no sentence pairs to train on in {src}"),
+            "train_empty_target_line": ("s1 s2\ns4\ns3\n", "t1 t2\n \nt3\n",
+                                        f"empty sentence at line 2 of {tgt}"),
+        }[case]
+        src.write_text(src_text)
+        tgt.write_text(tgt_text)
+        command = case.split("_")[0]
+        argv = [command, "--src", str(src), "--tgt", str(tgt), "--out-dir", str(out)]
+        if command == "train":
+            argv += ["--data-dir", str(corpus / "data"), *FAST_TRAIN]
+        capsys.readouterr()
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error:corpus: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["translate_out", "preprocess_src"])
     def test_directory_path_is_io_error(self, corpus, tmp_path, capsys, command):
         directory = tmp_path / "a_directory"
@@ -565,7 +593,8 @@ class TestCliRuns:
         assert (data / "bmi.tgt.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
 
     @pytest.mark.parametrize(
-        "damage", ["truncated_tensors", "manifest_without_heads", "manifest_without_step"]
+        "damage", ["truncated_tensors", "manifest_without_heads", "manifest_without_step",
+                   "missing_index", "missing_blob"]
     )
     def test_damaged_checkpoint_is_checkpoint_error(self, corpus, tmp_path, capsys, damage):
         out = tmp_path / "run"
@@ -574,6 +603,9 @@ class TestCliRuns:
         if damage == "truncated_tensors":
             damaged = ckpt / "tensors.bin"
             damaged.write_bytes(damaged.read_bytes()[: damaged.stat().st_size // 2])
+        elif damage.startswith("missing"):
+            damaged = ckpt / ("tensors.idx" if damage == "missing_index" else "tensors.bin")
+            damaged.unlink()
         else:
             damaged = ckpt / "manifest.txt"
             key = "config.heads=" if damage == "manifest_without_heads" else "step="

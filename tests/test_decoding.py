@@ -233,11 +233,30 @@ def _scalar_extend(alive, rows, row_of, width, alpha, eos, finished):
             break
         tokens = alive[i][0] + [tok]
         if tok == eos:
-            finished.append((tokens[1:-1], D._penalized(score, len(tokens) - 1, alpha)))
+            finished.append((tokens[1:-1], score / D.length_penalty(len(tokens) - 1, alpha)))
         else:
             # the continuation carries the row that scored its prefix
             next_alive.append((tokens, score, row_of[i]))
     return next_alive if len(finished) < width else []
+
+
+def _array_extend(alive, rows, row_of, widths, alpha, eos, finished):
+    """``D._extend`` over the beams' hypothesis lists, its taken candidates
+    turned back into the lists ``_scalar_extend`` returns, one per beam."""
+    beam = np.repeat(np.arange(len(alive)), [len(hyps) for hyps in alive])
+    score = np.array([score for hyps in alive for _, score, _ in hyps])
+    row = np.array([r for rows_b in row_of for r in rows_b], dtype=np.int64)
+    prefixes = [tokens for hyps in alive for tokens, _, _ in hyps]
+    entry, token, value = D._extend(beam, score, row, rows, np.asarray(widths), eos)
+    grown = [[] for _ in alive]
+    for h, tok, value in zip(entry.tolist(), token.tolist(), value.tolist()):
+        tokens = prefixes[h] + [tok]
+        if tok == eos:
+            finished[beam[h]].append((tokens[1:-1],
+                                      value / D.length_penalty(len(tokens) - 1, alpha)))
+        else:
+            grown[beam[h]].append((tokens, value, int(row[h])))
+    return [hyps if len(done) < w else [] for hyps, done, w in zip(grown, finished, widths)]
 
 
 def test_extend_matches_scalar_reference():
@@ -261,13 +280,78 @@ def test_extend_matches_scalar_reference():
         for beam in alive:
             row_of.append(list(range(start, start + len(beam))))
             start += len(beam)
-        got = D._extend(alive, rows, row_of, widths, 0.6, EOS_ID, finished)
+        got = _array_extend(alive, rows, row_of, widths, 0.6, EOS_ID, finished)
         for b, width in enumerate(widths):
             expected_finished = []
             expected = _scalar_extend(alive[b], rows, row_of[b], width, 0.6, EOS_ID,
                                       expected_finished)
             assert got[b] == expected, (trial, b)
             assert finished[b] == expected_finished, (trial, b)
+
+
+def _scalar_search(row_of_prefix, widths, alpha, max_lens):
+    """``D._search`` one sentence at a time, each width searched on its own
+    with ``_scalar_extend``; the rows of a step are the distinct prefixes of
+    the sentence's searches still going, counted as ``D.DecodeStats`` counts
+    them."""
+    stats = D.DecodeStats()
+    results = []
+    for s, (sentence_widths, max_len) in enumerate(zip(widths, max_lens)):
+        alive = [[([BOS_ID], 0.0, None)] for _ in sentence_widths]
+        finished = [[] for _ in sentence_widths]
+        for _ in range(max_len):
+            going = [k for k, hyps in enumerate(alive) if hyps]
+            if not going:
+                break
+            prefixes = list(dict.fromkeys(tuple(tokens) for k in going
+                                          for tokens, _, _ in alive[k]))
+            rows = np.stack([row_of_prefix(s, prefix) for prefix in prefixes])
+            stats.steps += 1
+            stats.rows += len(prefixes)
+            for k in going:
+                row_of = [prefixes.index(tuple(tokens)) for tokens, _, _ in alive[k]]
+                alive[k] = _scalar_extend(alive[k], rows, row_of, sentence_widths[k], alpha,
+                                          EOS_ID, finished[k])
+        stats.force_finished += len(alive[0])
+        results.append([
+            min(done + [(tokens[1:], score / D.length_penalty(len(tokens) - 1, alpha))
+                        for tokens, score, _ in hyps], key=lambda f: (-f[1], f[0]))
+            for hyps, done in zip(alive, finished)
+        ])
+    return results, stats
+
+
+def test_search_matches_scalar_search():
+    # rows drawn from a few log-probabilities, so scores often tie, and looked
+    # up by (sentence, prefix); the sentences have different length limits
+    levels = np.log([0.05, 0.1, 0.2, 0.25])
+
+    def row_of_prefix(s, prefix):
+        row = np.random.default_rng([s, *prefix]).choice(levels, size=7)
+        row[[PAD_ID, BOS_ID]] = -np.inf
+        return row
+
+    forced = ended = 0
+    for seed, width in itertools.product(range(8), (1, 2, 4)):
+        max_lens = np.random.default_rng(seed).integers(1, 7, size=6).tolist()
+        widths = [(width, 1)] * len(max_lens)
+        held = [(s, ()) for s in range(len(max_lens))]
+
+        def step(tokens, parents):
+            nonlocal held
+            held = [(held[p][0], held[p][1] + (tok,)) for tok, p in zip(tokens, parents)]
+            return np.stack([row_of_prefix(s, prefix) for s, prefix in held])
+
+        stats = D.DecodeStats()
+        results = D._search(step, widths, 0.6, max_lens, BOS_ID, EOS_ID, stats)
+        expected, expected_stats = _scalar_search(row_of_prefix, widths, 0.6, max_lens)
+        assert results == expected, (seed, width)
+        assert stats == expected_stats, (seed, width)
+        forced += stats.force_finished
+        ended += sum(len(tokens) < max_len
+                     for result, max_len in zip(results, max_lens) for tokens, _ in result)
+    # the cases hold hypotheses cut at the limit and hypotheses that ended
+    assert forced > 0 and ended > 0
 
 
 def test_search_work_counts():

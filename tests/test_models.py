@@ -1,4 +1,5 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -264,6 +265,55 @@ class TestCheckpoint:
         for name, arr in loaded_extras.items():
             np.testing.assert_array_equal(arr, extras[name])
             assert arr.flags.writeable
+
+    def test_blob_is_read_in_two_reads_in_either_index_order(self, tmp_path, tiny_config,
+                                                             monkeypatch):
+        # older checkpoints list (and lay out) their entries sorted by name;
+        # either way the parameters and the extras are each read at once
+        params = init_params(tiny_config, seed=21, dtype=np.float32)
+        extras = {"opt.nmt.t": np.array([17.0]), "opt.nmt.m.nmt.out.w": np.ones((16, VOCAB))}
+        M.save_checkpoint(tmp_path / "ckpt", params, step=17, extra_arrays=extras)
+        shutil.copytree(tmp_path / "ckpt", tmp_path / "sorted")
+        entries = sorted(line.split("\t") for line in
+                         (tmp_path / "ckpt" / "tensors.idx").read_text().splitlines())
+        blob, old_blob, lines = bytearray(), (tmp_path / "ckpt" / "tensors.bin").read_bytes(), []
+        for name, dtype, shape, offset in entries:
+            size = np.dtype(dtype).itemsize * math.prod(int(n) for n in shape.split(",") if n)
+            lines.append(f"{name}\t{dtype}\t{shape}\t{len(blob)}")
+            blob += old_blob[int(offset) : int(offset) + size]
+        (tmp_path / "sorted" / "tensors.bin").write_bytes(blob)
+        (tmp_path / "sorted" / "tensors.idx").write_text("\n".join(lines) + "\n")
+        assert blob != old_blob
+
+        reads = []
+
+        class CountedReads:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def seek(self, offset):
+                return self.fh.seek(offset)
+
+            def readinto(self, buffer):
+                reads.append(len(buffer))
+                return self.fh.readinto(buffer)
+
+        monkeypatch.setattr(M, "open", lambda *a: CountedReads(open(*a)), raising=False)
+        for layout in ("ckpt", "sorted"):
+            reads.clear()
+            loaded, loaded_extras, _ = M.load_checkpoint(tmp_path / layout)
+            assert reads == [sum(t.data.nbytes for t in params.tensors.values()),
+                             sum(a.nbytes for a in extras.values())], layout
+            for name in params.tensors:
+                np.testing.assert_array_equal(loaded.tensors[name].data, params.tensors[name].data)
+            for name, arr in loaded_extras.items():
+                np.testing.assert_array_equal(arr, extras[name])
 
     def test_manifest_is_sorted_key_value_text(self, tmp_path, tiny_config):
         params = init_params(tiny_config, seed=1)
