@@ -27,10 +27,12 @@ from .corpus import (
     EOS_ID,
     Vocabulary,
     build_vocabularies,
+    encode_pairs,
     load_parallel_corpus,
     make_batches,
     read_aligned_lines,
     read_lines,
+    read_parallel_tokens,
     tokenize,
 )
 from .decoding import BeamConfig, DecodeStats, analyze_cbmi, beam_search_many, bleu, write_analysis
@@ -200,8 +202,7 @@ def _coerce(key: str, raw: str, target_type: type):
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Flat key=value text; blank lines and '#' comments ignored."""
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path, ConfigError), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -362,14 +363,14 @@ def _target_frequency_table(pairs, vocab_size: int) -> FrequencyTable:
 
 def cmd_preprocess(args) -> int:
     config = _effective_config(args)
-    src_lines, tgt_lines = read_aligned_lines(args.src, args.tgt)
-    if not src_lines:
+    # every pair is checked before anything is written
+    src_tokens, tgt_tokens = read_parallel_tokens(args.src, args.tgt, config.max_len)
+    if not src_tokens:
         raise CorpusError(f"no sentence pairs to preprocess in {args.src}")
     src_vocab, tgt_vocab = build_vocabularies(
-        src_lines, tgt_lines, min_count=config.min_count, share=config.share_vocab
+        src_tokens, tgt_tokens, min_count=config.min_count, share=config.share_vocab
     )
-    # every pair is checked before anything is written
-    pairs = load_parallel_corpus(args.src, args.tgt, src_vocab, tgt_vocab, config.max_len)
+    pairs = encode_pairs(src_tokens, tgt_tokens, src_vocab, tgt_vocab)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     src_vocab.save(out_dir / "vocab.src.txt")
@@ -451,7 +452,7 @@ def cmd_translate(args) -> int:
     for lineno, line in enumerate(read_lines(args.src), 1):
         tokens = tokenize(line)
         if not tokens:
-            raise CorpusError(f"empty source sentence at line {lineno}")
+            raise CorpusError(f"empty source sentence at line {lineno} of {args.src}")
         sources.append(src_vocab.encode(tokens))
     stats = DecodeStats()
     outputs = [" ".join(tgt_vocab.decode(hyp_ids))

@@ -9,6 +9,7 @@ subword tokenizer) can slot in behind the same ``Vocabulary`` interface.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -54,14 +55,14 @@ class Vocabulary:
             raise CorpusError(f"duplicate token {duplicate!r} in vocabulary")
 
     @classmethod
-    def build(cls, lines: Iterable[str], min_count: int = 1) -> "Vocabulary":
+    def build(cls, sentences: Iterable[Sequence[str]], min_count: int = 1) -> "Vocabulary":
+        """The vocabulary of tokenized sentences."""
         counter: Counter[str] = Counter()
-        n_lines = 0
-        for line in lines:
-            n_lines += 1
-            counter.update(tokenize(line))
-        # lines without tokens are left to the corpus reader, which names them
-        if n_lines == 0:
+        n_sentences = 0
+        for tokens in sentences:
+            n_sentences += 1
+            counter.update(tokens)
+        if n_sentences == 0:
             raise CorpusError("cannot build a vocabulary from an empty corpus")
         kept = sorted(
             (tok for tok, c in counter.items() if c >= min_count),
@@ -100,17 +101,16 @@ class Vocabulary:
     def load(cls, path: str | Path) -> "Vocabulary":
         tokens: list[str] = []
         counts: list[int] = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                tok, _, count = line.rstrip("\n").partition("\t")
-                try:
-                    counts.append(int(count))
-                except ValueError:
-                    raise CorpusError(
-                        f"vocabulary file {path} line {lineno}: expected <token><tab><count>, "
-                        f"got {line.rstrip()!r}"
-                    ) from None
-                tokens.append(tok)
+        for lineno, line in enumerate(read_lines(path), start=1):
+            tok, _, count = line.partition("\t")
+            try:
+                counts.append(int(count))
+            except ValueError:
+                raise CorpusError(
+                    f"vocabulary file {path} line {lineno}: expected <token><tab><count>, "
+                    f"got {line.rstrip()!r}"
+                ) from None
+            tokens.append(tok)
         if tokens[: len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
             raise CorpusError(f"vocabulary file {path} is missing reserved tokens")
         try:
@@ -128,17 +128,17 @@ class Vocabulary:
 
 
 def build_vocabularies(
-    src_lines: Sequence[str],
-    tgt_lines: Sequence[str],
+    src_sentences: Sequence[Sequence[str]],
+    tgt_sentences: Sequence[Sequence[str]],
     min_count: int = 1,
     share: bool = False,
 ) -> tuple[Vocabulary, Vocabulary]:
-    """Build source/target vocabularies; with ``share`` both sides use one
-    vocabulary built over the concatenated corpus."""
+    """Build source/target vocabularies from tokenized sentences; with
+    ``share`` both sides use one vocabulary built over the concatenated corpus."""
     if share:
-        shared = Vocabulary.build(list(src_lines) + list(tgt_lines), min_count)
+        shared = Vocabulary.build(list(src_sentences) + list(tgt_sentences), min_count)
         return shared, shared
-    return Vocabulary.build(src_lines, min_count), Vocabulary.build(tgt_lines, min_count)
+    return Vocabulary.build(src_sentences, min_count), Vocabulary.build(tgt_sentences, min_count)
 
 
 @dataclass
@@ -157,13 +157,13 @@ class SentencePair:
         return max(len(self.src), len(self.tgt))
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 text file; a file that is not UTF-8 is a
-    ``CorpusError`` naming it."""
+def read_lines(path: str | Path, error: type[Exception] = CorpusError) -> list[str]:
+    """The lines of a UTF-8 text file; a file that is not UTF-8 is an
+    ``error`` naming it, of the category of what the file holds."""
     try:
         return Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path} is not UTF-8 text: {exc}") from exc
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def read_aligned_lines(first: str | Path, second: str | Path) -> tuple[list[str], list[str]]:
@@ -177,6 +177,31 @@ def read_aligned_lines(first: str | Path, second: str | Path) -> tuple[list[str]
     return first_lines, second_lines
 
 
+def read_parallel_tokens(src_path: str | Path, tgt_path: str | Path, max_len: int = 0):
+    """The tokenized lines of two aligned one-sentence-per-line files, as a
+    list per side, every pair checked before this returns.
+
+    ``max_len`` > 0 rejects pairs whose raw side exceeds it; empty lines and
+    line-count mismatches are errors naming the offending file and line.
+    """
+    src_lines, tgt_lines = read_aligned_lines(src_path, tgt_path)
+    # interned, the tokens of all lines share one string per type
+    src_tokens = [list(map(sys.intern, tokenize(line))) for line in src_lines]
+    tgt_tokens = [list(map(sys.intern, tokenize(line))) for line in tgt_lines]
+    for i, (s_toks, t_toks) in enumerate(zip(src_tokens, tgt_tokens), start=1):
+        if not s_toks or not t_toks:
+            raise CorpusError(f"empty sentence at line {i} of {tgt_path if s_toks else src_path}")
+        if max_len and (len(s_toks) > max_len or len(t_toks) > max_len):
+            longer = src_path if len(s_toks) > max_len else tgt_path
+            raise CorpusError(f"sentence at line {i} of {longer} exceeds max length {max_len}")
+    return src_tokens, tgt_tokens
+
+
+def encode_pairs(src_tokens, tgt_tokens, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> list[SentencePair]:
+    """The pairs of the token lists of ``read_parallel_tokens``, encoded."""
+    return [SentencePair(src_vocab.encode(s), tgt_vocab.encode(t)) for s, t in zip(src_tokens, tgt_tokens)]
+
+
 def load_parallel_corpus(
     src_path: str | Path,
     tgt_path: str | Path,
@@ -184,22 +209,9 @@ def load_parallel_corpus(
     tgt_vocab: Vocabulary,
     max_len: int = 0,
 ) -> list[SentencePair]:
-    """Read two aligned one-sentence-per-line files into encoded pairs.
-
-    ``max_len`` > 0 rejects pairs whose raw side exceeds it; empty lines and
-    line-count mismatches are errors naming the offending file and line.
-    """
-    src_lines, tgt_lines = read_aligned_lines(src_path, tgt_path)
-    pairs = []
-    for i, (s, t) in enumerate(zip(src_lines, tgt_lines), start=1):
-        s_toks, t_toks = tokenize(s), tokenize(t)
-        if not s_toks or not t_toks:
-            raise CorpusError(f"empty sentence at line {i} of {tgt_path if s_toks else src_path}")
-        if max_len and (len(s_toks) > max_len or len(t_toks) > max_len):
-            longer = src_path if len(s_toks) > max_len else tgt_path
-            raise CorpusError(f"sentence at line {i} of {longer} exceeds max length {max_len}")
-        pairs.append(SentencePair(src_vocab.encode(s_toks), tgt_vocab.encode(t_toks)))
-    return pairs
+    """Read two aligned one-sentence-per-line files into encoded pairs,
+    checked as ``read_parallel_tokens`` checks them."""
+    return encode_pairs(*read_parallel_tokens(src_path, tgt_path, max_len), src_vocab, tgt_vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -382,25 +394,24 @@ class BmiTable:
     def load(cls, path: str | Path) -> "BmiTable":
         header_lines = []
         values = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if line.startswith("#"):
-                    header_lines.append(line.rstrip("\n"))
-                    continue
-                idx, _, val = line.rstrip("\n").partition("\t")
-                try:
-                    idx, value = int(idx), float(val)
-                except ValueError:
-                    raise CorpusError(
-                        f"bmi table {path} line {lineno}: expected <id><tab><value>, "
-                        f"got {line.rstrip()!r}"
-                    ) from None
-                if idx != len(values):
-                    raise CorpusError(
-                        f"bmi table {path} line {lineno}: non-contiguous id {idx}, "
-                        f"expected {len(values)}"
-                    )
-                values.append(value)
+        for lineno, line in enumerate(read_lines(path), start=1):
+            if line.startswith("#"):
+                header_lines.append(line)
+                continue
+            idx, _, val = line.partition("\t")
+            try:
+                idx, value = int(idx), float(val)
+            except ValueError:
+                raise CorpusError(
+                    f"bmi table {path} line {lineno}: expected <id><tab><value>, "
+                    f"got {line.rstrip()!r}"
+                ) from None
+            if idx != len(values):
+                raise CorpusError(
+                    f"bmi table {path} line {lineno}: non-contiguous id {idx}, "
+                    f"expected {len(values)}"
+                )
+            values.append(value)
         return cls(np.asarray(values, dtype=np.float64), "\n".join(header_lines) or BMI_HEADER)
 
 

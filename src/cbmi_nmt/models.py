@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .corpus import PAD_ID
+from .corpus import PAD_ID, read_lines
 from .tensor import Tensor
 
 NEG_INF = -1e9
@@ -610,7 +610,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray
     if not manifest_file.exists():
         raise CheckpointError(f"no checkpoint manifest at {manifest_file}")
     meta: dict[str, str] = {}
-    for line in manifest_file.read_text(encoding="utf-8").splitlines():
+    for line in read_lines(manifest_file, CheckpointError):
         if not line.strip():
             continue
         key, _, value = line.partition("=")

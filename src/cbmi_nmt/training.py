@@ -18,6 +18,7 @@ import json
 import os
 import threading
 import time
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -411,55 +412,10 @@ def _overlap_lm(cfg: TrainConfig, model: M.ModelConfig) -> bool:
     )
 
 
-class _LmThread(threading.Thread):
-    """Runs ``lm_pass`` on its own thread, so that the LM's whole step
-    overlaps the NMT pass on the caller's. The two passes touch disjoint
-    parameters, Adam states and dropout streams, and each thread records on
-    its own tape, so the numbers are those of running them one after the
-    other. numpy's matmul, ufuncs and ``Generator.random`` release the GIL,
-    so the passes run in parallel on two cores.
-
-    numpy's floating-point error state (``np.errstate``) belongs to a
-    thread and a new thread does not inherit it. Nothing sets it today;
-    whatever sets it later must set it inside ``run`` as well."""
-
-    def __init__(self, state: TrainerState, batch: SentencePairBatch, cfg: TrainConfig,
-                 step: int, lr: float):
-        super().__init__(name=f"lm-pass-{step}", daemon=True)
-        self._args = (state, batch, cfg, step, lr)
-        self._forward_done = threading.Event()
-        self._log_probs: np.ndarray | None = None
-        self.loss: float | None = None
-        self.error: BaseException | None = None
-        self.seconds = 0.0
-        self.waited = 0.0
-
-    def run(self) -> None:
-        started = time.perf_counter()
-        try:
-            self.loss = lm_pass(*self._args, publish=self._publish)
-        except BaseException as exc:  # noqa: BLE001 - re-raised on the caller's thread
-            self.error = exc
-        finally:
-            self.seconds = time.perf_counter() - started
-            self._forward_done.set()
-
-    def _publish(self, log_probs: np.ndarray) -> None:
-        self._log_probs = log_probs
-        self._forward_done.set()
-
-    def log_probs(self) -> np.ndarray:
-        """The LM's log-probs once its forward is done; raises the LM pass's
-        error if it failed before that."""
-        started = time.perf_counter()
-        self._forward_done.wait()
-        self.waited += time.perf_counter() - started
-        # the caller holds the only reference from here on, so the array
-        # can be freed as soon as the caller is done with it
-        log_probs, self._log_probs = self._log_probs, None
-        if log_probs is None:  # ``run`` has ended with an error
-            raise self.error
-        return log_probs
+def _timed(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the wall seconds the call took."""
+    started = time.perf_counter()
+    return fn(*args, **kwargs), time.perf_counter() - started
 
 
 def train_step(
@@ -475,16 +431,24 @@ def train_step(
     ``lm_pass``. The NMT's weights are gradient-opaque functions of both
     models' log-probs; the NMT trains on weighted CE, the LM on plain CE.
 
-    The LM pass runs on a thread of its own, overlapping the NMT pass, when
-    ``_overlap_lm`` says it pays; otherwise it runs first on this thread.
-    Both orders give the same numbers.
+    The LM pass runs on a worker thread, overlapping the NMT pass, when
+    ``_overlap_lm`` says it pays; otherwise it runs first on this thread and
+    its result fills an already-completed future. Either way the NMT pass
+    takes the LM's log-probs from one slot, and the numbers are the same:
+    the passes touch disjoint parameters, Adam states and dropout streams,
+    and each thread records on its own tape. numpy's matmul, ufuncs and
+    ``Generator.random`` release the GIL, so overlapped passes use two cores.
+
+    numpy's floating-point error state (``np.errstate``) belongs to a
+    thread, and the worker does not inherit it. Nothing sets it today;
+    whatever sets it later must set it inside ``lm_pass`` as well.
 
     Phase 1 (steps <= phase1_steps) forces unit weights; the LM trains in
     both phases whenever the configured scheme needs it, and never sees the
     weighting scheme itself.
 
     Failures end as they would with the LM pass run first: an error of the
-    LM pass wins over one of the NMT pass, and the LM thread has ended
+    LM pass wins over one of the NMT pass, and the LM worker has ended
     whenever this returns or raises. Run serially, a failing LM pass stops
     the step before the NMT pass starts; overlapped, the NMT pass may
     already have updated the NMT's parameters.
@@ -493,31 +457,42 @@ def train_step(
     lr = lr_schedule(step, cfg.base_lr, cfg.warmup_steps)
     started = time.perf_counter()
 
-    lm: _LmThread | None = None
-    lm_loss = lm_seconds = None
-    lm_log_probs: Callable[[], np.ndarray | None] = lambda: None
+    # the NMT pass empties the slot; as a future's result, the LM's [B, T, V]
+    # log-probs would stay alive through the NMT backward and Adam
+    slot: list[np.ndarray | None] = []
+    published: Future = Future()
+    waited = 0.0
+
+    def publish(log_probs: np.ndarray | None) -> None:
+        slot.append(log_probs)
+        published.set_result(None)
+
+    def lm_log_probs() -> np.ndarray | None:
+        nonlocal waited
+        _, waited = _timed(wait, (published, lm), return_when=FIRST_COMPLETED)
+        if not slot:  # the LM pass failed before it published
+            raise lm.exception()
+        return slot.pop()
+
+    worker = None
     if _overlap_lm(cfg, state.params.config):
-        lm = _LmThread(state, batch, cfg, step, lr)
-        lm.start()
-        lm_log_probs = lm.log_probs
-    elif cfg.scheme.needs_lm:
-        published: list[np.ndarray] = []
-        lm_loss = lm_pass(state, batch, cfg, step, lr, published.append)
-        lm_seconds = time.perf_counter() - started
-        lm_log_probs = published.pop
+        worker = ThreadPoolExecutor(1, thread_name_prefix=f"lm-pass-{step}")
+        lm = worker.submit(_timed, lm_pass, state, batch, cfg, step, lr, publish)
+    else:
+        lm = Future()
+        if cfg.scheme.needs_lm:
+            lm.set_result(_timed(lm_pass, state, batch, cfg, step, lr, publish))
+        else:
+            publish(None)
+            lm.set_result((None, None))
     try:
-        nmt_started = time.perf_counter()
-        loss_value, weights, cbmi_batch = nmt_pass(
-            state, batch, cfg, step, lr, lm_log_probs, freq_table, bmi_table
+        (loss_value, weights, cbmi_batch), nmt_seconds = _timed(
+            nmt_pass, state, batch, cfg, step, lr, lm_log_probs, freq_table, bmi_table
         )
-        nmt_seconds = time.perf_counter() - nmt_started - (0.0 if lm is None else lm.waited)
     finally:
-        if lm is not None:
-            lm.join()
-            if lm.error is not None:
-                raise lm.error
-    if lm is not None:
-        lm_loss, lm_seconds = lm.loss, lm.seconds
+        if worker is not None:
+            worker.shutdown()
+        lm_loss, lm_seconds = lm.result()
 
     if dump_sink is not None and cbmi_batch is not None:
         for line in W.weight_dump_lines(step, cbmi_batch, batch.tgt_mask, batch.tgt_out):
@@ -527,7 +502,7 @@ def train_step(
     elapsed = time.perf_counter() - started
     metrics.tokens_per_sec = (batch.n_tokens / elapsed) if elapsed > 0 else 0.0
     metrics.lm_s = lm_seconds
-    metrics.nmt_s = nmt_seconds
+    metrics.nmt_s = nmt_seconds - waited
     return metrics
 
 

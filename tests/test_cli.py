@@ -490,6 +490,46 @@ class TestCliRuns:
             assert err.startswith(f"error:corpus: {bad} is not UTF-8 text:"), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("damaged, category", [
+        ("config", "config"), ("vocab.tgt.txt", "corpus"), ("bmi.tgt.txt", "corpus"),
+        ("manifest.txt", "checkpoint"),
+    ])
+    def test_text_that_is_not_utf8_names_the_file(self, corpus, tmp_path, capsys, damaged,
+                                                  category):
+        data, run_dir, out = tmp_path / "data", tmp_path / "run", tmp_path / "out"
+        shutil.copytree(corpus / "data", data)
+        train = ["train", "--src", str(corpus / "train.src"), "--tgt", str(corpus / "train.tgt"),
+                 "--data-dir", str(data), "--out-dir", str(out), *FAST_TRAIN]
+        if damaged == "config":
+            bad = tmp_path / "run.cfg"
+            argv = [*train, "--config", str(bad)]
+        elif damaged == "manifest.txt":
+            assert run(train_args(corpus, run_dir, "--seed", "5")) == 0
+            bad = run_dir / "checkpoint_final" / damaged
+            argv = ["translate", "--checkpoint", str(bad.parent), "--src", str(corpus / "train.src"),
+                    "--out", str(out), "--data-dir", str(data)]
+        else:
+            bad = data / damaged
+            argv = [*train, "--scheme", "bmi"]
+        bad.write_bytes((bad.read_bytes() if bad.exists() else b"seed=5\n") + b"\xff\n")
+        capsys.readouterr()
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error:{category}: {bad} is not UTF-8 text:"), captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
+
+    def test_translate_empty_source_line_names_the_file(self, corpus, tmp_path, capsys):
+        run_dir, src, out = tmp_path / "run", tmp_path / "src.txt", tmp_path / "hyp.txt"
+        assert run(train_args(corpus, run_dir, "--seed", "5")) == 0
+        src.write_text("s1 s2\n \ns3\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["translate", "--checkpoint", str(run_dir / "checkpoint_final"), "--src", str(src),
+                    "--out", str(out), "--data-dir", str(corpus / "data")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error:corpus: empty source sentence at line 2 of {src}\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("out", ["a_directory", "missing/hyp.txt", "hyp.txt"])
     def test_translate_checks_out_before_decoding(self, corpus, tmp_path, capsys, monkeypatch, out):
         run_dir = tmp_path / "run"

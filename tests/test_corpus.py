@@ -24,20 +24,20 @@ from conftest import scalar_bmi_values
 
 class TestVocabulary:
     def test_ordering_count_desc_then_lexicographic(self):
-        vocab = Vocabulary.build(["a a b"], min_count=1)
+        vocab = Vocabulary.build([["a", "a", "b"]], min_count=1)
         assert vocab.encode(["a"]) == [4]
         assert vocab.encode(["b"]) == [5]
 
     def test_min_count_threshold_maps_to_unk(self):
-        vocab = Vocabulary.build(["a a b"], min_count=2)
+        vocab = Vocabulary.build([["a", "a", "b"]], min_count=2)
         assert vocab.encode(["b"]) == [UNK_ID]
         assert vocab.encode(["a"]) == [4]
 
     def test_deterministic_files_byte_for_byte(self, tmp_path):
-        lines = ["c a b b", "a c c d"]
+        sentences = [["c", "a", "b", "b"], ["a", "c", "c", "d"]]
         p1, p2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
-        Vocabulary.build(lines, 1).save(p1)
-        Vocabulary.build(lines, 1).save(p2)
+        Vocabulary.build(sentences, 1).save(p1)
+        Vocabulary.build(sentences, 1).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_corpus_raises(self):
@@ -45,12 +45,12 @@ class TestVocabulary:
             Vocabulary.build([], 1)
 
     def test_bijection_roundtrip(self):
-        vocab = Vocabulary.build(["x y z z"], 1)
+        vocab = Vocabulary.build([["x", "y", "z", "z"]], 1)
         for i in range(len(vocab)):
             assert vocab.encode([vocab.token(i)]) == [i]
 
     def test_save_load_roundtrip(self, tmp_path):
-        vocab = Vocabulary.build(["a a b c"], min_count=2)
+        vocab = Vocabulary.build([["a", "a", "b", "c"]], min_count=2)
         path = tmp_path / "v.txt"
         vocab.save(path)
         loaded = Vocabulary.load(path)
@@ -58,7 +58,7 @@ class TestVocabulary:
         assert loaded.encode(["a", "b"]) == vocab.encode(["a", "b"])
 
     def test_reserved_ids_fixed(self):
-        vocab = Vocabulary.build(["a"], 1)
+        vocab = Vocabulary.build([["a"]], 1)
         assert vocab.decode([PAD_ID, BOS_ID, EOS_ID, UNK_ID]) == [
             "<pad>",
             "<s>",
@@ -67,7 +67,7 @@ class TestVocabulary:
         ]
 
     def test_shared_vocabulary(self):
-        src, tgt = C.build_vocabularies(["a b"], ["b c"], share=True)
+        src, tgt = C.build_vocabularies([["a", "b"]], [["b", "c"]], share=True)
         assert src is tgt
         assert src.encode(["a", "b", "c"]) != [UNK_ID] * 3
 
@@ -286,20 +286,20 @@ class TestCorpusLoading:
     def test_load_and_mismatch_errors(self, tmp_path):
         (tmp_path / "s.txt").write_text("a b\nc\n")
         (tmp_path / "t.txt").write_text("x y\n")
-        vocab = Vocabulary.build(["a b c x y"], 1)
+        vocab = Vocabulary.build([["a", "b", "c", "x", "y"]], 1)
         with pytest.raises(CorpusError, match="mismatch"):
             C.load_parallel_corpus(tmp_path / "s.txt", tmp_path / "t.txt", vocab, vocab)
 
     def test_empty_line_names_line(self, tmp_path):
         (tmp_path / "s.txt").write_text("a\n\n")
         (tmp_path / "t.txt").write_text("x\ny\n")
-        vocab = Vocabulary.build(["a x y"], 1)
+        vocab = Vocabulary.build([["a", "x", "y"]], 1)
         with pytest.raises(CorpusError, match="line 2"):
             C.load_parallel_corpus(tmp_path / "s.txt", tmp_path / "t.txt", vocab, vocab)
 
     def test_max_len_enforced(self, tmp_path):
         (tmp_path / "s.txt").write_text("a a a a\n")
         (tmp_path / "t.txt").write_text("x\n")
-        vocab = Vocabulary.build(["a x"], 1)
+        vocab = Vocabulary.build([["a", "x"]], 1)
         with pytest.raises(CorpusError, match="max length"):
             C.load_parallel_corpus(tmp_path / "s.txt", tmp_path / "t.txt", vocab, vocab, max_len=3)

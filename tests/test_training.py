@@ -1,5 +1,6 @@
 import json
 import threading
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,7 +10,9 @@ import pytest
 from cbmi_nmt import tensor as T
 from cbmi_nmt import training
 from cbmi_nmt.corpus import FrequencyTable, SentencePair, make_batches
-from cbmi_nmt.models import CheckpointError, ModelConfig, init_params, lm_forward, load_checkpoint
+from cbmi_nmt.models import (
+    CheckpointError, ModelConfig, init_params, lm_forward, load_checkpoint, nmt_forward,
+)
 from cbmi_nmt.tensor import Tensor
 from cbmi_nmt.training import (
     AdamState,
@@ -468,6 +471,52 @@ class TestLmOverlap:
         assert "LM pass failed" in str(info.value)
         assert threading.active_count() == threads
         assert trainer.state.step == 0
+
+
+class TestLmLogProbsRelease:
+    """The NMT pass holds the LM's [B, T, V] log-probs only while it weights
+    the batch: they are freed before its loss is checked, so they do not
+    stay alive through the NMT backward and Adam."""
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("kind", ["cbmi", "lm_prior", "prior_select"])
+    def test_freed_before_nmt_loss_check(self, monkeypatch, tmp_path, kind, overlap):
+        finite_value = training._finite_value
+        lm_outputs, freed = [], []
+        lm_ended = threading.Event()
+
+        def recorded_lm_forward(*args, **kwargs):
+            out = lm_forward(*args, **kwargs)
+            lm_outputs.append(weakref.ref(out.data))
+            return out
+
+        def signalling_lm_pass(*args, **kwargs):
+            try:
+                return lm_pass(*args, **kwargs)
+            finally:
+                lm_ended.set()
+
+        def nmt_forward_after_lm_pass(*args, **kwargs):
+            # overlapped, this makes the LM pass's own reference end first
+            assert lm_ended.wait(timeout=30)
+            lm_ended.clear()
+            return nmt_forward(*args, **kwargs)
+
+        def checked_finite_value(loss, model, step):
+            if model == "NMT":
+                freed.append(lm_outputs[-1]() is None)
+            return finite_value(loss, model, step)
+
+        monkeypatch.setattr(training, "_overlap_lm", lambda cfg, model: overlap)
+        monkeypatch.setattr(training, "lm_forward", recorded_lm_forward)
+        monkeypatch.setattr(training, "lm_pass", signalling_lm_pass)
+        monkeypatch.setattr(training, "nmt_forward", nmt_forward_after_lm_pass)
+        monkeypatch.setattr(training, "_finite_value", checked_finite_value)
+        cfg = tiny_train_config(scheme=WeightScheme(kind), phase1_steps=1, phase2_steps=2)
+        trainer = Trainer(cfg, tiny_model_config(), toy_pairs(), tmp_path / "run")
+        for step in range(1, cfg.total_steps + 1):
+            train_step(trainer.state, trainer.batch_for_step(step), cfg, step)
+        assert freed == [True] * cfg.total_steps
 
 
 class TestGradientEquivalence:
