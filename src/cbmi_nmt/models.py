@@ -266,7 +266,7 @@ class _KV:
 
 
 def _linear(x2d: Tensor, p: dict[str, Tensor], w: str, b: str) -> Tensor:
-    return T.add(T.matmul(x2d, p[w]), p[b])
+    return T.linear(x2d, p[w], p[b])
 
 
 def _split_heads(x2d: Tensor, batch: int, length: int, heads: int, head_dim: int) -> Tensor:
@@ -305,12 +305,8 @@ def _attention(
         k, v = _keys_values(p, prefix, kv_in, heads)
         if cache is not None:
             k, v = cache.store(k, v)
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
-    if mask_add is not None:
-        scores = T.add(scores, mask_add)
-    attn = T.softmax(scores)
-    attn = _maybe_dropout(attn, config.dropout_attention, training, rng)
-    ctx = T.matmul(attn, v)
+    rate = config.dropout_attention if training else 0.0
+    ctx = T.attention(q, k, v, mask_add, 1.0 / math.sqrt(head_dim), rate, rng)
     ctx2d = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (batch * t_q, d))
     out = _linear(ctx2d, p, f"{prefix}.wo", f"{prefix}.bo")
     return T.reshape(out, (batch, t_q, d))
@@ -326,8 +322,8 @@ def _feed_forward(p, prefix: str, x: Tensor, config: ModelConfig, training: bool
 
 def _residual_norm(p, ln_prefix: str, x: Tensor, sublayer: Tensor, config, training, rng) -> Tensor:
     # PostNorm: normalize after the residual add
-    added = T.add(x, _maybe_dropout(sublayer, config.dropout_residual, training, rng))
-    return T.layer_norm(added, p[f"{ln_prefix}.g"], p[f"{ln_prefix}.b"])
+    rate = config.dropout_residual if training else 0.0
+    return T.residual_norm(x, sublayer, p[f"{ln_prefix}.g"], p[f"{ln_prefix}.b"], rate, rng)
 
 
 def _embed_positions(
@@ -640,21 +636,31 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray
         raise CheckpointError("manifest config hash does not match its own config fields")
 
     blob_file, index_file = path / "tensors.bin", path / "tensors.idx"
+    blob_error = f"{blob_file} does not hold the tensors {index_file} lists"
+    try:
+        index = read_lines(index_file, CheckpointError)
+        blob_size = blob_file.stat().st_size
+    except FileNotFoundError as exc:
+        raise CheckpointError(f"no checkpoint file at {exc.filename}") from exc
     # parameters and extras each fill one writable buffer, read at once from
     # the run of the blob that holds them, every array a view into its own,
     # so a caller that drops the extras frees their bytes
     groups: tuple[list, list] = ([], [])
     arrays: tuple[dict[str, np.ndarray], dict[str, np.ndarray]] = ({}, {})
-    try:
-        blob_size = blob_file.stat().st_size
-        for line in index_file.read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(index, 1):
+        try:
             name, dtype_str, shape_str, offset_str = line.split("\t")
             shape = tuple(int(s) for s in shape_str.split(",")) if shape_str else ()
             dtype, offset = np.dtype(dtype_str), int(offset_str)
-            end = offset + dtype.itemsize * math.prod(shape)
-            if offset < 0 or end > blob_size:
-                raise ValueError(f"{name} lies outside the file")
-            groups[not name.startswith(("nmt.", "lm."))].append((name, dtype, shape, offset, end))
+            if offset < 0 or min(shape, default=0) < 0:
+                raise ValueError("negative offset or dimension")
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"line {number} of {index_file} is malformed: {exc}") from exc
+        end = offset + dtype.itemsize * math.prod(shape)
+        if end > blob_size:
+            raise CheckpointError(f"{blob_error}: {name} lies outside the file")
+        groups[not name.startswith(("nmt.", "lm."))].append((name, dtype, shape, offset, end))
+    try:
         with open(blob_file, "rb") as fh:
             for entries, out in zip(groups, arrays):
                 start = min((entry[3] for entry in entries), default=0)
@@ -663,10 +669,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray
                 fh.readinto(buffer)
                 for name, dtype, shape, offset, _ in entries:
                     out[name] = np.frombuffer(buffer, dtype, math.prod(shape), offset - start).reshape(shape)
-    except FileNotFoundError as exc:
-        raise CheckpointError(f"no checkpoint file at {exc.filename}") from exc
     except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"{blob_file} does not hold the tensors {index_file} lists: {exc}") from exc
+        raise CheckpointError(f"{blob_error}: {exc}") from exc
 
     tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays[0].items()}
     return ModelParams(config=config, tensors=tensors), arrays[1], meta

@@ -10,18 +10,32 @@ topological order: every operand of a node was created before the node.
 accumulates gradients into the ``grad`` field of leaf tensors that were
 created with ``requires_grad=True``.
 
-Tensors are treated as immutable values after construction (the optimizer
-rebinds ``data`` rather than writing into shared arrays), so a tensor may
-hold a view into a shared buffer: ``models.load_checkpoint`` returns every
-parameter as a view into one buffer, and every Adam moment as a view into
-another. Each thread has at most one active tape, and that tape records
-only the operations run on its own thread, so two threads can each run a
-forward and backward pass at once as long as they share no tensor that
-either updates.
+Tensors are treated as immutable values after construction, so a tensor
+may hold a view into a shared buffer: ``models.load_checkpoint`` returns
+every parameter as a view into one buffer. The optimizer rebinds a
+parameter's ``data`` rather than writing into it; only the Adam moments,
+which the trainer owns (it copies them out of a checkpoint), are updated in
+place. The ops follow one rule: they work in place only on arrays they
+allocated themselves. An op never writes into an input's ``data``, and a
+backward function never writes into its incoming gradient, because ``add``
+and ``residual_norm`` hand one gradient array to two parents.
+
+Besides the primitives, three fused ops each record one node for a whole
+layer piece: ``linear`` (``x @ w + b``), ``attention`` (scores, scale,
+mask, softmax, attention dropout and context) and ``residual_norm``
+(dropout, residual add and ``layer_norm``). Each runs the numpy
+expressions of the primitives it replaces in the same order, so its output
+and gradients are bit-for-bit those of the composition.
+
+Each thread has at most one active tape, and that tape records only the
+operations run on its own thread, so two threads can each run a forward and
+backward pass at once as long as they share no tensor that either updates.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 import threading
 from typing import Callable, Sequence
 
@@ -256,10 +270,25 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     return _record(out, (weight,), grad_fn)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a [rows, in] ``x``, as one node."""
+    if x.data.ndim != 2:
+        raise ValueError("linear expects a [rows, features] input")
+    out = np.matmul(x.data, w.data)
+    out += b.data
+
+    def grad_fn(g):
+        return np.matmul(g, w.data.T), np.matmul(x.data.T, g), g.sum(axis=0)
+
+    return _record(Tensor(out), (x, w, b), grad_fn)
+
+
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    out = Tensor(np.where(mask, a.data, 0))
-    return _record(out, (a,), lambda g: (g * mask,))
+    # fmax maps NaN to 0, and adding +0 maps -0 to +0: the bits of
+    # np.where(a > 0, a, 0) without its data-dependent branch
+    out = np.fmax(a.data, 0)
+    out += 0
+    return _record(Tensor(out), (a,), lambda g: (g * (a.data > 0),))
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -267,15 +296,49 @@ def sum_all(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (np.broadcast_to(g, a.data.shape).astype(a.data.dtype),))
 
 
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _keep(shape: tuple[int, ...], dtype, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """The inverted-dropout multiplier ``(u >= rate) / (1 - rate)`` for the
+    uniforms ``u = rng.random(shape, dtype)``, leaving ``rng`` in the state
+    that draw leaves it in.
+
+    A PCG64 ``random`` of float32 turns each 32-bit half of a raw word, low
+    half first, into ``(half >> 8) * 2**-24``, and a float64 draw turns a
+    raw word into ``(word >> 11) * 2**-53`` and ignores a buffered half. So
+    ``u >= rate`` is a threshold on the raw bits, read without building the
+    floats. A float32 draw of an odd size, or one after a draw that left
+    half a word buffered, falls back to ``rng.random``, and so does any
+    other bit generator.
+    """
+    n = math.prod(shape)
+    bitgen = rng.bit_generator
+    mask = None
+    if _LITTLE_ENDIAN and type(bitgen) is np.random.PCG64:
+        if dtype == np.float64:
+            mask = bitgen.random_raw(n) >= math.ceil(rate * 2**53) << 11
+        elif n and n % 2 == 0 and not bitgen.state["has_uint32"]:
+            raw = bitgen.random_raw(n // 2)
+            mask = raw.view(np.uint32) >= math.ceil(float(np.float32(rate)) * 2**24) << 8
+            # a float32 draw leaves the high half of its last word behind,
+            # already used, in the state
+            state = bitgen.state
+            state["uinteger"] = int(raw[-1] >> 32)
+            bitgen.state = state
+    if mask is None:
+        mask = rng.random(shape, dtype=dtype) >= rate
+    keep = mask.reshape(shape).astype(dtype)
+    keep /= np.asarray(1.0 - rate, dtype=dtype)
+    return keep
+
+
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when rate is 0. ``rng`` draws are part of
     the run's deterministic stream, so call order matters."""
     if rate <= 0.0:
         return a
-    draw_dtype = a.data.dtype if a.data.dtype == np.float32 else np.float64
-    keep = (rng.random(a.data.shape, dtype=draw_dtype) >= rate).astype(a.data.dtype)
-    keep /= np.asarray(1.0 - rate, dtype=a.data.dtype)
-    return mul(a, keep)
+    return mul(a, _keep(a.data.shape, a.data.dtype, rate, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -291,36 +354,110 @@ def _check_finite_rows(x: np.ndarray, op: str) -> None:
     raise ValueError(f"{op}: non-finite input at row {row}")
 
 
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of ``x``, computed in ``x``'s own storage."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
+def _softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out * (g - sum(g * out))`` over the last axis, computed in ``g``'s
+    storage: callers pass a gradient they allocated."""
+    g -= (g * out).sum(axis=-1, keepdims=True)
+    g *= out
+    return g
+
+
 def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, stabilized by max-subtraction."""
     _check_finite_rows(a.data, "softmax")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=-1, keepdims=True)
-    out = Tensor(out_data)
-
-    def grad_fn(g):
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        return (out_data * (g - inner),)
-
-    return _record(out, (a,), grad_fn)
+    out_data = _softmax_rows(a.data.copy())
+    return _record(Tensor(out_data), (a,), lambda g: (_softmax_grad(g.copy(), out_data),))
 
 
 def log_softmax(a: Tensor) -> Tensor:
     _check_finite_rows(a.data, "log_softmax")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_data = shifted - lse
+    out_data = a.data - a.data.max(axis=-1, keepdims=True)
+    out_data -= np.log(np.exp(out_data).sum(axis=-1, keepdims=True))
     out = Tensor(out_data)
 
     def grad_fn(g):
         probs = np.exp(out_data)
-        return (g - probs * g.sum(axis=-1, keepdims=True),)
+        probs *= g.sum(axis=-1, keepdims=True)
+        return (np.subtract(g, probs, out=probs),)
 
     return _record(out, (a,), grad_fn)
 
 
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, mask_add: np.ndarray | None, scale: float, rate: float,
+    rng: np.random.Generator | None,
+) -> Tensor:
+    """Scaled dot-product attention over [..., positions, head_dim] queries,
+    keys and values, as one node: ``dropout(softmax(q @ k^T * scale +
+    mask_add)) @ v``. ``mask_add`` is an additive constant (or None) that
+    broadcasts to the scores; a ``rate`` of 0 draws no dropout mask."""
+    dtype = q.data.dtype
+    scale_c = _const(scale, dtype)
+    attn = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    attn *= scale_c
+    if mask_add is not None:
+        attn += _const(mask_add, dtype)
+    _check_finite_rows(attn, "softmax")
+    _softmax_rows(attn)
+    keep = _keep(attn.shape, dtype, rate, rng) if rate > 0.0 else None
+    dropped = attn * keep if keep is not None else attn
+    out = Tensor(np.matmul(dropped, v.data))
+
+    def grad_fn(g):
+        gattn = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gv = np.matmul(np.swapaxes(dropped, -1, -2), g)
+        if keep is not None:
+            gattn *= keep
+        gscores = _softmax_grad(gattn, attn)
+        gscores *= scale_c
+        gq = np.matmul(gscores, k.data)
+        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gscores), -1, -2)
+        return gq, gk, gv
+
+    return _record(out, (q, k, v), grad_fn)
+
+
 LAYER_NORM_EPS = 1e-5
+
+
+def _check_norm_params(dim: int, gain: Tensor, bias: Tensor) -> None:
+    if gain.data.shape != (dim,) or bias.data.shape != (dim,):
+        raise ValueError("layer_norm gain/bias must match the last axis")
+
+
+def _normalize(centered: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
+    """Layer norm of rows whose mean is already subtracted (``centered``,
+    which it keeps). Returns the output and a function of its incoming
+    gradient that returns the gradients of the input, gain and bias."""
+    dim = centered.shape[-1]
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=centered.dtype))
+    xhat = centered * inv_std
+    out = xhat * gain.data
+    out += bias.data
+
+    def backward(g):
+        gx = g * gain.data
+        # d/dx of (x - mu) / sqrt(var + eps), var and mu both row statistics
+        gvar = (gx * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv_std**3
+        gx *= inv_std
+        gmu = -gx.sum(axis=-1, keepdims=True) + gvar * (-2.0) * centered.mean(axis=-1, keepdims=True)
+        gvar_x = gvar * 2.0 * centered
+        gvar_x /= dim
+        gx += gvar_x
+        gx += gmu / dim
+        reduce_axes = tuple(range(g.ndim - 1))
+        return gx, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
+
+    return out, backward
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
@@ -329,30 +466,33 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     Uses population variance with ``eps`` inside the square root, so a
     constant row maps to zeros (then ``bias``) instead of dividing by zero.
     """
-    dim = x.data.shape[-1]
-    if gain.data.shape != (dim,) or bias.data.shape != (dim,):
-        raise ValueError("layer_norm gain/bias must match the last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    xhat = centered * inv_std
-    out = Tensor(xhat * gain.data + bias.data)
+    _check_norm_params(x.data.shape[-1], gain, bias)
+    out, backward = _normalize(x.data - x.data.mean(axis=-1, keepdims=True), gain, bias, eps)
+    return _record(Tensor(out), (x, gain, bias), backward)
+
+
+def residual_norm(
+    x: Tensor, sub: Tensor, gain: Tensor, bias: Tensor, rate: float,
+    rng: np.random.Generator | None, eps: float = LAYER_NORM_EPS,
+) -> Tensor:
+    """The post-norm residual ``layer_norm(x + dropout(sub))`` as one node;
+    a ``rate`` of 0 draws no dropout mask."""
+    _check_norm_params(x.data.shape[-1], gain, bias)
+    if rate > 0.0:
+        keep = _keep(sub.data.shape, sub.data.dtype, rate, rng)
+        added = sub.data * keep
+        added += x.data
+    else:
+        keep = None
+        added = x.data + sub.data
+    added -= added.mean(axis=-1, keepdims=True)
+    out, backward = _normalize(added, gain, bias, eps)
 
     def grad_fn(g):
-        gxhat = g * gain.data
-        # d/dx of (x - mu) / sqrt(var + eps), var and mu both row statistics
-        gvar = (gxhat * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv_std**3
-        gmu = -(gxhat * inv_std).sum(axis=-1, keepdims=True) + gvar * (-2.0) * centered.mean(
-            axis=-1, keepdims=True
-        )
-        gx = gxhat * inv_std + gvar * 2.0 * centered / dim + gmu / dim
-        reduce_axes = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=reduce_axes)
-        gbias = g.sum(axis=reduce_axes)
-        return gx, ggain, gbias
+        gx, ggain, gbias = backward(g)
+        return gx, (gx * keep if keep is not None else gx), ggain, gbias
 
-    return _record(out, (x, gain, bias), grad_fn)
+    return _record(Tensor(out), (x, sub, gain, bias), grad_fn)
 
 
 def weighted_cross_entropy(

@@ -124,17 +124,30 @@ def clip_gradients(tensors: dict[str, Tensor], max_norm: float) -> float:
 
 def adam_update(tensors: dict[str, Tensor], state: AdamState, lr: float) -> None:
     """Standard bias-corrected Adam step over every parameter with a gradient
-    (missing gradients count as zero so the moments stay synchronized)."""
+    (missing gradients count as zero so the moments stay synchronized).
+
+    The moments are updated in place; each parameter's ``data`` is rebound
+    to a new array, since it may be a view into a loaded checkpoint."""
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
     for name, p in tensors.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m, v = state.m[name], state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        g2 = g * g
+        g2 *= 1.0 - state.beta2
+        v += g2
+        # p - lr * m_hat / (sqrt(v_hat) + eps), in the temporaries
+        step = m / bc1
+        step *= lr
+        denom = np.divide(v, bc2, out=g2)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p.data = p.data - step
 
 
 @dataclass

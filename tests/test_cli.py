@@ -634,7 +634,7 @@ class TestCliRuns:
 
     @pytest.mark.parametrize(
         "damage", ["truncated_tensors", "manifest_without_heads", "manifest_without_step",
-                   "missing_index", "missing_blob"]
+                   "missing_index", "missing_blob", "index_not_utf8", "index_malformed_line"]
     )
     def test_damaged_checkpoint_is_checkpoint_error(self, corpus, tmp_path, capsys, damage):
         out = tmp_path / "run"
@@ -646,6 +646,10 @@ class TestCliRuns:
         elif damage.startswith("missing"):
             damaged = ckpt / ("tensors.idx" if damage == "missing_index" else "tensors.bin")
             damaged.unlink()
+        elif damage.startswith("index"):
+            damaged = ckpt / "tensors.idx"
+            with open(damaged, "ab") as fh:
+                fh.write(b"\xff\n" if damage == "index_not_utf8" else b"junk\n")
         else:
             damaged = ckpt / "manifest.txt"
             key = "config.heads=" if damage == "manifest_without_heads" else "step="
@@ -664,6 +668,12 @@ class TestCliRuns:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:checkpoint:") and str(damaged) in err
+        if damage.startswith("index"):
+            # the index is at fault, not the blob it describes
+            assert "tensors.bin" not in err, err
+        if damage == "index_malformed_line":
+            lines = damaged.read_text(encoding="utf-8").splitlines()
+            assert f"line {len(lines)} of {damaged}" in err, err
 
 
 def test_every_scheme_reachable_from_flags(corpus, tmp_path):

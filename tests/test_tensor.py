@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -361,3 +362,242 @@ class TestFiniteDifferences:
             rng,
             samples_per_tensor=16,
         )
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def _run_bits(build, arrays, dtype, cotangent):
+    """The raw bits of ``build``'s output and of the gradient of every input
+    under the loss ``sum(out * cotangent)``."""
+    leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = build(*leaves)
+        tape.backward(T.sum_all(T.mul(out, cotangent.astype(dtype))))
+    return [_bits(out.data)] + [_bits(t.grad) for t in leaves]
+
+
+B, TQ, TK, HEADS, HEAD_DIM = 2, 4, 6, 3, 8
+D = HEADS * HEAD_DIM
+
+
+def _split(x2d: Tensor, length: int) -> Tensor:
+    # the model's head split: a transposed view of the projection's rows
+    return T.transpose(T.reshape(x2d, (B, length, HEADS, HEAD_DIM)), (0, 2, 1, 3))
+
+
+def _attention_mask() -> np.ndarray:
+    mask = np.zeros((B, 1, TQ, TK))
+    mask[0, :, :, 4:] = -1e9
+    mask[1] = np.triu(np.full((TQ, TK), -1e9), k=3)
+    return mask
+
+
+class TestFusedOpsMatchPrimitives:
+    """Each fused op gives the bits of the primitive ops it replaces, in its
+    output and in every gradient."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear(self, rng, dtype):
+        arrays = [rng.normal(size=(7, 5)), rng.normal(size=(5, 3)), rng.normal(size=3)]
+        cot = rng.normal(size=(7, 3))
+        fused = _run_bits(T.linear, arrays, dtype, cot)
+        prim = _run_bits(lambda x, w, b: T.add(T.matmul(x, w), b), arrays, dtype, cot)
+        assert fused == prim
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_attention(self, rng, dtype, masked, rate):
+        arrays = [rng.normal(size=(B * TQ, D)), rng.normal(size=(B * TK, D)),
+                  rng.normal(size=(B * TK, D))]
+        cot = rng.normal(size=(B, HEADS, TQ, HEAD_DIM))
+        mask = _attention_mask().astype(dtype) if masked else None
+        scale = 1.0 / math.sqrt(HEAD_DIM)
+
+        def fused(q, k, v):
+            drop_rng = np.random.default_rng(5)
+            return T.attention(_split(q, TQ), _split(k, TK), _split(v, TK), mask, scale, rate,
+                               drop_rng)
+
+        def primitives(q, k, v):
+            drop_rng = np.random.default_rng(5)
+            q, k, v = _split(q, TQ), _split(k, TK), _split(v, TK)
+            scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
+            if mask is not None:
+                scores = T.add(scores, mask)
+            attn = T.dropout(T.softmax(scores), rate, drop_rng)
+            return T.matmul(attn, v)
+
+        assert _run_bits(fused, arrays, dtype, cot) == _run_bits(primitives, arrays, dtype, cot)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_residual_norm(self, rng, dtype, rate):
+        arrays = [rng.normal(size=(2, 5, 8)), rng.normal(size=(2, 5, 8)),
+                  rng.normal(size=8), rng.normal(size=8)]
+        cot = rng.normal(size=(2, 5, 8))
+
+        def fused(x, sub, gain, bias):
+            return T.residual_norm(x, sub, gain, bias, rate, np.random.default_rng(5))
+
+        def primitives(x, sub, gain, bias):
+            dropped = T.dropout(sub, rate, np.random.default_rng(5))
+            return T.layer_norm(T.add(x, dropped), gain, bias)
+
+        assert _run_bits(fused, arrays, dtype, cot) == _run_bits(primitives, arrays, dtype, cot)
+
+    def test_fused_ops_record_one_node(self, rng):
+        x = Tensor(rng.normal(size=(B * TQ, D)), requires_grad=True)
+        g, b = Tensor(np.ones(D), requires_grad=True), Tensor(np.zeros(D), requires_grad=True)
+        with Tape() as tape:
+            q = _split(x, TQ)
+            n = len(tape.nodes)
+            T.attention(q, q, q, _attention_mask()[:, :, :, :TQ], 0.5, 0.1, rng)
+            T.linear(x, Tensor(np.ones((D, 2)), requires_grad=True), Tensor(np.zeros(2)))
+            T.residual_norm(x, x, g, b, 0.1, rng)
+            assert len(tape.nodes) == n + 3
+
+
+class TestFusedFiniteDifferences:
+    def test_linear(self, rng):
+        c = rng.normal(size=(6, 3))
+        fd_check(
+            lambda x, w, b: T.sum_all(T.mul(T.linear(x, w, b), c)),
+            [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)],
+            rng,
+        )
+
+    def test_attention(self, rng):
+        c = rng.normal(size=(B, HEADS, TQ, HEAD_DIM))
+        mask = _attention_mask()
+
+        def loss(q, k, v):
+            out = T.attention(_split(q, TQ), _split(k, TK), _split(v, TK), mask,
+                              1.0 / math.sqrt(HEAD_DIM), 0.2, np.random.default_rng(5))
+            return T.sum_all(T.mul(out, c))
+
+        fd_check(
+            loss,
+            [rng.normal(size=(B * TQ, D)), rng.normal(size=(B * TK, D)),
+             rng.normal(size=(B * TK, D))],
+            rng,
+            samples_per_tensor=16,
+        )
+
+    def test_residual_norm(self, rng):
+        c = rng.normal(size=(3, 4, 8))
+        fd_check(
+            lambda x, sub, g, b: T.sum_all(
+                T.mul(T.residual_norm(x, sub, g, b, 0.3, np.random.default_rng(5)), c)
+            ),
+            [rng.normal(size=(3, 4, 8)), rng.normal(size=(3, 4, 8)), rng.normal(size=8),
+             rng.normal(size=8)],
+            rng,
+            samples_per_tensor=12,
+        )
+
+
+def _generator(kind: str) -> np.random.Generator:
+    if kind == "philox":
+        return np.random.Generator(np.random.Philox(11))
+    rng = np.random.default_rng(11)
+    if kind == "pcg64_buffered":
+        rng.random(1, dtype=np.float32)  # leaves the high half of a word buffered
+        assert rng.bit_generator.state["has_uint32"]
+    return rng
+
+
+def _state(rng: np.random.Generator) -> str:
+    # Philox keeps numpy arrays in its state
+    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
+
+
+class TestDropoutDraws:
+    """``dropout`` keeps exactly the elements where ``rng.random(shape,
+    dtype) >= rate`` and leaves the generator as that draw leaves it."""
+
+    @staticmethod
+    def check(kind: str, shape, dtype, rate: float) -> np.ndarray:
+        rng, ref = _generator(kind), _generator(kind)
+        out = T.dropout(Tensor(np.ones(shape, dtype=dtype)), rate, rng).data
+        keep = (ref.random(shape, dtype=dtype) >= rate).astype(dtype)
+        keep /= np.asarray(1.0 - rate, dtype=dtype)
+        assert _bits(out) == _bits(keep)
+        assert _state(rng) == _state(ref)
+        assert _bits(rng.random(3, dtype=dtype)) == _bits(ref.random(3, dtype=dtype))
+        return out
+
+    @pytest.mark.parametrize("kind", ["pcg64", "pcg64_buffered", "philox"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 6), (33, 64)])
+    @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9, 1e-7, 0.999999])
+    def test_mask_is_the_uniform_draw(self, kind, dtype, shape, rate):
+        self.check(kind, shape, dtype, rate)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rate_on_a_drawn_value(self, dtype):
+        # a uniform equal to the rate is kept; one just below the rate is not
+        drawn = float(_generator("pcg64").random((8, 8), dtype=dtype)[2, 3])
+        assert self.check("pcg64", (8, 8), dtype, drawn)[2, 3] != 0
+        above = float(np.nextafter(dtype(drawn), dtype(1.0)))
+        assert self.check("pcg64", (8, 8), dtype, above)[2, 3] == 0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_is_where_bitwise(self, dtype):
+        info = np.finfo(dtype)
+        special = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -1.5,
+                            info.smallest_subnormal, -info.smallest_subnormal, info.max, -info.max],
+                           dtype=dtype)
+        # every value at every position of arrays of many sizes: numpy's
+        # vector loops and their scalar tails order the operands differently
+        for n in range(1, 2 * special.size + 9):
+            for shift in range(special.size):
+                a = np.resize(np.roll(special, shift), n)
+                assert _bits(T.relu(Tensor(a)).data) == _bits(np.where(a > 0, a, 0).astype(dtype))
+
+
+class TestInPlaceKeepsExpressions:
+    """The ops that work in their own temporaries give the bits of the plain
+    numpy expressions, evaluated in the same order."""
+
+    @staticmethod
+    def grads(op, x, cot):
+        xs = Tensor(x.copy(), requires_grad=True)
+        with Tape() as tape:
+            out = op(xs)
+            tape.backward(T.sum_all(T.mul(out, cot)))
+        return out.data, xs.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_and_log_softmax(self, rng, dtype):
+        x, g = rng.normal(size=(2, 5, 7)).astype(dtype), rng.normal(size=(2, 5, 7)).astype(dtype)
+        shifted = x - x.max(axis=-1, keepdims=True)
+        exp = np.exp(shifted)
+        probs = exp / exp.sum(axis=-1, keepdims=True)
+        out, grad = self.grads(T.softmax, x, g)
+        assert _bits(out) == _bits(probs)
+        assert _bits(grad) == _bits(probs * (g - (g * probs).sum(axis=-1, keepdims=True)))
+
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        out, grad = self.grads(T.log_softmax, x, g)
+        assert _bits(out) == _bits(logp)
+        assert _bits(grad) == _bits(g - np.exp(logp) * g.sum(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm(self, rng, dtype):
+        x, g = rng.normal(size=(3, 4, 8)).astype(dtype), rng.normal(size=(3, 4, 8)).astype(dtype)
+        gain, bias = rng.normal(size=8).astype(dtype), rng.normal(size=8).astype(dtype)
+        centered = x - x.mean(axis=-1, keepdims=True)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + np.asarray(T.LAYER_NORM_EPS, dtype=dtype))
+        gxhat = g * gain
+        gvar = (gxhat * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv_std**3
+        gmu = -(gxhat * inv_std).sum(axis=-1, keepdims=True) + gvar * (-2.0) * centered.mean(
+            axis=-1, keepdims=True
+        )
+        want = gxhat * inv_std + gvar * 2.0 * centered / 8 + gmu / 8
+        out, grad = self.grads(lambda t: T.layer_norm(t, Tensor(gain), Tensor(bias)), x, g)
+        assert _bits(out) == _bits(centered * inv_std * gain + bias)
+        assert _bits(grad) == _bits(want)

@@ -120,6 +120,24 @@ class TestAdam:
         (p1, m1, v1), (p2, m2, v2) = run(), run()
         assert (p1 == p2).all() and (m1 == m2).all() and (v1 == v2).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_moments_keep_the_expressions(self, dtype):
+        # the moments are updated in place: the bits of the plain expressions
+        rng = np.random.default_rng(4)
+        p = Tensor(rng.normal(size=(3, 5)).astype(dtype), requires_grad=True)
+        state = AdamState.for_params({"p": p})
+        want, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
+        for t in range(1, 4):
+            g = rng.normal(size=(3, 5)).astype(dtype)
+            p.grad = g
+            adam_update({"p": p}, state, lr=0.01)
+            m = state.beta1 * m + (1.0 - state.beta1) * g
+            v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+            m_hat, v_hat = m / (1.0 - state.beta1**t), v / (1.0 - state.beta2**t)
+            want = want - 0.01 * m_hat / (np.sqrt(v_hat) + state.eps)
+            assert state.m["p"].tobytes() == m.tobytes() and state.v["p"].tobytes() == v.tobytes()
+            assert p.data.dtype == dtype and p.data.tobytes() == want.tobytes()
+
     def test_clip_gradients(self):
         p = Tensor(np.zeros(4), requires_grad=True)
         p.grad = np.full(4, 3.0)
