@@ -669,7 +669,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray
                 fh.readinto(buffer)
                 for name, dtype, shape, offset, _ in entries:
                     out[name] = np.frombuffer(buffer, dtype, math.prod(shape), offset - start).reshape(shape)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CheckpointError(f"{blob_error}: {exc}") from exc
 
     tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays[0].items()}

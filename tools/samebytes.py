@@ -11,13 +11,16 @@ generated corpus. Every output file is compared with ``cmp``; the script
 prints which files match and which differ, and exits 0 only if every file
 matches.
 
-The pipeline: ``preprocess``; ``train`` of every scheme in fp32 and in fp64,
-checkpointing at step 2 of 4 and resuming from that checkpoint into a new
+The pipeline: ``preprocess --min-count 2``, so both sides hold ``<unk>``;
+``train`` of every scheme in fp32 and in fp64 (the desk preset at a
+512-token budget, which the LM pass overlaps at), checkpointing at step 2
+of 4, then a copy of the run resumed from that checkpoint in its own
 directory (``prior_select`` with thresholds that reach all three of its
-regimes, ``cbmi`` with a weight dump); ``translate`` at beams 1 and 4,
-``score``, ``analyze-cbmi`` and ``dump-weights`` on the ``cbmi`` checkpoint
-of each precision. ``timing.log`` holds wall-clock times and is not
-compared.
+regimes, ``cbmi`` with a weight dump); ``translate`` at beams 1, 2 and 4 of
+a 150-sentence file (three decode groups; after so few steps every
+sentence is force-finished), ``score``, ``analyze-cbmi`` and
+``dump-weights`` on the ``cbmi`` checkpoint of each precision. ``timing.log`` holds wall-clock
+times and is not compared.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -40,21 +44,21 @@ NOT_COMPARED = {"timing.log"}
 
 
 def write_corpus(out: Path, seed: int = 5) -> None:
-    """A 300-pair substitution corpus (30 words a side, lengths 3-12, one
-    word in ten replaced at random) and a 40-line held-out set."""
+    """A 300-pair substitution corpus (Zipf-like words, 200 a side, lengths
+    3-12, one word in ten replaced at random) and a 150-line held-out set."""
     rng = np.random.default_rng(seed)
     out.mkdir(parents=True)
 
     def pairs(n: int) -> tuple[list[str], list[str]]:
         src, tgt = [], []
         for _ in range(n):
-            words = rng.zipf(1.3, rng.integers(3, 13)) % 30
-            noisy = np.where(rng.random(words.size) < 0.1, rng.integers(0, 30, words.size), words)
+            words = rng.zipf(1.3, rng.integers(3, 13)) % 200
+            noisy = np.where(rng.random(words.size) < 0.1, rng.integers(0, 200, words.size), words)
             src.append(" ".join(f"s{w}" for w in words))
             tgt.append(" ".join(f"t{w}" for w in noisy))
         return src, tgt
 
-    for name, n in (("train", 300), ("test", 40)):
+    for name, n in (("train", 300), ("test", 150)):
         src, tgt = pairs(n)
         (out / f"{name}.src").write_text("\n".join(src) + "\n", encoding="utf-8")
         (out / f"{name}.tgt").write_text("\n".join(tgt) + "\n", encoding="utf-8")
@@ -80,25 +84,30 @@ def pipeline(corpus: str, out: str) -> None:
         if code != 0:
             raise SystemExit(f"{' '.join(map(str, args))} exited {code}")
 
-    cli("preprocess", "--src", c / "train.src", "--tgt", c / "train.tgt", "--out-dir", data)
+    cli("preprocess", "--src", c / "train.src", "--tgt", c / "train.tgt", "--out-dir", data,
+        "--min-count", "2")
     common = ["--src", c / "train.src", "--tgt", c / "train.tgt", "--data-dir", data,
-              "--token-budget", "512", "--phase1-steps", "1", "--seed", "3"]
+              "--token-budget", "512", "--phase1-steps", "1", "--phase2-steps", "3",
+              "--checkpoint-every", "2", "--seed", "3"]
     for precision in ("fp32", "fp64"):
         for scheme in SCHEME_KINDS:
-            run_dir = o / f"{scheme}_{precision}"
-            extra = ["--th1", "-0.5", "--th2", "0.5"] if scheme == "prior_select" else []
-            if scheme == "cbmi":
-                extra = ["--dump-weights", run_dir / "weights.tsv"]
-            args = [*common, "--scheme", scheme, "--precision", precision, *extra]
-            cli("train", *args, "--phase2-steps", "3", "--checkpoint-every", "2",
-                "--out-dir", run_dir / "full")
-            cli("train", *args, "--phase2-steps", "3", "--checkpoint-every", "2",
-                "--resume", run_dir / "full" / "checkpoint_step2", "--out-dir", run_dir / "resumed")
-        ckpt = o / f"cbmi_{precision}" / "full" / "checkpoint_final"
+            full, resumed = o / f"{scheme}_{precision}", o / f"{scheme}_{precision}_resumed"
+            args = [*common, "--scheme", scheme, "--precision", precision]
+            if scheme == "prior_select":
+                args += ["--th1", "-0.5", "--th2", "0.5"]
+
+            def train(out: Path, *more) -> None:
+                dump = ["--dump-weights", out / "weights.tsv"] if scheme == "cbmi" else []
+                cli("train", *args, *dump, *more, "--out-dir", out)
+
+            train(full)
+            shutil.copytree(full, resumed)
+            train(resumed, "--resume", resumed / "checkpoint_step2")
+        ckpt = o / f"cbmi_{precision}" / "checkpoint_final"
         ev = o / f"eval_{precision}"
         ev.mkdir()
         test = ["--src", c / "test.src", "--data-dir", data, "--checkpoint", ckpt]
-        for beam in ("1", "4"):
+        for beam in ("1", "2", "4"):
             hyp = ev / f"hyp_beam{beam}.txt"
             cli("translate", *test, "--beam", beam, "--out", hyp)
             cli("score", "--hyp", hyp, "--ref", c / "test.tgt", "--out", ev / f"bleu_beam{beam}.txt")
