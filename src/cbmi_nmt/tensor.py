@@ -428,16 +428,13 @@ def attention(
 LAYER_NORM_EPS = 1e-5
 
 
-def _check_norm_params(dim: int, gain: Tensor, bias: Tensor) -> None:
-    if gain.data.shape != (dim,) or bias.data.shape != (dim,):
-        raise ValueError("layer_norm gain/bias must match the last axis")
-
-
 def _normalize(centered: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
     """Layer norm of rows whose mean is already subtracted (``centered``,
     which it keeps). Returns the output and a function of its incoming
     gradient that returns the gradients of the input, gain and bias."""
     dim = centered.shape[-1]
+    if gain.data.shape != (dim,) or bias.data.shape != (dim,):
+        raise ValueError("layer_norm gain/bias must match the last axis")
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=centered.dtype))
     xhat = centered * inv_std
@@ -466,7 +463,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     Uses population variance with ``eps`` inside the square root, so a
     constant row maps to zeros (then ``bias``) instead of dividing by zero.
     """
-    _check_norm_params(x.data.shape[-1], gain, bias)
     out, backward = _normalize(x.data - x.data.mean(axis=-1, keepdims=True), gain, bias, eps)
     return _record(Tensor(out), (x, gain, bias), backward)
 
@@ -477,7 +473,6 @@ def residual_norm(
 ) -> Tensor:
     """The post-norm residual ``layer_norm(x + dropout(sub))`` as one node;
     a ``rate`` of 0 draws no dropout mask."""
-    _check_norm_params(x.data.shape[-1], gain, bias)
     if rate > 0.0:
         keep = _keep(sub.data.shape, sub.data.dtype, rate, rng)
         added = sub.data * keep
