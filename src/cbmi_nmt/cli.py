@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, make_dataclass, replace
@@ -74,9 +75,9 @@ ATTR_TO_KEY = {v: k for k, v in KEY_TO_ATTR.items()}
 _COMPONENTS = [
     (CbmiConfig, ()),
     (BaselineConfig, ()),
-    (ModelConfig, ("vocab_size_src", "vocab_size_tgt", "max_len")),
+    (ModelConfig, ("vocab_size_src", "vocab_size_tgt")),
     (TrainConfig, ("scheme",)),
-    (BeamConfig, ("max_len_offset",)),
+    (BeamConfig, ()),
 ]
 # the fields of each component that are keys
 _KEYS_OF = {
@@ -97,6 +98,7 @@ class _FullConfigBase:
     max_len: int = 128
     precision: str = "fp32"
     min_count: int = 1
+    share_vocab: bool = False
     bins: int = 10
 
     # (train, beam, model) configs built by ``validate``; not a field
@@ -107,6 +109,11 @@ class _FullConfigBase:
         components, whose ``__post_init__`` holds its range checks. The
         components are kept: the accessors below return them, so a config
         is not to be changed once validated."""
+        for f in fields(self):  # a NaN would pass or misreport the range checks
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ConfigError(f"invalid value for {ATTR_TO_KEY.get(f.name, f.name)}: "
+                                  "must not be NaN")
         checks = [
             (self.scheme in SCHEME_KINDS, "scheme", f"must be one of {SCHEME_KINDS}"),
             (self.profile in PROFILES, "profile", f"must be one of {tuple(PROFILES)}"),
@@ -125,8 +132,7 @@ class _FullConfigBase:
             self._components = (
                 self._matching(TrainConfig, scheme=scheme),
                 self._matching(BeamConfig),
-                self._matching(ModelConfig, vocab_size_src=1, vocab_size_tgt=1,
-                               max_len=max(self.max_len + 2, 16)),
+                self._matching(ModelConfig, vocab_size_src=1, vocab_size_tgt=1),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

@@ -406,6 +406,8 @@ class BmiTable:
                     f"bmi table {path} line {lineno}: expected <id><tab><value>, "
                     f"got {line.rstrip()!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise CorpusError(f"bmi table {path} line {lineno}: non-finite value {value}")
             if idx != len(values):
                 raise CorpusError(
                     f"bmi table {path} line {lineno}: non-contiguous id {idx}, "

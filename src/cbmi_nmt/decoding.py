@@ -55,14 +55,13 @@ class BeamConfig:
     beam_size: int = 4
     length_penalty: float = 0.6
     max_len_ratio: float = 2.0
-    max_len_offset: int = 8
 
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError("invalid value for beam_size: must be at least 1")
 
     def max_len(self, src_len: int) -> int:
-        return max(2, int(self.max_len_ratio * src_len) + self.max_len_offset)
+        return max(2, int(self.max_len_ratio * src_len) + 8)
 
 
 def length_penalty(length: int, alpha: float) -> float:

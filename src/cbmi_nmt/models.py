@@ -41,8 +41,6 @@ class ModelConfig:
     dropout_residual: float = 0.1
     dropout_attention: float = 0.1
     dropout_activation: float = 0.1
-    share_vocab: bool = False
-    max_len: int = 512
 
     def __post_init__(self):
         for name in ("vocab_size_src", "vocab_size_tgt", "embed_dim", "ff_dim", "heads"):
@@ -236,12 +234,6 @@ def _causal_mask(length: int, dtype_str: str) -> np.ndarray:
     return mask[None, None, :, :]
 
 
-def _maybe_dropout(x: Tensor, rate: float, training: bool, rng) -> Tensor:
-    if not training or rate <= 0.0:
-        return x
-    return T.dropout(x, rate, rng)
-
-
 @dataclass
 class _KV:
     """Keys and values of one attention sublayer in a forward-only decoder,
@@ -291,7 +283,6 @@ def _attention(
     kv_in: Tensor | None,
     mask_add: np.ndarray | None,
     config: ModelConfig,
-    training: bool,
     rng,
     cache: _KV | None = None,
 ) -> Tensor:
@@ -305,42 +296,40 @@ def _attention(
         k, v = _keys_values(p, prefix, kv_in, heads)
         if cache is not None:
             k, v = cache.store(k, v)
-    rate = config.dropout_attention if training else 0.0
-    ctx = T.attention(q, k, v, mask_add, 1.0 / math.sqrt(head_dim), rate, rng)
+    ctx = T.attention(q, k, v, mask_add, 1.0 / math.sqrt(head_dim), config.dropout_attention, rng)
     ctx2d = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (batch * t_q, d))
     out = _linear(ctx2d, p, f"{prefix}.wo", f"{prefix}.bo")
     return T.reshape(out, (batch, t_q, d))
 
 
-def _feed_forward(p, prefix: str, x: Tensor, config: ModelConfig, training: bool, rng) -> Tensor:
+def _feed_forward(p, prefix: str, x: Tensor, config: ModelConfig, rng) -> Tensor:
     batch, length, d = x.shape
     h = T.relu(_linear(T.reshape(x, (batch * length, d)), p, f"{prefix}.w1", f"{prefix}.b1"))
-    h = _maybe_dropout(h, config.dropout_activation, training, rng)
+    h = T.dropout(h, config.dropout_activation, rng)
     out = _linear(h, p, f"{prefix}.w2", f"{prefix}.b2")
     return T.reshape(out, (batch, length, d))
 
 
-def _residual_norm(p, ln_prefix: str, x: Tensor, sublayer: Tensor, config, training, rng) -> Tensor:
+def _residual_norm(p, ln_prefix: str, x: Tensor, sublayer: Tensor, config, rng) -> Tensor:
     # PostNorm: normalize after the residual add
-    rate = config.dropout_residual if training else 0.0
-    return T.residual_norm(x, sublayer, p[f"{ln_prefix}.g"], p[f"{ln_prefix}.b"], rate, rng)
+    return T.residual_norm(x, sublayer, p[f"{ln_prefix}.g"], p[f"{ln_prefix}.b"],
+                           config.dropout_residual, rng)
 
 
-def _embed_positions(
-    p, name: str, ids: np.ndarray, config: ModelConfig, training, rng, offset: int = 0
-) -> Tensor:
+def _embed_positions(p, name: str, ids: np.ndarray, config: ModelConfig, rng, offset: int = 0
+                     ) -> Tensor:
     # ``offset``: the position of the first column of ``ids``
     weight = p[name]
     d = config.embed_dim
     x = T.mul(T.embedding(weight, ids), math.sqrt(d))
     table = _sinusoid_table(offset + ids.shape[1], d, weight.dtype.str)[None, offset:, :]
     x = T.add(x, table)
-    return _maybe_dropout(x, config.dropout_residual, training, rng)
+    return T.dropout(x, config.dropout_residual, rng)
 
 
 def _stack(
-    p, prefix: str, n_layers: int, x: Tensor, self_mask: np.ndarray, cfg: ModelConfig,
-    training: bool, rng, memory: Tensor | None = None, memory_mask: np.ndarray | None = None,
+    p, prefix: str, n_layers: int, x: Tensor, self_mask: np.ndarray, cfg: ModelConfig, rng,
+    memory: Tensor | None = None, memory_mask: np.ndarray | None = None,
     caches: list[tuple[_KV, _KV]] | None = None,
 ) -> Tensor:
     # the layers _add_stack initializes; ``caches`` holds each layer's (self,
@@ -350,14 +339,13 @@ def _stack(
     for i in range(n_layers):
         layer = f"{prefix}.{i}"
         self_kv, cross_kv = caches[i] if caches else (None, None)
-        attn = _attention(p, f"{layer}.self", x, x, self_mask, cfg, training, rng, self_kv)
-        x = _residual_norm(p, f"{layer}.ln1", x, attn, cfg, training, rng)
+        attn = _attention(p, f"{layer}.self", x, x, self_mask, cfg, rng, self_kv)
+        x = _residual_norm(p, f"{layer}.ln1", x, attn, cfg, rng)
         if has_cross:
-            cross = _attention(p, f"{layer}.cross", x, memory, memory_mask, cfg, training, rng,
-                               cross_kv)
-            x = _residual_norm(p, f"{layer}.ln2", x, cross, cfg, training, rng)
-        ff = _feed_forward(p, f"{layer}.ff", x, cfg, training, rng)
-        x = _residual_norm(p, f"{layer}.ln{3 if has_cross else 2}", x, ff, cfg, training, rng)
+            cross = _attention(p, f"{layer}.cross", x, memory, memory_mask, cfg, rng, cross_kv)
+            x = _residual_norm(p, f"{layer}.ln2", x, cross, cfg, rng)
+        ff = _feed_forward(p, f"{layer}.ff", x, cfg, rng)
+        x = _residual_norm(p, f"{layer}.ln{3 if has_cross else 2}", x, ff, cfg, rng)
     return x
 
 
@@ -369,14 +357,14 @@ def _project_log_probs(p, prefix: str, x: Tensor, vocab: int) -> Tensor:
 
 def _target_side(
     params: ModelParams, model: str, embed: str, stack: str, n_layers: int, tgt_ids: np.ndarray,
-    training: bool, rng, memory: Tensor | None = None, memory_mask: np.ndarray | None = None,
+    rng, memory: Tensor | None = None, memory_mask: np.ndarray | None = None,
 ) -> Tensor:
     """Causally masked target-side stack from embedding to log-probs; with no
     memory it is the language model."""
     p, cfg, dtype = params.tensors, params.config, params.dtype
     self_mask = _causal_mask(tgt_ids.shape[1], dtype.str) + _pad_key_mask(tgt_ids, dtype)
-    x = _embed_positions(p, f"{model}.{embed}", tgt_ids, cfg, training, rng)
-    x = _stack(p, f"{model}.{stack}", n_layers, x, self_mask, cfg, training, rng, memory, memory_mask)
+    x = _embed_positions(p, f"{model}.{embed}", tgt_ids, cfg, rng)
+    x = _stack(p, f"{model}.{stack}", n_layers, x, self_mask, cfg, rng, memory, memory_mask)
     return _project_log_probs(p, f"{model}.out", x, cfg.vocab_size_tgt)
 
 
@@ -394,9 +382,11 @@ def _check_ids(ids: np.ndarray, vocab: int, side: str) -> None:
         raise ValueError(f"{side} token id out of range for vocab size {vocab}")
 
 
-def _check_training_rng(training: bool, rng) -> None:
+def _dropout_rng(training: bool, rng) -> np.random.Generator | None:
+    # the layers draw dropout masks exactly when handed a generator
     if training and rng is None:
         raise ValueError("training mode requires an rng for the dropout draws")
+    return rng if training else None
 
 
 def nmt_forward(
@@ -413,17 +403,17 @@ def nmt_forward(
     2-D padded batches give [B, N, vocab].
     """
     cfg = params.config
-    _check_training_rng(training, rng)
+    rng = _dropout_rng(training, rng)
     src_ids, squeeze = _as_batch(src)
     tgt_ids, _ = _as_batch(tgt_in)
     _check_ids(src_ids, cfg.vocab_size_src, "source")
     _check_ids(tgt_ids, cfg.vocab_size_tgt, "target")
     p = params.tensors
     src_mask = _pad_key_mask(src_ids, params.dtype)
-    x = _embed_positions(p, "nmt.src_embed", src_ids, cfg, training, rng)
-    memory = _stack(p, "nmt.enc", cfg.enc_layers, x, src_mask, cfg, training, rng)
-    out = _target_side(params, "nmt", "tgt_embed", "dec", cfg.dec_layers, tgt_ids, training, rng,
-                       memory, src_mask)
+    x = _embed_positions(p, "nmt.src_embed", src_ids, cfg, rng)
+    memory = _stack(p, "nmt.enc", cfg.enc_layers, x, src_mask, cfg, rng)
+    out = _target_side(params, "nmt", "tgt_embed", "dec", cfg.dec_layers, tgt_ids, rng, memory,
+                       src_mask)
     return T.reshape(out, out.shape[1:]) if squeeze else out
 
 
@@ -455,8 +445,8 @@ class DecoderState:
         _check_ids(src_ids, cfg.vocab_size_src, "source")
         self.params = params
         self.memory_mask = _pad_key_mask(src_ids, params.dtype)
-        x = _embed_positions(p, "nmt.src_embed", src_ids, cfg, False, None)
-        memory = _stack(p, "nmt.enc", cfg.enc_layers, x, self.memory_mask, cfg, False, None)
+        x = _embed_positions(p, "nmt.src_embed", src_ids, cfg, None)
+        memory = _stack(p, "nmt.enc", cfg.enc_layers, x, self.memory_mask, cfg, None)
         self.caches = [
             (_KV(grows=True), _KV(False, *_keys_values(p, f"nmt.dec.{i}.cross", memory, cfg.heads)))
             for i in range(cfg.dec_layers)
@@ -479,11 +469,11 @@ class DecoderState:
         for self_kv, cross_kv in self.caches:
             self_kv.reorder(rows)
             cross_kv.reorder(rows)
-        x = _embed_positions(p, "nmt.tgt_embed", ids, cfg, False, None, offset=self.length)
+        x = _embed_positions(p, "nmt.tgt_embed", ids, cfg, None, offset=self.length)
         # one query per row sees only keys up to its own position: no causal
         # mask, and prefixes hold no <pad>, so no pad mask either
-        x = _stack(p, "nmt.dec", cfg.dec_layers, x, None, cfg, False, None, None,
-                   self.memory_mask, self.caches)
+        x = _stack(p, "nmt.dec", cfg.dec_layers, x, None, cfg, None, None, self.memory_mask,
+                   self.caches)
         self.length += 1
         return _project_log_probs(p, "nmt.out", x, cfg.vocab_size_tgt).data[:, 0, :]
 
@@ -500,12 +490,12 @@ def lm_forward(
     source sentence.
     """
     cfg = params.config
-    _check_training_rng(training, rng)
+    rng = _dropout_rng(training, rng)
     if not params.has_lm:
         raise ValueError("these parameters were initialized without a language model")
     tgt_ids, squeeze = _as_batch(tgt_in)
     _check_ids(tgt_ids, cfg.vocab_size_tgt, "target")
-    out = _target_side(params, "lm", "embed", "layer", cfg.lm_layers, tgt_ids, training, rng)
+    out = _target_side(params, "lm", "embed", "layer", cfg.lm_layers, tgt_ids, rng)
     return T.reshape(out, out.shape[1:]) if squeeze else out
 
 
@@ -513,8 +503,13 @@ def lm_forward(
 # checkpoints
 
 
-def config_hash(config: ModelConfig, precision: str) -> str:
-    payload = ";".join(f"{f.name}={getattr(config, f.name)}" for f in fields(config))
+# fields ModelConfig dropped, which older manifests still hold: their hash
+# covers these ``name=value`` items (``legacy``), in this order, after the rest
+_LEGACY_FIELDS = ("share_vocab", "max_len")
+
+
+def config_hash(config: ModelConfig, precision: str, legacy: tuple[str, ...] = ()) -> str:
+    payload = ";".join([*(f"{f.name}={getattr(config, f.name)}" for f in fields(config)), *legacy])
     return hashlib.sha256(f"{payload};precision={precision}".encode()).hexdigest()[:16]
 
 
@@ -594,10 +589,6 @@ def check_compatible(
         raise CheckpointError("this checkpoint has no language model")
 
 
-def _parse_bool(text: str) -> bool:
-    return text == "True" or text == "true"
-
-
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray], dict[str, str]]:
     """Read a checkpoint directory back into parameters (requires_grad
     leaves), extra arrays (optimizer state), and the manifest key=value map."""
@@ -613,19 +604,13 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray
         meta[key] = value
 
     try:
-        kwargs = {}
-        for f in fields(ModelConfig):
-            raw = meta[f"config.{f.name}"]
-            if f.type in ("int", int):
-                kwargs[f.name] = int(raw)
-            elif f.type in ("float", float):
-                kwargs[f.name] = float(raw)
-            elif f.type in ("bool", bool):
-                kwargs[f.name] = _parse_bool(raw)
-            else:
-                kwargs[f.name] = raw
-        config = ModelConfig(**kwargs)
-        expected = config_hash(config, meta["precision"])
+        config = ModelConfig(**{
+            f.name: (int if f.type == "int" else float)(meta[f"config.{f.name}"])
+            for f in fields(ModelConfig)
+        })
+        legacy = tuple(f"{name}={meta['config.' + name]}" for name in _LEGACY_FIELDS
+                       if "config." + name in meta)
+        expected = config_hash(config, meta["precision"], legacy)
         stored = meta["config_hash"]
         int(meta["step"])  # checked here: a resumed run continues from this step
     except KeyError as exc:

@@ -27,6 +27,10 @@ mask, softmax, attention dropout and context) and ``residual_norm``
 expressions of the primitives it replaces in the same order, so its output
 and gradients are bit-for-bit those of the composition.
 
+``dropout``, ``attention`` and ``residual_norm`` drop elements only when
+given a generator: with ``rng=None`` they draw no mask and return the bits
+of a zero rate, whatever ``rate`` is.
+
 Each thread has at most one active tape, and that tape records only the
 operations run on its own thread, so two threads can each run a forward and
 backward pass at once as long as they share no tensor that either updates.
@@ -141,9 +145,10 @@ class Tape:
                         grads[key] = grads[key] + pgrad
                     else:
                         grads[key] = pgrad
+                elif parent.grad is None:
+                    # a copy in the leaf's dtype; +0 maps -0 to +0, as zeros + pgrad did
+                    parent.grad = np.add(pgrad, 0, out=np.empty_like(parent.data))
                 else:
-                    if parent.grad is None:
-                        parent.grad = np.zeros_like(parent.data)
                     parent.grad += pgrad
 
 
@@ -333,10 +338,10 @@ def _keep(shape: tuple[int, ...], dtype, rate: float, rng: np.random.Generator) 
     return keep
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate is 0. ``rng`` draws are part of
-    the run's deterministic stream, so call order matters."""
-    if rate <= 0.0:
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout; identity when rate is 0 or ``rng`` is None. ``rng``
+    draws are part of the run's deterministic stream, so call order matters."""
+    if rate <= 0.0 or rng is None:
         return a
     return mul(a, _keep(a.data.shape, a.data.dtype, rate, rng))
 
@@ -398,7 +403,8 @@ def attention(
     """Scaled dot-product attention over [..., positions, head_dim] queries,
     keys and values, as one node: ``dropout(softmax(q @ k^T * scale +
     mask_add)) @ v``. ``mask_add`` is an additive constant (or None) that
-    broadcasts to the scores; a ``rate`` of 0 draws no dropout mask."""
+    broadcasts to the scores; a ``rate`` of 0 or a ``rng`` of None draws no
+    dropout mask."""
     dtype = q.data.dtype
     scale_c = _const(scale, dtype)
     attn = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
@@ -407,7 +413,7 @@ def attention(
         attn += _const(mask_add, dtype)
     _check_finite_rows(attn, "softmax")
     _softmax_rows(attn)
-    keep = _keep(attn.shape, dtype, rate, rng) if rate > 0.0 else None
+    keep = _keep(attn.shape, dtype, rate, rng) if rate > 0.0 and rng is not None else None
     dropped = attn * keep if keep is not None else attn
     out = Tensor(np.matmul(dropped, v.data))
 
@@ -472,8 +478,8 @@ def residual_norm(
     rng: np.random.Generator | None, eps: float = LAYER_NORM_EPS,
 ) -> Tensor:
     """The post-norm residual ``layer_norm(x + dropout(sub))`` as one node;
-    a ``rate`` of 0 draws no dropout mask."""
-    if rate > 0.0:
+    a ``rate`` of 0 or a ``rng`` of None draws no dropout mask."""
+    if rate > 0.0 and rng is not None:
         keep = _keep(sub.data.shape, sub.data.dtype, rate, rng)
         added = sub.data * keep
         added += x.data

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from dataclasses import fields
@@ -137,12 +138,12 @@ class TestParseConfig:
 # every key, in order: the own keys, then the fields of CbmiConfig, BaselineConfig,
 # ModelConfig, TrainConfig and BeamConfig; a new component field must be added here
 FULL_CONFIG_KEYS = [
-    "scheme", "profile", "preset", "max_len", "precision", "min_count", "bins",
+    "scheme", "profile", "preset", "max_len", "precision", "min_count", "share_vocab", "bins",
     "scale_t", "scale_s", "use_token", "use_sentence", "sigma_floor",
     "freq_a", "freq_t", "bmi_s", "bmi_b", "alpha", "gamma", "lam", "tau", "th1", "th2",
     "soften_teacher_only",
     "embed_dim", "ff_dim", "enc_layers", "dec_layers", "lm_layers", "heads",
-    "dropout_residual", "dropout_attention", "dropout_activation", "share_vocab",
+    "dropout_residual", "dropout_attention", "dropout_activation",
     "base_lr", "warmup_steps", "phase1_steps", "phase2_steps", "token_budget", "seed",
     "label_smoothing", "clip_norm", "checkpoint_every", "keep_checkpoints",
     "reset_optimizer_phase2",
@@ -152,6 +153,23 @@ FULL_CONFIG_KEYS = [
 
 def test_full_config_keys_are_pinned():
     assert [f.name for f in fields(FullConfig)] == FULL_CONFIG_KEYS
+
+
+_FLOAT_KEYS = [cli.ATTR_TO_KEY.get(attr, attr) for attr, kind in cli._FIELD_TYPES.items()
+               if kind is float]
+
+
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_nan_float_key_is_config_error(key, tmp_path):
+    message = f"invalid value for {key}: must not be NaN"
+    path = tmp_path / "c.cfg"
+    path.write_text(f"{key}=nan\n")
+    with pytest.raises(ConfigError) as by_file:
+        parse_config(path)
+    assert str(by_file.value) == message
+    with pytest.raises(ConfigError) as by_flag:
+        parse_config(None, {cli.KEY_TO_ATTR.get(key, key): float("nan")})
+    assert str(by_flag.value) == message
 
 
 def _model_config(**values):
@@ -243,6 +261,8 @@ class TestCliRuns:
             ("heads", ["--heads", "0"]),
             ("keep_checkpoints", ["--checkpoint-every", "1", "--keep-checkpoints", "-1"]),
             ("checkpoint_every", ["--checkpoint-every", "-1"]),
+            ("scale_t", ["--scale-t", "nan"]),
+            ("max_len_ratio", ["--max-len-ratio", "nan"]),
         ]
         for key, flags in cases:
             code = run(train_args(corpus, tmp_path / "o", *flags))
@@ -346,6 +366,53 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert err.startswith("error:checkpoint:") and "embed_dim=64" in err and "embed_dim=32" in err
         assert not resumed.exists()
+
+    @pytest.mark.parametrize("flags", [["--max-len", "30"], ["--share-vocab", "true"]],
+                             ids=["max_len", "share_vocab"])
+    def test_resume_ignores_keys_the_model_does_not_read(self, corpus, tmp_path, flags):
+        # the corpus's lines are at most 5 tokens long, below either max_len
+        full, resumed = tmp_path / "full", tmp_path / "resumed"
+        assert run(train_args(corpus, full, "--seed", "4", "--checkpoint-every", "4")) == 0
+        shutil.copytree(full, resumed)
+        assert run(train_args(corpus, resumed, "--seed", "4", "--checkpoint-every", "4", *flags,
+                              "--resume", str(resumed / "checkpoint_step4"))) == 0
+        assert (resumed / "metrics.jsonl").read_bytes() == (full / "metrics.jsonl").read_bytes()
+
+    def test_manifest_with_the_legacy_fields_loads(self, corpus, tmp_path, capsys):
+        # a manifest as written before ModelConfig lost share_vocab and max_len:
+        # both lines, and a config hash over the fields in their old order
+        out = tmp_path / "run"
+        assert run(train_args(corpus, out, "--seed", "9", "--checkpoint-every", "4")) == 0
+        legacy = tmp_path / "legacy"
+        shutil.copytree(out / "checkpoint_step4", legacy)
+        manifest = legacy / "manifest.txt"
+        entries = dict(line.split("=", 1) for line in manifest.read_text().splitlines())
+        assert "config.share_vocab" not in entries and "config.max_len" not in entries
+        entries.update({"config.share_vocab": "False", "config.max_len": "130"})
+        names = [f.name for f in fields(ModelConfig)] + ["share_vocab", "max_len"]
+        payload = ";".join(f"{name}={entries['config.' + name]}" for name in names)
+        entries["config_hash"] = hashlib.sha256(
+            f"{payload};precision={entries['precision']}".encode()).hexdigest()[:16]
+        manifest.write_text("".join(f"{k}={entries[k]}\n" for k in sorted(entries)))
+
+        hyps = []
+        for ckpt in (out / "checkpoint_step4", legacy):
+            hyps.append(tmp_path / f"{ckpt.name}.hyp")
+            assert run(["translate", "--checkpoint", str(ckpt), "--src", str(corpus / "train.src"),
+                        "--out", str(hyps[-1]), "--data-dir", str(corpus / "data")]) == 0
+        assert hyps[0].read_bytes() == hyps[1].read_bytes()
+        resumed = tmp_path / "resumed"
+        assert run(train_args(corpus, resumed, "--seed", "9", "--checkpoint-every", "4",
+                              "--resume", str(legacy))) == 0
+        assert (resumed / "metrics.jsonl").read_text().splitlines() == (
+            (out / "metrics.jsonl").read_text().splitlines()[-4:])
+
+        manifest.write_text(manifest.read_text().replace("config.max_len=130", "config.max_len=131"))
+        capsys.readouterr()
+        assert run(["translate", "--checkpoint", str(legacy), "--src", str(corpus / "train.src"),
+                    "--out", str(hyps[-1]), "--data-dir", str(corpus / "data")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error:checkpoint: manifest config hash does not match its own config fields")
 
     def test_analyze_and_dump_weights(self, corpus, tmp_path):
         out = tmp_path / "lmrun"
@@ -589,7 +656,7 @@ class TestCliRuns:
         assert code == 1
         assert "error:checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["truncated", "bad_value", "bad_id"])
+    @pytest.mark.parametrize("damage", ["truncated", "bad_value", "bad_id", "nan", "inf", "-inf"])
     def test_bmi_table_that_does_not_fit_is_corpus_error(self, corpus, tmp_path, capsys, damage):
         data = tmp_path / "data"
         shutil.copytree(corpus / "data", data)
@@ -597,8 +664,10 @@ class TestCliRuns:
         lines = table.read_text().splitlines(keepends=True)
         if damage == "truncated":
             del lines[-3:]
-        else:
+        elif damage in ("bad_value", "bad_id"):
             lines[2] = "0\tabc\n" if damage == "bad_value" else "zz\n"
+        else:
+            lines[2] = f"{lines[2].split()[0]}\t{damage}\n"
         table.write_text("".join(lines))
         out = tmp_path / "run"
         code = run([
@@ -609,6 +678,8 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert err.startswith("error:corpus:") and str(table) in err, err
         assert ("entries for a target vocabulary" if damage == "truncated" else "line 3:") in err
+        if damage.endswith(("nan", "inf")):
+            assert "non-finite value" in err, err
         assert not out.exists()
 
     def test_preprocess_bmi_table_is_the_scalar_reference(self, tmp_path):

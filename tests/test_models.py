@@ -1,5 +1,6 @@
 import math
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -322,6 +323,9 @@ class TestCheckpoint:
         keys = [line.split("=", 1)[0] for line in lines]
         assert keys == sorted(keys)
         assert all("=" in line for line in lines)
+        assert [k for k in keys if k.startswith("config.")] == sorted(
+            f"config.{f.name}" for f in fields(ModelConfig))
+        assert "config.share_vocab" not in keys and "config.max_len" not in keys
 
     def test_tampered_config_hash_detected(self, tmp_path, tiny_config):
         params = init_params(tiny_config, seed=1)

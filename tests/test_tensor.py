@@ -163,6 +163,25 @@ class TestBackward:
         a, b = run(), run()
         assert (a == b).all()
 
+    @pytest.mark.parametrize("dtype, contributions", [
+        (np.float32, [np.array([-0.0, 1.5, -2.0], np.float32)]),
+        (np.float32, [np.array([1 / 3, 1e-50, 2.0**-149 * 1.5, 1 + 2.0**-30])]),
+        (np.float64, [np.array([-0.0, 0.1, 0.7]), np.array([-0.0, 0.2, 1e-17])]),
+    ], ids=["negative_zero", "float64_into_float32", "two_contributions"])
+    def test_leaf_gradient_is_the_sum_into_zeros(self, dtype, contributions):
+        # the bits of adding each contribution, in order, into zeros of the
+        # leaf's dtype and shape, in an array of its own
+        leaf = Tensor(np.ones(contributions[0].shape, dtype=dtype), requires_grad=True)
+        with Tape() as tape:
+            loss = T._record(Tensor(np.zeros((), dtype)), (leaf,) * len(contributions),
+                             lambda g: contributions)
+            tape.backward(loss)
+        expected = np.zeros_like(leaf.data)
+        for contribution in contributions:
+            expected += contribution
+        assert _bits(leaf.grad) == _bits(expected)
+        assert not any(np.shares_memory(leaf.grad, c) for c in contributions)
+
 
 class TestTapePerThread:
     def test_other_threads_ops_are_not_recorded(self):
@@ -458,6 +477,33 @@ class TestFusedOpsMatchPrimitives:
             T.linear(x, Tensor(np.ones((D, 2)), requires_grad=True), Tensor(np.zeros(2)))
             T.residual_norm(x, x, g, b, 0.1, rng)
             assert len(tape.nodes) == n + 3
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", ["dropout", "attention", "residual_norm"])
+def test_no_generator_draws_no_dropout_mask(rng, op, dtype):
+    # with rng=None a positive rate gives the bits of a zero rate
+    if op == "dropout":
+        arrays, cot = [rng.normal(size=(3, 5))], rng.normal(size=(3, 5))
+
+        def build(rate):
+            return lambda x: T.dropout(x, rate, None)
+    elif op == "attention":
+        arrays = [rng.normal(size=(B * TQ, D)), rng.normal(size=(B * TK, D)),
+                  rng.normal(size=(B * TK, D))]
+        cot = rng.normal(size=(B, HEADS, TQ, HEAD_DIM))
+
+        def build(rate):
+            return lambda q, k, v: T.attention(_split(q, TQ), _split(k, TK), _split(v, TK),
+                                               _attention_mask().astype(dtype), 0.5, rate, None)
+    else:
+        arrays = [rng.normal(size=(2, 5, 8)), rng.normal(size=(2, 5, 8)),
+                  rng.normal(size=8), rng.normal(size=8)]
+        cot = rng.normal(size=(2, 5, 8))
+
+        def build(rate):
+            return lambda x, sub, gain, bias: T.residual_norm(x, sub, gain, bias, rate, None)
+    assert _run_bits(build(0.3), arrays, dtype, cot) == _run_bits(build(0.0), arrays, dtype, cot)
 
 
 class TestFusedFiniteDifferences:

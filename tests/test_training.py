@@ -602,7 +602,7 @@ class TestSmokeCopyTask:
             toks = list(map(int, rng.integers(4, vocab, size=int(rng.integers(2, 7)))))
             pairs.append(SentencePair(toks, list(toks)))
         mc = ModelConfig(vocab, vocab, embed_dim=32, ff_dim=64, enc_layers=2,
-                         dec_layers=2, lm_layers=2, heads=4, share_vocab=True)
+                         dec_layers=2, lm_layers=2, heads=4)
         cfg = TrainConfig(
             base_lr=0.03, warmup_steps=100, phase1_steps=500, phase2_steps=0,
             token_budget=256, seed=3, scheme=WeightScheme("none"), label_smoothing=0.1,

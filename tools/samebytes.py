@@ -9,7 +9,9 @@ against the working tree's ``src``, once with ``OPENBLAS_NUM_THREADS=1``
 and once with the default BLAS pool (serial). Both sides read the same
 generated corpus. Every output file is compared with ``cmp``; the script
 prints which files match and which differ, and exits 0 only if every file
-matches.
+matches. Under each differing file it prints how the two sides differ: the
+numbered lines only one side holds for a text file (the first
+``SHOWN_LINES``), the first differing byte offset for a binary one.
 
 The pipeline: ``preprocess --min-count 2``, so both sides hold ``<unk>``;
 ``train`` of every scheme in fp32 and in fp64 (the desk preset at a
@@ -26,6 +28,7 @@ times and is not compared.
 from __future__ import annotations
 
 import argparse
+import difflib
 import filecmp
 import os
 import shutil
@@ -41,6 +44,7 @@ REPO = Path(__file__).resolve().parents[1]
 TOOLS = Path(__file__).resolve().parent
 BLAS_SETTINGS = {"blas1": "1", "blas_default": None}
 NOT_COMPARED = {"timing.log"}
+SHOWN_LINES = 8
 
 
 def write_corpus(out: Path, seed: int = 5) -> None:
@@ -141,6 +145,30 @@ def compare(a: Path, b: Path) -> tuple[list[str], list[str]]:
     return same, differ
 
 
+def differences(a: Path, b: Path) -> list[str]:
+    """How file ``a`` (the revision's) and file ``b`` (the working tree's)
+    differ, one line each, for printing under a ``DIFFERS`` line."""
+    if not (a.is_file() and b.is_file()):
+        return [f"only in {'rev' if a.is_file() else 'work'}"]
+    raw_a, raw_b = a.read_bytes(), b.read_bytes()
+    try:
+        lines_a, lines_b = raw_a.decode("utf-8").splitlines(), raw_b.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        offset = next((i for i, (x, y) in enumerate(zip(raw_a, raw_b)) if x != y),
+                      min(len(raw_a), len(raw_b)))
+        return [f"first differing byte at offset {offset} ({len(raw_a)} and {len(raw_b)} bytes)"]
+    out = []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, lines_a, lines_b).get_opcodes():
+        if tag != "equal":
+            out += [f"rev  line {i + 1}: {lines_a[i]}" for i in range(i1, i2)]
+            out += [f"work line {j + 1}: {lines_b[j]}" for j in range(j1, j2)]
+    if not out:  # the same lines, but not the same line endings
+        return ["the same lines with other line endings"]
+    if len(out) > SHOWN_LINES:
+        out[SHOWN_LINES:] = [f"... {len(out) - SHOWN_LINES} more differing lines"]
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare the working tree against")
@@ -168,6 +196,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"same    {label}/{rel}")
             for rel in differ:
                 print(f"DIFFERS {label}/{rel}")
+                for line in differences(outs["rev"] / "out" / rel, outs["work"] / "out" / rel):
+                    print(f"    {line}")
             total_same += len(same)
             total_differ += len(differ)
     print(f"samebytes: {total_same + total_differ} files against {args.rev} ({sha[:7]}): "
