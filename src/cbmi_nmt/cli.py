@@ -505,14 +505,15 @@ def cmd_dump_weights(args) -> int:
     cbmi_config = config.weight_scheme().cbmi
     with open(args.out, "w", encoding="utf-8") as fh:
         for index, batch in enumerate(batches):
-            nmt_lp = nmt_forward(params, batch.src, batch.tgt_in).data
-            lm_lp = lm_forward(params, batch.tgt_in).data
-            schedule = cbmi_schedule(
-                gold_token_probs(nmt_lp, batch.tgt_out),
-                gold_token_probs(lm_lp, batch.tgt_out),
-                batch.tgt_mask,
-                cbmi_config,
-            )
+            # only the live positions are projected; pad entries stay 1.0,
+            # which the schedule ignores
+            mask = batch.tgt_mask
+            gold = batch.tgt_out[mask]
+            p_nmt, p_lm = np.ones(mask.shape), np.ones(mask.shape)
+            p_nmt[mask] = gold_token_probs(
+                nmt_forward(params, batch.src, batch.tgt_in, rows=mask).data, gold)
+            p_lm[mask] = gold_token_probs(lm_forward(params, batch.tgt_in, rows=mask).data, gold)
+            schedule = cbmi_schedule(p_nmt, p_lm, mask, cbmi_config)
             for line in weight_dump_lines(index, schedule, batch.tgt_mask, batch.tgt_out):
                 fh.write(line + "\n")
     print(f"dump-weights: {len(batches)} batches -> {args.out}")

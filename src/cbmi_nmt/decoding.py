@@ -59,9 +59,15 @@ class BeamConfig:
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError("invalid value for beam_size: must be at least 1")
+        if not 0 <= self.max_len_ratio < math.inf:
+            raise ValueError("invalid value for max_len_ratio: must be finite and non-negative")
 
     def max_len(self, src_len: int) -> int:
-        return max(2, int(self.max_len_ratio * src_len) + 8)
+        limit = self.max_len_ratio * src_len
+        if not limit < 2**62:  # a limit the int64 step counters hold
+            raise ValueError(f"invalid value for max_len_ratio: {self.max_len_ratio} gives a "
+                             f"{src_len}-token source a length limit past 2**62")
+        return max(2, int(limit) + 8)
 
 
 def length_penalty(length: int, alpha: float) -> float:
@@ -420,28 +426,27 @@ def analyze_cbmi(
     sent_base = 0
     for start in range(0, len(pairs), batch_sentences):
         batch = collate(pairs[start : start + batch_sentences])
-        nmt_lp = nmt_forward(params, batch.src, batch.tgt_in).data
-        lm_lp = lm_forward(params, batch.tgt_in).data
+        # only the live positions are projected: [n, V] rows in nonzero order
         mask = batch.tgt_mask
-        values = W.masked_token_cbmi(
-            W.gold_token_probs(nmt_lp, batch.tgt_out),
-            W.gold_token_probs(lm_lp, batch.tgt_out),
-            mask,
-        )
-        sentence_records.extend(
-            (sent_base + i, float(values[i][mask[i]].mean())) for i in range(len(mask))
-        )
         sent, pos = np.nonzero(mask)
         gold = batch.tgt_out[sent, pos]
-        live_values = values[sent, pos]
-        token_records.extend(
-            zip((sent_base + sent).tolist(), pos.tolist(), gold.tolist(), live_values.tolist())
+        nmt_lp = nmt_forward(params, batch.src, batch.tgt_in, rows=mask).data
+        lm_lp = lm_forward(params, batch.tgt_in, rows=mask).data
+        values = W.token_cbmi_values(W.gold_token_probs(nmt_lp, gold),
+                                     W.gold_token_probs(lm_lp, gold))
+        ends = np.cumsum(mask.sum(axis=1))[:-1]
+        sentence_records.extend(
+            (sent_base + i, float(sentence.mean()))
+            for i, sentence in enumerate(np.split(values, ends))
         )
-        all_values.append(live_values)
+        token_records.extend(
+            zip((sent_base + sent).tolist(), pos.tolist(), gold.tolist(), values.tolist())
+        )
+        all_values.append(values)
         # the CBMI prior is a softmax over nmt - lm, so its top-1 is their argmax
         cbmi_top = np.subtract(nmt_lp, lm_lp, dtype=np.float64).argmax(axis=-1)
         tops = (lm_lp.argmax(axis=-1), nmt_lp.argmax(axis=-1), cbmi_top)
-        all_hits.append(np.stack([top[sent, pos] == gold for top in tops], axis=1))
+        all_hits.append(np.stack([top == gold for top in tops], axis=1))
         sent_base += len(mask)
 
     values_arr = np.concatenate(all_values)

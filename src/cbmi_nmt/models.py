@@ -349,23 +349,39 @@ def _stack(
     return x
 
 
-def _project_log_probs(p, prefix: str, x: Tensor, vocab: int) -> Tensor:
-    batch, length, d = x.shape
-    logits = _linear(T.reshape(x, (batch * length, d)), p, f"{prefix}.w", f"{prefix}.b")
-    return T.reshape(T.log_softmax(logits), (batch, length, vocab))
+def _project_log_probs(p, prefix: str, x2d: Tensor) -> Tensor:
+    return T.linear_log_softmax(x2d, p[f"{prefix}.w"], p[f"{prefix}.b"])
+
+
+def _live_positions(rows, tgt_in) -> np.ndarray | None:
+    """Flat indices of the true entries of the ``rows`` mask, which is
+    shaped like ``tgt_in``, in row-major order; None when ``rows`` is."""
+    if rows is None:
+        return None
+    mask = np.asarray(rows, dtype=bool)
+    if mask.shape != np.shape(tgt_in):
+        raise ValueError(f"rows mask of shape {mask.shape} for targets of shape {np.shape(tgt_in)}")
+    return np.flatnonzero(mask)
 
 
 def _target_side(
     params: ModelParams, model: str, embed: str, stack: str, n_layers: int, tgt_ids: np.ndarray,
     rng, memory: Tensor | None = None, memory_mask: np.ndarray | None = None,
+    live: np.ndarray | None = None,
 ) -> Tensor:
     """Causally masked target-side stack from embedding to log-probs; with no
-    memory it is the language model."""
+    memory it is the language model. [B, T, vocab] log-probs, or the [n,
+    vocab] rows of the ``live`` flat positions only."""
     p, cfg, dtype = params.tensors, params.config, params.dtype
     self_mask = _causal_mask(tgt_ids.shape[1], dtype.str) + _pad_key_mask(tgt_ids, dtype)
     x = _embed_positions(p, f"{model}.{embed}", tgt_ids, cfg, rng)
     x = _stack(p, f"{model}.{stack}", n_layers, x, self_mask, cfg, rng, memory, memory_mask)
-    return _project_log_probs(p, f"{model}.out", x, cfg.vocab_size_tgt)
+    batch, length, d = x.shape
+    x2d = T.reshape(x, (batch * length, d))
+    if live is not None:
+        return _project_log_probs(p, f"{model}.out", T.embedding(x2d, live))
+    log_probs = _project_log_probs(p, f"{model}.out", x2d)
+    return T.reshape(log_probs, (batch, length, cfg.vocab_size_tgt))
 
 
 def _as_batch(ids) -> tuple[np.ndarray, bool]:
@@ -395,12 +411,15 @@ def nmt_forward(
     tgt_in,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    rows=None,
 ) -> Tensor:
     """Teacher-forced translation forward pass.
 
     Row ``j`` of the output is ``log p(y_j | y_<j, x)``; the decoder
     self-attention is causally masked. 1-D inputs give a [N, vocab] tensor,
-    2-D padded batches give [B, N, vocab].
+    2-D padded batches give [B, N, vocab]. ``rows``, a bool mask shaped
+    like ``tgt_in``, projects only the masked positions: the output is then
+    their [n, vocab] rows, in row-major order (that of ``np.nonzero``).
     """
     cfg = params.config
     rng = _dropout_rng(training, rng)
@@ -408,13 +427,14 @@ def nmt_forward(
     tgt_ids, _ = _as_batch(tgt_in)
     _check_ids(src_ids, cfg.vocab_size_src, "source")
     _check_ids(tgt_ids, cfg.vocab_size_tgt, "target")
+    live = _live_positions(rows, tgt_in)
     p = params.tensors
     src_mask = _pad_key_mask(src_ids, params.dtype)
     x = _embed_positions(p, "nmt.src_embed", src_ids, cfg, rng)
     memory = _stack(p, "nmt.enc", cfg.enc_layers, x, src_mask, cfg, rng)
     out = _target_side(params, "nmt", "tgt_embed", "dec", cfg.dec_layers, tgt_ids, rng, memory,
-                       src_mask)
-    return T.reshape(out, out.shape[1:]) if squeeze else out
+                       src_mask, live)
+    return T.reshape(out, out.shape[1:]) if squeeze and live is None else out
 
 
 class DecoderState:
@@ -475,7 +495,7 @@ class DecoderState:
         x = _stack(p, "nmt.dec", cfg.dec_layers, x, None, cfg, None, None, self.memory_mask,
                    self.caches)
         self.length += 1
-        return _project_log_probs(p, "nmt.out", x, cfg.vocab_size_tgt).data[:, 0, :]
+        return _project_log_probs(p, "nmt.out", T.reshape(x, (rows.size, cfg.embed_dim))).data
 
 
 def lm_forward(
@@ -483,11 +503,12 @@ def lm_forward(
     tgt_in,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    rows=None,
 ) -> Tensor:
     """Target-side language model: row ``j`` is ``log p(y_j | y_<j)``.
 
     The stack has no cross-attention, so the output cannot depend on any
-    source sentence.
+    source sentence. ``rows`` selects output rows as in ``nmt_forward``.
     """
     cfg = params.config
     rng = _dropout_rng(training, rng)
@@ -495,8 +516,9 @@ def lm_forward(
         raise ValueError("these parameters were initialized without a language model")
     tgt_ids, squeeze = _as_batch(tgt_in)
     _check_ids(tgt_ids, cfg.vocab_size_tgt, "target")
-    out = _target_side(params, "lm", "embed", "layer", cfg.lm_layers, tgt_ids, rng)
-    return T.reshape(out, out.shape[1:]) if squeeze else out
+    live = _live_positions(rows, tgt_in)
+    out = _target_side(params, "lm", "embed", "layer", cfg.lm_layers, tgt_ids, rng, live=live)
+    return T.reshape(out, out.shape[1:]) if squeeze and live is None else out
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,16 @@ allocated themselves. An op never writes into an input's ``data``, and a
 backward function never writes into its incoming gradient, because ``add``
 and ``residual_norm`` hand one gradient array to two parents.
 
-Besides the primitives, three fused ops each record one node for a whole
-layer piece: ``linear`` (``x @ w + b``), ``attention`` (scores, scale,
+Besides the primitives, four fused ops each record one node for a whole
+layer piece: ``linear`` (``x @ w + b``), ``linear_log_softmax`` (the output
+projection, ``log_softmax(x @ w + b)``), ``attention`` (scores, scale,
 mask, softmax, attention dropout and context) and ``residual_norm``
 (dropout, residual add and ``layer_norm``). Each runs the numpy
 expressions of the primitives it replaces in the same order, so its output
-and gradients are bit-for-bit those of the composition.
+and gradients are bit-for-bit those of the composition. Where a fused op
+works in place (``linear_log_softmax`` shifts and normalizes its logits,
+``attention`` its scores), it does so on an intermediate it allocated, so
+the in-place rule above holds.
 
 ``dropout``, ``attention`` and ``residual_norm`` drop elements only when
 given a generator: with ``rng=None`` they draw no mask and return the bits
@@ -382,18 +386,36 @@ def softmax(a: Tensor) -> Tensor:
     return _record(Tensor(out_data), (a,), lambda g: (_softmax_grad(g.copy(), out_data),))
 
 
+def _log_softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``g - exp(out) * sum(g)`` over the last axis, in a new array."""
+    probs = np.exp(out)
+    probs *= g.sum(axis=-1, keepdims=True)
+    return np.subtract(g, probs, out=probs)
+
+
 def log_softmax(a: Tensor) -> Tensor:
     _check_finite_rows(a.data, "log_softmax")
     out_data = a.data - a.data.max(axis=-1, keepdims=True)
     out_data -= np.log(np.exp(out_data).sum(axis=-1, keepdims=True))
-    out = Tensor(out_data)
+    return _record(Tensor(out_data), (a,), lambda g: (_log_softmax_grad(g, out_data),))
+
+
+def linear_log_softmax(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``log_softmax(x @ w + b)`` for a [rows, in] ``x``, as one node; the
+    logits are its own, so they are normalized in place."""
+    if x.data.ndim != 2:
+        raise ValueError("linear_log_softmax expects a [rows, features] input")
+    out = np.matmul(x.data, w.data)
+    out += b.data
+    _check_finite_rows(out, "log_softmax")
+    out -= out.max(axis=-1, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=-1, keepdims=True))
 
     def grad_fn(g):
-        probs = np.exp(out_data)
-        probs *= g.sum(axis=-1, keepdims=True)
-        return (np.subtract(g, probs, out=probs),)
+        glogits = _log_softmax_grad(g, out)
+        return np.matmul(glogits, w.data.T), np.matmul(x.data.T, glogits), glogits.sum(axis=0)
 
-    return _record(out, (a,), grad_fn)
+    return _record(Tensor(out), (x, w, b), grad_fn)
 
 
 def attention(

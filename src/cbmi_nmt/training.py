@@ -731,9 +731,8 @@ def teacher_forced_accuracy(params: ModelParams, batches: list[SentencePairBatch
     correct = 0
     total = 0
     for batch in batches:
-        log_probs = nmt_forward(params, batch.src, batch.tgt_in).data
-        pred = log_probs.argmax(axis=-1)
-        hit = (pred == batch.tgt_out) & batch.tgt_mask
-        correct += int(hit.sum())
+        # only the live positions are projected
+        log_probs = nmt_forward(params, batch.src, batch.tgt_in, rows=batch.tgt_mask).data
+        correct += int((log_probs.argmax(axis=-1) == batch.tgt_out[batch.tgt_mask]).sum())
         total += batch.n_tokens
     return correct / total if total else 0.0

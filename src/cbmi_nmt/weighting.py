@@ -123,11 +123,11 @@ def token_cbmi_values(p_nmt: np.ndarray, p_lm: np.ndarray) -> np.ndarray:
 
 
 def gold_token_probs(log_probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """exp of the gold-token log-probabilities, [B, T], in float64."""
-    b, t, _ = log_probs.shape
-    rows = log_probs.reshape(b * t, -1)
-    gold = rows[np.arange(b * t), targets.reshape(-1)]
-    return np.exp(gold.astype(np.float64)).reshape(b, t)
+    """exp of the gold-token log-probabilities in float64, shaped like
+    ``targets``: [B, T] of [B, T, V] log-probs, or [n] of [n, V] rows."""
+    rows = log_probs.reshape(-1, log_probs.shape[-1])
+    gold = rows[np.arange(rows.shape[0]), targets.reshape(-1)]
+    return np.exp(gold.astype(np.float64)).reshape(targets.shape)
 
 
 def masked_token_cbmi(p_nmt: np.ndarray, p_lm: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -192,6 +192,8 @@ _RANGE_CASES = [
     (_model_config, {"ff_dim": 0}, "ff_dim"),
     (_model_config, {"heads": 3, "embed_dim": 16}, "heads"),
     (BeamConfig, {"beam_size": 0}, "beam_size"),
+    (BeamConfig, {"max_len_ratio": -1.0}, "max_len_ratio"),
+    (BeamConfig, {"max_len_ratio": float("inf")}, "max_len_ratio"),
 ]
 
 
@@ -263,6 +265,8 @@ class TestCliRuns:
             ("checkpoint_every", ["--checkpoint-every", "-1"]),
             ("scale_t", ["--scale-t", "nan"]),
             ("max_len_ratio", ["--max-len-ratio", "nan"]),
+            ("max_len_ratio", ["--max-len-ratio", "inf"]),
+            ("max_len_ratio", ["--max-len-ratio", "-1"]),
         ]
         for key, flags in cases:
             code = run(train_args(corpus, tmp_path / "o", *flags))
@@ -270,6 +274,22 @@ class TestCliRuns:
             err = capsys.readouterr().err
             assert err.startswith(f"error:config: invalid value for {key}:"), (flags, err)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("ratio, category", [
+        ("inf", "config"), ("-1", "config"), ("1e308", "invalid"), ("1e300", "invalid"),
+    ])
+    def test_length_ratio_without_a_finite_limit_is_one_error_line(self, corpus, tmp_path, capsys,
+                                                                   ratio, category):
+        out = tmp_path / "run"
+        assert run(train_args(corpus, out, "--scheme", "none", "--seed", "2")) == 0
+        capsys.readouterr()
+        hyp = tmp_path / "hyp.txt"
+        assert run(["translate", "--checkpoint", str(out / "checkpoint_final"),
+                    "--src", str(corpus / "train.src"), "--data-dir", str(corpus / "data"),
+                    "--max-len-ratio", ratio, "--out", str(hyp)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:{category}: invalid value for max_len_ratio:"), err
+        assert err.count("\n") == 1 and not hyp.exists()
 
     def test_score_identity_is_100(self, corpus, capsys):
         hyp = corpus / "train.tgt"

@@ -7,6 +7,7 @@ import pytest
 
 from cbmi_nmt import models as M
 from cbmi_nmt import tensor as T
+from cbmi_nmt.corpus import PAD_ID
 from cbmi_nmt.models import ModelConfig, init_params, lm_forward, nmt_forward
 from conftest import fd_check
 
@@ -150,6 +151,39 @@ class TestNmtForward:
             tiny_params, [4, 5], [1, 4], training=True, rng=np.random.default_rng(11)
         )
         np.testing.assert_array_equal(out1.data, out2.data)
+
+
+class TestLiveRows:
+    """``rows`` projects only the masked positions: their rows of the full
+    forward, bit for bit, in row-major order."""
+
+    SRC = np.array([[4, 5, 6, 2], [7, 8, 2, PAD_ID], [9, 2, PAD_ID, PAD_ID]])
+    TGT_IN = np.array([[1, 4, 5, 6, 7], [1, 6, 7, PAD_ID, PAD_ID], [1, 8, PAD_ID, PAD_ID, PAD_ID]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("model", ["nmt", "lm"])
+    def test_rows_are_the_full_rows(self, tiny_config, dtype, model):
+        params = init_params(tiny_config, seed=7, dtype=dtype)
+
+        def forward(**kwargs):
+            if model == "nmt":
+                return nmt_forward(params, self.SRC, self.TGT_IN, **kwargs).data
+            return lm_forward(params, self.TGT_IN, **kwargs).data
+
+        mask = self.TGT_IN != PAD_ID
+        mask[0, 2] = False  # a hole inside a sentence keeps the row order
+        full, live = forward(), forward(rows=mask)
+        assert live.shape == (mask.sum(), VOCAB) and live.dtype == dtype
+        assert live.tobytes() == full[mask].tobytes()
+
+    def test_one_sentence(self, tiny_params):
+        full = nmt_forward(tiny_params, [4, 5, 6], [1, 4, 5]).data
+        live = nmt_forward(tiny_params, [4, 5, 6], [1, 4, 5], rows=[True, False, True]).data
+        assert live.tobytes() == full[[0, 2]].tobytes()
+
+    def test_mask_shape_must_match_the_targets(self, tiny_params):
+        with pytest.raises(ValueError, match="rows mask"):
+            lm_forward(tiny_params, self.TGT_IN, rows=np.ones((3, 4), dtype=bool))
 
 
 class TestLmForward:

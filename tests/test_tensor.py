@@ -467,6 +467,15 @@ class TestFusedOpsMatchPrimitives:
 
         assert _run_bits(fused, arrays, dtype, cot) == _run_bits(primitives, arrays, dtype, cot)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_log_softmax(self, rng, dtype):
+        # logits far from zero, so a missing max shift changes the bits
+        arrays = [3 * rng.normal(size=(7, 5)), rng.normal(size=(5, 11)), rng.normal(size=11) + 20]
+        cot = rng.normal(size=(7, 11))
+        fused = _run_bits(T.linear_log_softmax, arrays, dtype, cot)
+        prim = _run_bits(lambda x, w, b: T.log_softmax(T.linear(x, w, b)), arrays, dtype, cot)
+        assert fused == prim
+
     def test_fused_ops_record_one_node(self, rng):
         x = Tensor(rng.normal(size=(B * TQ, D)), requires_grad=True)
         g, b = Tensor(np.ones(D), requires_grad=True), Tensor(np.zeros(D), requires_grad=True)
@@ -475,8 +484,18 @@ class TestFusedOpsMatchPrimitives:
             n = len(tape.nodes)
             T.attention(q, q, q, _attention_mask()[:, :, :, :TQ], 0.5, 0.1, rng)
             T.linear(x, Tensor(np.ones((D, 2)), requires_grad=True), Tensor(np.zeros(2)))
+            T.linear_log_softmax(x, Tensor(np.ones((D, 2)), requires_grad=True),
+                                 Tensor(np.zeros(2)))
             T.residual_norm(x, x, g, b, 0.1, rng)
-            assert len(tape.nodes) == n + 3
+            assert len(tape.nodes) == n + 4
+
+
+def test_linear_log_softmax_names_a_non_finite_row(rng):
+    x = rng.normal(size=(4, 3))
+    x[2, 1] = np.nan
+    w, b = Tensor(rng.normal(size=(3, 5))), Tensor(np.zeros(5))
+    with pytest.raises(ValueError, match=r"^log_softmax: non-finite input at row \(2,\)$"):
+        T.linear_log_softmax(Tensor(x), w, b)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -528,6 +547,15 @@ class TestFusedFiniteDifferences:
             loss,
             [rng.normal(size=(B * TQ, D)), rng.normal(size=(B * TK, D)),
              rng.normal(size=(B * TK, D))],
+            rng,
+            samples_per_tensor=16,
+        )
+
+    def test_linear_log_softmax(self, rng):
+        c = rng.normal(size=(6, 7))
+        fd_check(
+            lambda x, w, b: T.sum_all(T.mul(T.linear_log_softmax(x, w, b), c)),
+            [rng.normal(size=(6, 4)), rng.normal(size=(4, 7)), rng.normal(size=7)],
             rng,
             samples_per_tensor=16,
         )

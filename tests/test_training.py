@@ -591,6 +591,22 @@ class TestGradientEquivalence:
             )
 
 
+def test_teacher_forced_accuracy_reads_live_rows_only():
+    # the full forward's argmax at the unpadded positions, as before live rows
+    pairs = toy_pairs(12, seed=4)
+    batches = make_batches(pairs, 40, seed=0)
+    params = init_params(tiny_model_config(), seed=2)
+    params.tensors["nmt.out.b"].data = np.linspace(0, 2, VOCAB).astype(np.float32)
+    correct = total = 0
+    for batch in batches:
+        pred = nmt_forward(params, batch.src, batch.tgt_in).data.argmax(axis=-1)
+        correct += int(((pred == batch.tgt_out) & batch.tgt_mask).sum())
+        total += batch.n_tokens
+    assert any((~batch.tgt_mask).any() for batch in batches)
+    assert 0 < correct < total
+    assert teacher_forced_accuracy(params, batches) == correct / total
+
+
 class TestSmokeCopyTask:
     def test_copy_task_reaches_accuracy(self, tmp_path):
         # pilot-calibrated fixture: a 200-pair copy corpus over a shared

@@ -26,6 +26,20 @@ def _token_cbmi(p_nmt, p_lm):
     return schedule.token_cbmi[0, 0]
 
 
+def test_gold_token_probs_of_live_rows():
+    # [n, V] rows with [n] targets read what [B, T, V] with [B, T] reads there
+    rng = np.random.default_rng(3)
+    log_probs = np.log(rng.dirichlet(np.ones(7), size=(3, 4))).astype(np.float32)
+    targets = rng.integers(0, 7, size=(3, 4))
+    mask = rng.random((3, 4)) < 0.6
+    full = W.gold_token_probs(log_probs, targets)
+    live = W.gold_token_probs(log_probs[mask], targets[mask])
+    assert full.shape == (3, 4) and live.shape == (mask.sum(),)
+    assert live.dtype == np.float64 and live.tobytes() == full[mask].tobytes()
+    assert np.array_equal(full, np.exp(np.take_along_axis(
+        log_probs, targets[..., None], axis=-1)[..., 0].astype(np.float64)))
+
+
 class TestTokenCbmi:
     def test_equal_probabilities_give_zero(self):
         assert _token_cbmi(0.3, 0.3) == pytest.approx(0.0, abs=1e-15)

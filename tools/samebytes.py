@@ -21,8 +21,12 @@ directory (``prior_select`` with thresholds that reach all three of its
 regimes, ``cbmi`` with a weight dump); ``translate`` at beams 1, 2 and 4 of
 a 150-sentence file (three decode groups; after so few steps every
 sentence is force-finished), ``score``, ``analyze-cbmi`` and
-``dump-weights`` on the ``cbmi`` checkpoint of each precision. ``timing.log`` holds wall-clock
-times and is not compared.
+``dump-weights`` on the ``cbmi`` checkpoint of each precision. Last, a
+20-step ``none`` run without dropout on an easy word-for-word task, whose
+``translate`` at beams 1 and 4 ends sentences before their length limit:
+the pipeline stops with an error if a beam force-finishes every hypothesis
+(the ``translate:`` line's ``force_finished`` counts them).
+``timing.log`` holds wall-clock times and is not compared.
 """
 
 from __future__ import annotations
@@ -47,11 +51,16 @@ NOT_COMPARED = {"timing.log"}
 SHOWN_LINES = 8
 
 
+EASY_TEST_LINES = 60
+
+
 def write_corpus(out: Path, seed: int = 5) -> None:
     """A 300-pair substitution corpus (Zipf-like words, 200 a side, lengths
-    3-12, one word in ten replaced at random) and a 150-line held-out set."""
+    3-12, one word in ten replaced at random) and a 150-line held-out set;
+    under ``easy/``, a 400-pair word-for-word substitution (12 words a side,
+    lengths 2-5) and a held-out set of ``EASY_TEST_LINES``."""
     rng = np.random.default_rng(seed)
-    out.mkdir(parents=True)
+    (out / "easy").mkdir(parents=True)
 
     def pairs(n: int) -> tuple[list[str], list[str]]:
         src, tgt = [], []
@@ -62,8 +71,14 @@ def write_corpus(out: Path, seed: int = 5) -> None:
             tgt.append(" ".join(f"t{w}" for w in noisy))
         return src, tgt
 
-    for name, n in (("train", 300), ("test", 150)):
-        src, tgt = pairs(n)
+    def easy_pairs(n: int) -> tuple[list[str], list[str]]:
+        words = [rng.integers(0, 12, rng.integers(2, 6)) for _ in range(n)]
+        return ([" ".join(f"s{w}" for w in line) for line in words],
+                [" ".join(f"t{w}" for w in line) for line in words])
+
+    for name, (src, tgt) in (("train", pairs(300)), ("test", pairs(150)),
+                             ("easy/train", easy_pairs(400)),
+                             ("easy/test", easy_pairs(EASY_TEST_LINES))):
         (out / f"{name}.src").write_text("\n".join(src) + "\n", encoding="utf-8")
         (out / f"{name}.tgt").write_text("\n".join(tgt) + "\n", encoding="utf-8")
 
@@ -82,11 +97,13 @@ def pipeline(corpus: str, out: str) -> None:
     data = o / "data"
     log = io.StringIO()
 
-    def cli(*args: str) -> None:
-        with contextlib.redirect_stdout(log):
+    def cli(*args: str) -> str:
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
             code = run([str(a) for a in args])
+        log.write(printed.getvalue())
         if code != 0:
             raise SystemExit(f"{' '.join(map(str, args))} exited {code}")
+        return printed.getvalue()
 
     cli("preprocess", "--src", c / "train.src", "--tgt", c / "train.tgt", "--out-dir", data,
         "--min-count", "2")
@@ -117,6 +134,23 @@ def pipeline(corpus: str, out: str) -> None:
             cli("score", "--hyp", hyp, "--ref", c / "test.tgt", "--out", ev / f"bleu_beam{beam}.txt")
         cli("analyze-cbmi", *test, "--tgt", c / "test.tgt", "--out", ev / "analysis.txt")
         cli("dump-weights", *test, "--tgt", c / "test.tgt", "--out", ev / "weights.tsv")
+    easy, easy_data, easy_run = c / "easy", o / "easy_data", o / "easy_none"
+    cli("preprocess", "--src", easy / "train.src", "--tgt", easy / "train.tgt",
+        "--out-dir", easy_data)
+    cli("train", "--src", easy / "train.src", "--tgt", easy / "train.tgt", "--data-dir", easy_data,
+        "--scheme", "none", "--dropout-residual", "0", "--dropout-attention", "0",
+        "--dropout-activation", "0", "--base-lr", "0.05", "--warmup-steps", "10",
+        "--phase1-steps", "0", "--phase2-steps", "20", "--token-budget", "256", "--seed", "3",
+        "--out-dir", easy_run)
+    for beam in ("1", "4"):
+        printed = cli("translate", "--src", easy / "test.src", "--data-dir", easy_data,
+                      "--checkpoint", easy_run / "checkpoint_final", "--beam", beam,
+                      "--out", easy_run / f"hyp_beam{beam}.txt")
+        # a beam of width w force-finishes at most w hypotheses a sentence
+        hypotheses = int(beam) * EASY_TEST_LINES
+        if int(printed.rsplit("force_finished=", 1)[1]) >= hypotheses:
+            raise SystemExit(f"easy task, beam {beam}: all {hypotheses} hypotheses "
+                             "force-finished; none ends before its length limit")
     (o / "stdout.txt").write_text(log.getvalue().replace(str(o), "<out>"), encoding="utf-8")
 
 
