@@ -20,11 +20,11 @@ allocated themselves. An op never writes into an input's ``data``, and a
 backward function never writes into its incoming gradient, because ``add``
 and ``residual_norm`` hand one gradient array to two parents.
 
-Besides the primitives, four fused ops each record one node for a whole
-layer piece: ``linear`` (``x @ w + b``), ``linear_log_softmax`` (the output
-projection, ``log_softmax(x @ w + b)``), ``attention`` (scores, scale,
-mask, softmax, attention dropout and context) and ``residual_norm``
-(dropout, residual add and ``layer_norm``). Each runs the numpy
+Besides the primitives, five fused ops each record one node: ``linear``
+(``x @ w + b``), ``linear_log_softmax`` (``log_softmax(x @ w + b)``),
+``attention`` (scores, scale, mask, softmax, dropout, context),
+``residual_norm`` (dropout, residual add, ``layer_norm``) and
+``weighted_cross_entropy`` (a train step's whole loss). Each runs the numpy
 expressions of the primitives it replaces in the same order, so its output
 and gradients are bit-for-bit those of the composition. Where a fused op
 works in place (``linear_log_softmax`` shifts and normalizes its logits,
@@ -521,29 +521,38 @@ def residual_norm(
 def weighted_cross_entropy(
     log_probs: Tensor,
     targets: np.ndarray,
-    weights,
+    weights: np.ndarray,
     smoothing: float = 0.0,
+    scale: float = 1.0,
+    prior: tuple[Tensor, np.ndarray, float, float] | None = None,
 ) -> Tensor:
-    """Sum over rows of ``w_j * loss_j`` where ``loss_j`` is the (optionally
-    label-smoothed) negative log-likelihood of the gold token.
+    """``scale`` times the sum over rows of ``w_j * loss_j``, where ``loss_j``
+    is the (optionally label-smoothed) negative log-likelihood of the gold
+    token, plus an optional prior term: the whole loss of a train step.
 
     ``weights`` are constants: no gradient flows into them. Smoothing ``eps``
     mixes the gold NLL with the uniform distribution over the whole vocab,
     ``(1 - eps) * nll_j + (eps / V) * sum_v(-log p_v)``, and the weight
     multiplies the whole smoothed per-row loss. Pad rows are handled by the
     caller passing weight 0. Reduces to the plain summed NLL when all
-    weights are 1 and smoothing is 0.
+    weights and ``scale`` are 1 and smoothing is 0.
+
+    ``prior = (p, q, c, k)`` adds ``c * sum(q * p) + k`` for constant
+    [rows, vocab] distributions ``q``; ``p`` is ``log_probs`` itself or
+    another tensor of its shape. The bits are those of ``add(mul(ce,
+    scale), add(mul(sum_all(mul(p, q)), c), k))``.
     """
     if log_probs.data.ndim != 2:
         raise ValueError("weighted_cross_entropy expects [rows, vocab] log-probs")
     rows, vocab = log_probs.data.shape
+    dtype = log_probs.data.dtype
     targets = np.asarray(targets)
     if targets.shape != (rows,):
         raise ValueError(f"targets shape {targets.shape} does not match {rows} rows")
-    w = weights.data if isinstance(weights, Tensor) else np.asarray(weights)
+    w = np.asarray(weights)
     if w.shape != (rows,):
         raise ValueError(f"weights shape {w.shape} does not match {rows} rows")
-    w = w.astype(log_probs.data.dtype)
+    w = w.astype(dtype)
     if targets.size and (targets.min() < 0 or targets.max() >= vocab):
         raise ValueError("target id out of vocabulary range")
     if not 0.0 <= smoothing < 1.0:
@@ -556,13 +565,20 @@ def weighted_cross_entropy(
         per_row = (1.0 - smoothing) * nll + (smoothing / vocab) * smooth
     else:
         per_row = nll
-    out = Tensor((w * per_row).sum())
+    scale_c = _const(scale, dtype)
+    value = (w * per_row).sum() * scale_c
+    if prior is not None:
+        p, q, c, k = prior
+        q, c = _const(q, dtype), _const(c, dtype)
+        value = value + ((p.data * q).sum() * c + _const(k, dtype))
 
     def grad_fn(g):
         glp = np.zeros_like(log_probs.data)
         glp[row_idx, targets] = -(1.0 - smoothing) * w
         if smoothing > 0.0:
             glp -= (smoothing / vocab) * w[:, None]
-        return (g * glp,)
+        glp *= g * scale_c
+        # the tape sums the two when p is log_probs
+        return (glp,) if prior is None else (glp, (g * c) * q)
 
-    return _record(out, (log_probs,), grad_fn)
+    return _record(Tensor(value), (log_probs,) if prior is None else (log_probs, p), grad_fn)

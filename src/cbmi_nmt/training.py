@@ -223,23 +223,23 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 def compute_scheme_weights(
     scheme: WeightScheme,
     batch: SentencePairBatch,
-    nmt_out: Tensor,
+    nmt_rows: Tensor,
     lm_log_probs: np.ndarray | None,
     freq_table: FrequencyTable | None,
     bmi_table: BmiTable | None,
     phase: int,
-) -> tuple[np.ndarray, W.CbmiBatch | None, Tensor | None]:
+) -> tuple[np.ndarray, W.CbmiBatch | None, tuple | None]:
     """Per-token loss weights for one batch (zeros at pad positions), the
-    CBMI schedule when the scheme computes one, and the prior-loss addend of
-    the ``lm_prior`` and ``prior_select`` schemes.
+    CBMI schedule when the scheme computes one, and the prior term of the
+    loss head for the ``lm_prior`` and ``prior_select`` schemes.
 
-    Phase 1 always trains with unit weights and no addend. The weights and
+    Phase 1 always trains with unit weights and no prior. The weights and
     the prior distributions are constants with respect to the models; the
-    addend is differentiable in ``nmt_out`` (log-probs, [B, T, V]).
+    prior's log-probs are differentiable in ``nmt_rows`` ([B*T, V]).
     """
     mask = batch.tgt_mask
     ones = mask.astype(np.float64)
-    nmt_log_probs = nmt_out.data
+    nmt_log_probs = nmt_rows.data
     kind = scheme.kind if phase == 2 else "none"
     if kind in W.LM_SCHEMES and lm_log_probs is None:
         raise TrainingError(f"{kind} weighting needs language-model probabilities")
@@ -247,13 +247,10 @@ def compute_scheme_weights(
         return ones, None, None
     if kind in ("lm_prior", "prior_select"):
         # prior schemes keep unit CE weights and add a distillation term
-        rows = (mask.size, nmt_log_probs.shape[-1])
-        flat = T.reshape(nmt_out, rows)
         base = scheme.baseline
         if kind == "lm_prior":
-            addend = W.lm_prior_loss(
-                flat, lm_log_probs.reshape(rows), base.lam, base.tau, mask.reshape(-1),
-                base.soften_teacher_only,
+            prior = W.lm_prior_loss(
+                nmt_rows, lm_log_probs, base.lam, base.tau, mask.reshape(-1), base.soften_teacher_only
             )
         else:
             raw_cbmi = W.masked_token_cbmi(
@@ -262,11 +259,10 @@ def compute_scheme_weights(
                 mask,
             )
             prior_rows = W.selected_prior_rows(
-                nmt_log_probs.reshape(rows), lm_log_probs.reshape(rows), raw_cbmi.reshape(-1),
-                base.th1, base.th2,
+                nmt_log_probs, lm_log_probs, raw_cbmi.reshape(-1), base.th1, base.th2
             )
-            addend = W.prior_cross_entropy_loss(flat, prior_rows, base.lam, mask.reshape(-1))
-        return ones, None, addend
+            prior = W.prior_cross_entropy_loss(nmt_rows, prior_rows, base.lam, mask.reshape(-1))
+        return ones, None, prior
     if kind == "cbmi":
         p_nmt = W.gold_token_probs(nmt_log_probs, batch.tgt_out)
         p_lm = W.gold_token_probs(lm_log_probs, batch.tgt_out)
@@ -302,13 +298,12 @@ class TrainerState:
     step: int = 0
 
 
-def _mean_token_ce(out: Tensor, batch: SentencePairBatch, weights: np.ndarray, smoothing: float) -> Tensor:
+def _mean_token_ce(rows: Tensor, batch: SentencePairBatch, weights, smoothing: float, prior=None) -> Tensor:
     """Weighted, label-smoothed cross-entropy of the gold targets under the
-    [B, T, V] log-probs ``out``, divided by the batch's target token count."""
-    b, t_len, vocab = out.shape
-    flat = T.reshape(out, (b * t_len, vocab))
-    ce = T.weighted_cross_entropy(flat, batch.tgt_out.reshape(-1), weights.reshape(-1), smoothing)
-    return T.mul(ce, 1.0 / batch.n_tokens)
+    [B*T, V] log-probs ``rows``, divided by the batch's target token count,
+    plus the prior term, if given, as one tape node."""
+    targets = batch.tgt_out.reshape(-1)
+    return T.weighted_cross_entropy(rows, targets, weights.reshape(-1), smoothing, 1.0 / batch.n_tokens, prior)
 
 
 def _finite_value(loss: Tensor, model: str, step: int) -> float:
@@ -327,6 +322,7 @@ def _update(tensors: dict[str, Tensor], opt: AdamState, cfg: TrainConfig, lr: fl
         p.zero_grad()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lm_pass(
     state: TrainerState,
     batch: SentencePairBatch,
@@ -336,20 +332,22 @@ def lm_pass(
     publish: Callable[[np.ndarray], None],
 ) -> float:
     """The language model's part of a train step: forward, plain-CE
-    backward, clip and Adam on ``lm.*``. Hands the LM's [B, T, V] log-probs
+    backward, clip and Adam on ``lm.*``. Hands the LM's [B*T, V] log-probs
     to ``publish`` as soon as its loss is known to be finite, before the
     backward; returns the loss. Reads and writes no NMT parameter."""
     rng = _stream_rng(cfg.seed, _STREAM_LM_DROPOUT, step)
     with Tape() as tape:
         out = lm_forward(state.params, batch.tgt_in, training=True, rng=rng)
-        loss = _mean_token_ce(out, batch, batch.tgt_mask.astype(np.float64), cfg.label_smoothing)
+        rows = T.reshape(out, (-1, out.shape[-1]))
+        loss = _mean_token_ce(rows, batch, batch.tgt_mask.astype(np.float64), cfg.label_smoothing)
         value = _finite_value(loss, "LM", step)
-        publish(out.data)
+        publish(rows.data)
         tape.backward(loss)
     _update(state.params.named("lm."), state.opt_lm, cfg, lr)
     return value
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def nmt_pass(
     state: TrainerState,
     batch: SentencePairBatch,
@@ -369,12 +367,11 @@ def nmt_pass(
     rng = _stream_rng(cfg.seed, _STREAM_NMT_DROPOUT, step)
     with Tape() as tape:
         out = nmt_forward(state.params, batch.src, batch.tgt_in, training=True, rng=rng)
-        weights, cbmi_batch, addend = compute_scheme_weights(
-            cfg.scheme, batch, out, lm_log_probs(), freq_table, bmi_table, phase
+        rows = T.reshape(out, (-1, out.shape[-1]))
+        weights, cbmi_batch, prior = compute_scheme_weights(
+            cfg.scheme, batch, rows, lm_log_probs(), freq_table, bmi_table, phase
         )
-        loss = _mean_token_ce(out, batch, weights, cfg.label_smoothing)
-        if addend is not None:
-            loss = T.add(loss, addend)
+        loss = _mean_token_ce(rows, batch, weights, cfg.label_smoothing, prior)
         value = _finite_value(loss, "NMT", step)
         tape.backward(loss)
     _update(state.params.named("nmt."), state.opt_nmt, cfg, lr)
@@ -453,8 +450,8 @@ def train_step(
     ``Generator.random`` release the GIL, so overlapped passes use two cores.
 
     numpy's floating-point error state (``np.errstate``) belongs to a
-    thread, and the worker does not inherit it. Nothing sets it today;
-    whatever sets it later must set it inside ``lm_pass`` as well.
+    thread, so each pass ignores overflow and invalid values itself: the
+    finite checks already end a diverging run with one error line.
 
     Phase 1 (steps <= phase1_steps) forces unit weights; the LM trains in
     both phases whenever the configured scheme needs it, and never sees the
@@ -470,7 +467,7 @@ def train_step(
     lr = lr_schedule(step, cfg.base_lr, cfg.warmup_steps)
     started = time.perf_counter()
 
-    # the NMT pass empties the slot; as a future's result, the LM's [B, T, V]
+    # the NMT pass empties the slot; as a future's result, the LM's [B*T, V]
     # log-probs would stay alive through the NMT backward and Adam
     slot: list[np.ndarray | None] = []
     published: Future = Future()

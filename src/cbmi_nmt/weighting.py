@@ -77,7 +77,7 @@ SCHEME_KINDS = (
     "prior_select",
 )
 
-# schemes whose weights or loss addends need language-model probabilities
+# schemes whose weights or prior term need language-model probabilities
 LM_SCHEMES = frozenset({"cbmi", "lm_prior", "prior_select"})
 
 
@@ -124,7 +124,7 @@ def token_cbmi_values(p_nmt: np.ndarray, p_lm: np.ndarray) -> np.ndarray:
 
 def gold_token_probs(log_probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """exp of the gold-token log-probabilities in float64, shaped like
-    ``targets``: [B, T] of [B, T, V] log-probs, or [n] of [n, V] rows."""
+    ``targets``, of log-probs with one row per target, flat or not."""
     rows = log_probs.reshape(-1, log_probs.shape[-1])
     gold = rows[np.arange(rows.shape[0]), targets.reshape(-1)]
     return np.exp(gold.astype(np.float64)).reshape(targets.shape)
@@ -262,8 +262,9 @@ def lm_prior_loss(
     tau: float,
     mask: np.ndarray | None = None,
     soften_teacher_only: bool = False,
-) -> Tensor:
-    """Distillation addend ``lam * KL(q_lm || p_nmt)``, mean over non-pad rows.
+) -> tuple[Tensor, np.ndarray, float, float]:
+    """The prior term of ``T.weighted_cross_entropy`` for the distillation
+    loss ``lam * KL(q_lm || p_nmt)``, mean over non-pad rows.
 
     The language-model distribution is the gradient-opaque teacher. Both
     distributions are softened by ``tau`` unless ``soften_teacher_only``.
@@ -272,23 +273,13 @@ def lm_prior_loss(
     """
     if tau <= 0:
         raise ValueError("temperature tau must be positive")
-    rows = nmt_log_probs.data.shape[0]
-    if mask is None:
-        mask = np.ones(rows, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    n = int(mask.sum())
-    if n == 0:
-        raise ValueError("lm_prior_loss needs at least one non-pad row")
     q = _softened_probs(np.asarray(lm_log_probs, dtype=np.float64), tau)
-
     if soften_teacher_only:
         student_log = T.log_softmax(nmt_log_probs)
     else:
         student_log = T.log_softmax(T.mul(nmt_log_probs, 1.0 / tau))
-    # KL(q||p) = sum q log q - sum q log p; the first term is a constant
-    cross = prior_cross_entropy_loss(student_log, q, lam, mask)
-    entropy_term = float((q * np.where(q > 0, np.log(q), 0.0) * mask[:, None]).sum())
-    return T.add(cross, lam * entropy_term / n)
+    # KL(q||p) = sum q log q - sum q log p; the first term is the constant k
+    return prior_cross_entropy_loss(student_log, q, lam, mask, q * np.where(q > 0, np.log(q), 0.0))
 
 
 class Prior(enum.Enum):
@@ -335,12 +326,10 @@ def selected_prior_rows(
     cbmi = np.asarray(token_cbmi_rows, dtype=np.float64)
     lm_rows = cbmi <= th1
     cbmi_rows = ~(cbmi <= th2)  # not `> th2`: as in select_prior, NaN picks CBMI
-    q = _softened_probs(nmt.astype(np.float64), 1.0)
-    q[lm_rows] = _softened_probs(lm[lm_rows].astype(np.float64), 1.0)
-    q[cbmi_rows] = _softened_probs(
-        np.subtract(nmt[cbmi_rows], lm[cbmi_rows], dtype=np.float64), 1.0
-    )
-    return q
+    logits = nmt.astype(np.float64)
+    logits[lm_rows] = lm[lm_rows]
+    logits[cbmi_rows] = np.subtract(nmt[cbmi_rows], lm[cbmi_rows], dtype=np.float64)
+    return _softened_probs(logits, 1.0)
 
 
 def prior_cross_entropy_loss(
@@ -348,9 +337,12 @@ def prior_cross_entropy_loss(
     prior_rows: np.ndarray,
     lam: float,
     mask: np.ndarray | None = None,
-) -> Tensor:
-    """Addend ``lam * mean_rows(-sum_v q(v) log p(v))`` against gradient-opaque
-    per-row prior distributions ``q``."""
+    q_log_q: np.ndarray | None = None,
+) -> tuple[Tensor, np.ndarray, float, float]:
+    """The prior term ``(p, q, c, k)`` of ``T.weighted_cross_entropy`` for
+    ``lam * mean_rows(-sum_v q(v) log p(v))`` against gradient-opaque
+    per-row prior distributions ``q``; given the rows' ``q_log_q``, the
+    constant ``k`` adds ``lam * mean_rows(sum_v q_log_q)``."""
     rows = nmt_log_probs.data.shape[0]
     if mask is None:
         mask = np.ones(rows, dtype=bool)
@@ -361,7 +353,8 @@ def prior_cross_entropy_loss(
     q_masked = (np.asarray(prior_rows, dtype=np.float64) * mask[:, None]).astype(
         nmt_log_probs.data.dtype
     )
-    return T.mul(T.sum_all(T.mul(nmt_log_probs, q_masked)), -lam / n)
+    k = 0.0 if q_log_q is None else lam * float((q_log_q * mask[:, None]).sum()) / n
+    return nmt_log_probs, q_masked, -lam / n, k
 
 
 def weight_dump_lines(

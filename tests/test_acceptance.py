@@ -339,8 +339,11 @@ class TestCriterion06BaselineSpotChecks:
         assert W.anti_focal_loss(1.0, 0.3, 2.0) == 0.0
         assert W.bmi_weight(0.0, 0.15, 0.8) == 0.8
         log_probs = np.log(np.array([[0.3, 0.2, 0.5]]))
-        addend = W.lm_prior_loss(Tensor(log_probs), log_probs, lam=0.1, tau=2.0)
-        assert abs(addend.item()) <= 1e-12
+        nmt = Tensor(log_probs)
+        prior = W.lm_prior_loss(nmt, log_probs, lam=0.1, tau=2.0)
+        # the KL alone, read through the trainer's loss head with CE weight 0
+        kl = T.weighted_cross_entropy(nmt, np.array([0]), np.array([0.0]), prior=prior)
+        assert abs(kl.item()) <= 1e-12
         priors = [W.select_prior(v, 0.0, 8.0) for v in (-5.0, 4.0, 10.0)]
         assert priors == [W.Prior.LM, W.Prior.TM, W.Prior.CBMI]
         report(6, "freq/focal/bmi/lm-prior/select-prior spot checks")

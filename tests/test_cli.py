@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -765,6 +769,18 @@ class TestCliRuns:
         if damage == "index_malformed_line":
             lines = damaged.read_text(encoding="utf-8").splitlines()
             assert f"line {len(lines)} of {damaged}" in err, err
+
+
+def test_diverging_train_prints_only_its_error_line(corpus, tmp_path):
+    # a fresh process, so numpy's warnings would reach stderr as in a user's run
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    args = train_args(corpus, tmp_path / "run", "--base-lr", "1e28", "--clip-norm", "0")
+    done = subprocess.run([sys.executable, "-m", "cbmi_nmt", *args], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:train:"), done.stderr
 
 
 def test_every_scheme_reachable_from_flags(corpus, tmp_path):

@@ -573,6 +573,87 @@ class TestFusedFiniteDifferences:
         )
 
 
+class TestLossHead:
+    """``weighted_cross_entropy`` with ``scale`` and a prior term ``(p, q, c,
+    k)`` is the whole train-step loss: one node, with the bits of the
+    composition it replaced."""
+
+    ROWS, VOCAB = 6, 9
+
+    def _inputs(self, rng):
+        targets = rng.integers(0, self.VOCAB, size=self.ROWS)
+        weights = rng.uniform(0.1, 2.0, size=self.ROWS)
+        weights[1] = 0.0  # a pad row
+        q = rng.dirichlet(np.ones(self.VOCAB), size=self.ROWS)
+        return targets, weights, q
+
+    @staticmethod
+    def _prior_source(kind: str, rows: Tensor):
+        # None, the CE rows themselves (prior_select), or a student
+        # log_softmax(rows / tau) of its own (lm_prior)
+        if kind == "none":
+            return None
+        return rows if kind == "rows" else T.log_softmax(T.mul(rows, 0.5))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind, k", [  # prior_select's k is 0
+        ("none", 0.0), ("rows", 0.0), ("rows", 1.7), ("rows", -2.9), ("student", 0.0),
+        ("student", 1.7), ("student", -2.9),
+    ])
+    def test_bits_of_the_composition(self, rng, dtype, kind, k):
+        targets, weights, q = self._inputs(rng)
+        logits = 3 * rng.normal(size=(self.ROWS, self.VOCAB))
+        scale, c = 1.0 / 17, -0.1 / 5
+
+        def run(fused: bool):
+            x = Tensor(logits.astype(dtype), requires_grad=True)
+            with Tape() as tape:
+                rows = T.log_softmax(x)
+                p = self._prior_source(kind, rows)
+                prior = None if p is None else (p, q.astype(dtype), c, k)
+                if fused:
+                    n = len(tape.nodes)
+                    loss = T.weighted_cross_entropy(rows, targets, weights, 0.1, scale, prior)
+                    assert len(tape.nodes) == n + 1
+                else:  # the reference: the primitives the head stands for
+                    loss = T.mul(T.weighted_cross_entropy(rows, targets, weights, 0.1), scale)
+                    if p is not None:
+                        term = T.mul(T.sum_all(T.mul(p, q.astype(dtype))), c)
+                        loss = T.add(loss, T.add(term, k))
+                tape.backward(loss)
+            return _bits(loss.data), _bits(x.grad)
+
+        assert run(fused=True) == run(fused=False)
+
+    def test_fd_without_prior(self, rng):
+        targets, weights, _ = self._inputs(rng)
+        fd_check(
+            lambda a: T.weighted_cross_entropy(T.log_softmax(a), targets, weights, 0.1, 0.25),
+            [rng.normal(size=(self.ROWS, self.VOCAB))],
+            rng,
+            samples_per_tensor=16,
+        )
+
+    def test_fd_prior_on_the_ce_rows(self, rng):
+        targets, weights, q = self._inputs(rng)
+
+        def loss(a):
+            rows = T.log_softmax(a)
+            return T.weighted_cross_entropy(rows, targets, weights, 0.1, 0.25, (rows, q, -0.3, 0.7))
+
+        fd_check(loss, [rng.normal(size=(self.ROWS, self.VOCAB))], rng, samples_per_tensor=16)
+
+    def test_fd_prior_on_a_separate_tensor(self, rng):
+        targets, weights, q = self._inputs(rng)
+
+        def loss(a, b):
+            prior = (T.log_softmax(b), q, -0.3, 0.7)
+            return T.weighted_cross_entropy(T.log_softmax(a), targets, weights, 0.1, 0.25, prior)
+
+        fd_check(loss, [rng.normal(size=(self.ROWS, self.VOCAB)),
+                        rng.normal(size=(self.ROWS, self.VOCAB))], rng, samples_per_tensor=16)
+
+
 def _generator(kind: str) -> np.random.Generator:
     if kind == "philox":
         return np.random.Generator(np.random.Philox(11))

@@ -303,6 +303,7 @@ class TestTrainRuns:
         kept = sorted(p.name for p in (tmp_path / "run").glob("checkpoint_step*"))
         assert kept == ["checkpoint_step4", "checkpoint_step6"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_dumps_batch(self, tmp_path):
         pairs = toy_pairs()
         cfg = tiny_train_config(base_lr=1e28, clip_norm=0.0, phase1_steps=30, phase2_steps=0)

@@ -292,24 +292,32 @@ class TestBaselineFormulas:
         )
 
 
+def lm_prior_kl(nmt: Tensor, lm: np.ndarray, **kwargs) -> Tensor:
+    """``lm_prior_loss``'s term alone, read through the loss head that the
+    trainer runs: every cross-entropy weight is 0."""
+    rows = nmt.shape[0]
+    prior = W.lm_prior_loss(nmt, lm, **kwargs)
+    return T.weighted_cross_entropy(nmt, np.zeros(rows, dtype=int), np.zeros(rows), prior=prior)
+
+
 class TestLmPrior:
     def test_identical_distributions_zero(self):
         log_probs = np.log(np.array([[0.4, 0.6], [0.25, 0.75]]))
-        addend = W.lm_prior_loss(Tensor(log_probs), log_probs, lam=0.1, tau=1.0)
-        assert addend.item() == pytest.approx(0.0, abs=1e-12)
+        kl = lm_prior_kl(Tensor(log_probs), log_probs, lam=0.1, tau=1.0)
+        assert kl.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_lambda_zero_switches_off(self, rng):
         nmt = Tensor(rng.normal(size=(3, 5)))
         lm = rng.normal(size=(3, 5))
-        assert W.lm_prior_loss(nmt, lm, lam=0.0, tau=2.0).item() == pytest.approx(0.0, abs=1e-12)
+        assert lm_prior_kl(nmt, lm, lam=0.0, tau=2.0).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_kl(self):
         nmt = Tensor(np.log(np.array([[0.5, 0.5]])))
         lm = np.log(np.array([[0.75, 0.25]]))
-        addend = W.lm_prior_loss(nmt, lm, lam=0.1, tau=1.0)
+        kl = lm_prior_kl(nmt, lm, lam=0.1, tau=1.0)
         expected = 0.1 * (0.75 * math.log(1.5) + 0.25 * math.log(0.5))
-        assert addend.item() == pytest.approx(expected, abs=1e-6)
-        assert addend.item() == pytest.approx(0.01308, abs=1e-5)
+        assert kl.item() == pytest.approx(expected, abs=1e-6)
+        assert kl.item() == pytest.approx(0.01308, abs=1e-5)
 
     def test_invalid_temperature(self):
         with pytest.raises(ValueError, match="tau"):
@@ -320,8 +328,7 @@ class TestLmPrior:
         x = Tensor(logits, requires_grad=True)
         lm = rng.normal(size=(2, 4))
         with T.Tape() as tape:
-            addend = W.lm_prior_loss(x, lm, lam=0.5, tau=2.0)
-            tape.backward(addend)
+            tape.backward(lm_prior_kl(x, lm, lam=0.5, tau=2.0))
         assert x.grad is not None and np.abs(x.grad).sum() > 0
 
 

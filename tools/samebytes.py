@@ -18,7 +18,8 @@ The pipeline: ``preprocess --min-count 2``, so both sides hold ``<unk>``;
 512-token budget, which the LM pass overlaps at), checkpointing at step 2
 of 4, then a copy of the run resumed from that checkpoint in its own
 directory (``prior_select`` with thresholds that reach all three of its
-regimes, ``cbmi`` with a weight dump); ``translate`` at beams 1, 2 and 4 of
+regimes, ``cbmi`` with a weight dump, and ``lm_prior`` once more with
+``--soften-teacher-only true``); ``translate`` at beams 1, 2 and 4 of
 a 150-sentence file (three decode groups; after so few steps every
 sentence is force-finished), ``score``, ``analyze-cbmi`` and
 ``dump-weights`` on the ``cbmi`` checkpoint of each precision. Last, a
@@ -110,10 +111,14 @@ def pipeline(corpus: str, out: str) -> None:
     common = ["--src", c / "train.src", "--tgt", c / "train.tgt", "--data-dir", data,
               "--token-budget", "512", "--phase1-steps", "1", "--phase2-steps", "3",
               "--checkpoint-every", "2", "--seed", "3"]
+    # (run name, scheme, extra flags): every scheme, plus lm_prior with a
+    # student that is not divided by its temperature
+    runs = [(scheme, scheme, []) for scheme in SCHEME_KINDS]
+    runs.append(("lm_prior_teacher_only", "lm_prior", ["--soften-teacher-only", "true"]))
     for precision in ("fp32", "fp64"):
-        for scheme in SCHEME_KINDS:
-            full, resumed = o / f"{scheme}_{precision}", o / f"{scheme}_{precision}_resumed"
-            args = [*common, "--scheme", scheme, "--precision", precision]
+        for name, scheme, more in runs:
+            full, resumed = o / f"{name}_{precision}", o / f"{name}_{precision}_resumed"
+            args = [*common, "--scheme", scheme, "--precision", precision, *more]
             if scheme == "prior_select":
                 args += ["--th1", "-0.5", "--th2", "0.5"]
 
