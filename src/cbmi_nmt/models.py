@@ -371,7 +371,8 @@ def _target_side(
 ) -> Tensor:
     """Causally masked target-side stack from embedding to log-probs; with no
     memory it is the language model. [B, T, vocab] log-probs, or the [n,
-    vocab] rows of the ``live`` flat positions only."""
+    vocab] rows of the ``live`` flat positions only; when those are every
+    position, the rows are the projection's own, with no gather."""
     p, cfg, dtype = params.tensors, params.config, params.dtype
     self_mask = _causal_mask(tgt_ids.shape[1], dtype.str) + _pad_key_mask(tgt_ids, dtype)
     x = _embed_positions(p, f"{model}.{embed}", tgt_ids, cfg, rng)
@@ -379,7 +380,9 @@ def _target_side(
     batch, length, d = x.shape
     x2d = T.reshape(x, (batch * length, d))
     if live is not None:
-        return _project_log_probs(p, f"{model}.out", T.embedding(x2d, live))
+        if live.size < batch * length:
+            x2d = T.embedding(x2d, live)
+        return _project_log_probs(p, f"{model}.out", x2d)
     log_probs = _project_log_probs(p, f"{model}.out", x2d)
     return T.reshape(log_probs, (batch, length, cfg.vocab_size_tgt))
 

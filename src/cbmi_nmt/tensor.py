@@ -31,9 +31,21 @@ works in place (``linear_log_softmax`` shifts and normalizes its logits,
 ``attention`` its scores), it does so on an intermediate it allocated, so
 the in-place rule above holds.
 
+Short sums run on BLAS: a sum over the last axis (softmax's row sums and
+its backward, layer norm's mean, variance and backward sums) is one
+matrix-vector product with a ones vector, and a sum over the leading axes
+(the bias and gain gradients) one vector-matrix product. numpy's own
+reduction along a short contiguous axis is several times slower. BLAS may
+round a row's sum differently depending on the rows beside it, so the
+log-softmax of ``log_softmax`` and ``linear_log_softmax`` keeps numpy's row
+sum, and the output projection pads its rows to a whole block (see
+``_PROJECTION_ROW_BLOCK``): a projected row then comes out the same
+whichever rows share the call.
+
 ``dropout``, ``attention`` and ``residual_norm`` drop elements only when
 given a generator: with ``rng=None`` they draw no mask and return the bits
-of a zero rate, whatever ``rate`` is.
+of a zero rate, whatever ``rate`` is. Each element's draw is a 16-bit lane
+of the generator's raw words (see ``_keep``), so a rate is exact to 2**-16.
 
 Each thread has at most one active tape, and that tape records only the
 operations run on its own thread, so two threads can each run a forward and
@@ -43,7 +55,6 @@ backward pass at once as long as they share no tensor that either updates.
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from typing import Callable, Sequence
 
@@ -186,10 +197,31 @@ def _const(x, dtype) -> np.ndarray:
     return arr
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of ``x``, kept as an axis of length 1: one
+    matrix-vector product with a ones vector."""
+    dim = x.shape[-1]
+    return np.matmul(x.reshape(-1, dim), np.ones(dim, x.dtype)).reshape(*x.shape[:-1], 1)
+
+
+def _row_means(x: np.ndarray) -> np.ndarray:
+    means = _row_sums(x)
+    means /= x.shape[-1]
+    return means
+
+
+def _col_sums(x: np.ndarray, ndim: int) -> np.ndarray:
+    """Sums of ``x`` over all but its last ``ndim`` axes: one vector-matrix
+    product with a ones vector."""
+    tail = x.shape[x.ndim - ndim:]
+    x2d = x.reshape(-1, math.prod(tail))
+    return np.matmul(np.ones(x2d.shape[0], x.dtype), x2d).reshape(tail)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` along axes that were broadcast."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+    if grad.ndim > len(shape):
+        grad = _col_sums(grad, len(shape))
     for axis, dim in enumerate(shape):
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
@@ -287,7 +319,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out += b.data
 
     def grad_fn(g):
-        return np.matmul(g, w.data.T), np.matmul(x.data.T, g), g.sum(axis=0)
+        return np.matmul(g, w.data.T), np.matmul(x.data.T, g), _col_sums(g, 1)
 
     return _record(Tensor(out), (x, w, b), grad_fn)
 
@@ -305,41 +337,26 @@ def sum_all(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (np.broadcast_to(g, a.data.shape).astype(a.data.dtype),))
 
 
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
-
 def _keep(shape: tuple[int, ...], dtype, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """The inverted-dropout multiplier ``(u >= rate) / (1 - rate)`` for the
-    uniforms ``u = rng.random(shape, dtype)``, leaving ``rng`` in the state
-    that draw leaves it in.
+    """The inverted-dropout multiplier: 0 where an element is dropped and
+    ``1 / (1 - rate)`` (rounded to ``dtype``) where it is kept.
 
-    A PCG64 ``random`` of float32 turns each 32-bit half of a raw word, low
-    half first, into ``(half >> 8) * 2**-24``, and a float64 draw turns a
-    raw word into ``(word >> 11) * 2**-53`` and ignores a buffered half. So
-    ``u >= rate`` is a threshold on the raw bits, read without building the
-    floats. A float32 draw of an odd size, or one after a draw that left
-    half a word buffered, falls back to ``rng.random``, and so does any
-    other bit generator.
+    Element ``i`` reads lane ``i`` of the generator's raw 64-bit words
+    (``bit_generator.random_raw``) taken as 16-bit lanes, four a word, low
+    lane first whatever the host's byte order, and is dropped when its lane
+    is below ``ceil(rate * 2**16)``. So it is dropped with probability
+    ``ceil(rate * 2**16) / 2**16``, at most 2**-16 above ``rate``, and a draw
+    of ``n`` elements advances the generator by exactly ``ceil(n / 4)``
+    words; the unused lanes of a last partial word are discarded. One path
+    serves every bit generator and both dtypes. The scale stays
+    ``1 / (1 - rate)`` rather than the reciprocal of the lanes' exact keep
+    probability, which is infinite for a rate above ``1 - 2**-16``.
     """
     n = math.prod(shape)
-    bitgen = rng.bit_generator
-    mask = None
-    if _LITTLE_ENDIAN and type(bitgen) is np.random.PCG64:
-        if dtype == np.float64:
-            mask = bitgen.random_raw(n) >= math.ceil(rate * 2**53) << 11
-        elif n and n % 2 == 0 and not bitgen.state["has_uint32"]:
-            raw = bitgen.random_raw(n // 2)
-            mask = raw.view(np.uint32) >= math.ceil(float(np.float32(rate)) * 2**24) << 8
-            # a float32 draw leaves the high half of its last word behind,
-            # already used, in the state
-            state = bitgen.state
-            state["uinteger"] = int(raw[-1] >> 32)
-            bitgen.state = state
-    if mask is None:
-        mask = rng.random(shape, dtype=dtype) >= rate
-    keep = mask.reshape(shape).astype(dtype)
-    keep /= np.asarray(1.0 - rate, dtype=dtype)
-    return keep
+    words = rng.bit_generator.random_raw(-(-n // 4))
+    lanes = words.astype("<u8", copy=False).view("<u2")[:n]
+    mask = lanes >= math.ceil(rate * 2**16)
+    return np.multiply(mask.reshape(shape), 1.0 / (1.0 - rate), dtype=dtype)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
@@ -363,18 +380,26 @@ def _check_finite_rows(x: np.ndarray, op: str) -> None:
     raise ValueError(f"{op}: non-finite input at row {row}")
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Maxima over the last axis of ``x``, kept as an axis of length 1. They
+    are taken across the rows of a contiguous transposed copy, which numpy
+    reduces much faster than a short contiguous axis; a max is exact."""
+    dim = x.shape[-1]
+    return np.ascontiguousarray(x.reshape(-1, dim).T).max(axis=0).reshape(*x.shape[:-1], 1)
+
+
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of ``x``, computed in ``x``'s own storage."""
-    x -= x.max(axis=-1, keepdims=True)
+    x -= _row_max(x)
     np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
+    x /= _row_sums(x)
     return x
 
 
 def _softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out * (g - sum(g * out))`` over the last axis, computed in ``g``'s
     storage: callers pass a gradient they allocated."""
-    g -= (g * out).sum(axis=-1, keepdims=True)
+    g -= _row_sums(g * out)
     g *= out
     return g
 
@@ -393,27 +418,54 @@ def _log_softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.subtract(g, probs, out=probs)
 
 
+def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis of ``x``, computed in ``x``'s own
+    storage. Its sums are numpy's, so each row's bits depend on that row
+    alone."""
+    x -= x.max(axis=-1, keepdims=True)
+    x -= np.log(np.exp(x).sum(axis=-1, keepdims=True))
+    return x
+
+
 def log_softmax(a: Tensor) -> Tensor:
     _check_finite_rows(a.data, "log_softmax")
-    out_data = a.data - a.data.max(axis=-1, keepdims=True)
-    out_data -= np.log(np.exp(out_data).sum(axis=-1, keepdims=True))
+    out_data = _log_softmax_rows(a.data.copy())
     return _record(Tensor(out_data), (a,), lambda g: (_log_softmax_grad(g, out_data),))
+
+
+# OpenBLAS rounds the rows of a partial block of a small matrix product
+# differently from those of a full block, so a projected row's bits depend
+# on how many rows share the call. Projecting a multiple of this many rows
+# (zero rows fill the last block) keeps them mostly the same. With OpenBLAS
+# 0.3.31 on an AVX-512 Xeon, over inputs 16 to 128 wide, vocabularies of 11
+# to 5000 and every row count below about 2**20 multiply-adds, where its
+# small-matrix kernel runs, a row took one value in 19 of 20 shapes and
+# dtypes, against 2 of 20 unpadded. Above that size its large-matrix kernel
+# runs, which rounds differently again.
+_PROJECTION_ROW_BLOCK = 8
 
 
 def linear_log_softmax(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``log_softmax(x @ w + b)`` for a [rows, in] ``x``, as one node; the
-    logits are its own, so they are normalized in place."""
+    logits are its own, so they are normalized in place. A row's output is
+    the same whichever rows share the call, within one BLAS kernel regime
+    (see ``_PROJECTION_ROW_BLOCK``)."""
     if x.data.ndim != 2:
         raise ValueError("linear_log_softmax expects a [rows, features] input")
-    out = np.matmul(x.data, w.data)
+    rows, dim = x.data.shape
+    padded = -(-rows // _PROJECTION_ROW_BLOCK) * _PROJECTION_ROW_BLOCK
+    x_in = x.data
+    if padded != rows:
+        x_in = np.zeros((padded, dim), x.data.dtype)
+        x_in[:rows] = x.data
+    out = np.matmul(x_in, w.data)[:rows]
     out += b.data
     _check_finite_rows(out, "log_softmax")
-    out -= out.max(axis=-1, keepdims=True)
-    out -= np.log(np.exp(out).sum(axis=-1, keepdims=True))
+    _log_softmax_rows(out)
 
     def grad_fn(g):
         glogits = _log_softmax_grad(g, out)
-        return np.matmul(glogits, w.data.T), np.matmul(x.data.T, glogits), glogits.sum(axis=0)
+        return np.matmul(glogits, w.data.T), np.matmul(x.data.T, glogits), _col_sums(glogits, 1)
 
     return _record(Tensor(out), (x, w, b), grad_fn)
 
@@ -463,7 +515,7 @@ def _normalize(centered: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
     dim = centered.shape[-1]
     if gain.data.shape != (dim,) or bias.data.shape != (dim,):
         raise ValueError("layer_norm gain/bias must match the last axis")
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = _row_means(centered * centered)
     inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=centered.dtype))
     xhat = centered * inv_std
     out = xhat * gain.data
@@ -472,15 +524,14 @@ def _normalize(centered: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
     def backward(g):
         gx = g * gain.data
         # d/dx of (x - mu) / sqrt(var + eps), var and mu both row statistics
-        gvar = (gx * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv_std**3
+        gvar = _row_sums(gx * centered) * (-0.5) * inv_std**3
         gx *= inv_std
-        gmu = -gx.sum(axis=-1, keepdims=True) + gvar * (-2.0) * centered.mean(axis=-1, keepdims=True)
+        gmu = -_row_sums(gx) + gvar * (-2.0) * _row_means(centered)
         gvar_x = gvar * 2.0 * centered
         gvar_x /= dim
         gx += gvar_x
         gx += gmu / dim
-        reduce_axes = tuple(range(g.ndim - 1))
-        return gx, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
+        return gx, _col_sums(g * xhat, 1), _col_sums(g, 1)
 
     return out, backward
 
@@ -491,7 +542,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     Uses population variance with ``eps`` inside the square root, so a
     constant row maps to zeros (then ``bias``) instead of dividing by zero.
     """
-    out, backward = _normalize(x.data - x.data.mean(axis=-1, keepdims=True), gain, bias, eps)
+    out, backward = _normalize(x.data - _row_means(x.data), gain, bias, eps)
     return _record(Tensor(out), (x, gain, bias), backward)
 
 
@@ -508,7 +559,7 @@ def residual_norm(
     else:
         keep = None
         added = x.data + sub.data
-    added -= added.mean(axis=-1, keepdims=True)
+    added -= _row_means(added)
     out, backward = _normalize(added, gain, bias, eps)
 
     def grad_fn(g):

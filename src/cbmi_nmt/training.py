@@ -298,6 +298,12 @@ class TrainerState:
     step: int = 0
 
 
+def _every_position(batch: SentencePairBatch) -> np.ndarray:
+    # a forward's ``rows`` mask that selects every target position: the
+    # [B*T, V] rows the loss head reads, without a reshape to [B, T, V]
+    return np.ones(batch.tgt_in.shape, dtype=bool)
+
+
 def _mean_token_ce(rows: Tensor, batch: SentencePairBatch, weights, smoothing: float, prior=None) -> Tensor:
     """Weighted, label-smoothed cross-entropy of the gold targets under the
     [B*T, V] log-probs ``rows``, divided by the batch's target token count,
@@ -337,8 +343,8 @@ def lm_pass(
     backward; returns the loss. Reads and writes no NMT parameter."""
     rng = _stream_rng(cfg.seed, _STREAM_LM_DROPOUT, step)
     with Tape() as tape:
-        out = lm_forward(state.params, batch.tgt_in, training=True, rng=rng)
-        rows = T.reshape(out, (-1, out.shape[-1]))
+        rows = lm_forward(state.params, batch.tgt_in, training=True, rng=rng,
+                          rows=_every_position(batch))
         loss = _mean_token_ce(rows, batch, batch.tgt_mask.astype(np.float64), cfg.label_smoothing)
         value = _finite_value(loss, "LM", step)
         publish(rows.data)
@@ -366,8 +372,8 @@ def nmt_pass(
     phase = 1 if step <= cfg.phase1_steps else 2
     rng = _stream_rng(cfg.seed, _STREAM_NMT_DROPOUT, step)
     with Tape() as tape:
-        out = nmt_forward(state.params, batch.src, batch.tgt_in, training=True, rng=rng)
-        rows = T.reshape(out, (-1, out.shape[-1]))
+        rows = nmt_forward(state.params, batch.src, batch.tgt_in, training=True, rng=rng,
+                           rows=_every_position(batch))
         weights, cbmi_batch, prior = compute_scheme_weights(
             cfg.scheme, batch, rows, lm_log_probs(), freq_table, bmi_table, phase
         )

@@ -345,6 +345,16 @@ class TestFiniteDifferences:
             rng,
         )
 
+    def test_dropout(self, rng):
+        # a fresh generator per evaluation draws the same mask each time
+        c = rng.normal(size=(6, 7))
+        fd_check(
+            lambda a: T.sum_all(T.mul(T.dropout(a, 0.3, np.random.default_rng(5)), c)),
+            [rng.normal(size=(6, 7))],
+            rng,
+            samples_per_tensor=16,
+        )
+
     def test_softmax(self, rng):
         c = rng.normal(size=(4, 7))
         fd_check(
@@ -669,35 +679,60 @@ def _state(rng: np.random.Generator) -> str:
     return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
 
 
+def _lanes(words: np.ndarray) -> np.ndarray:
+    # the 16-bit lanes of 64-bit words, low lane first, by arithmetic on the
+    # words, whatever the host's byte order
+    return ((words[:, None] >> np.arange(0, 64, 16, dtype=np.uint64)) & np.uint64(0xFFFF)).reshape(-1)
+
+
 class TestDropoutDraws:
-    """``dropout`` keeps exactly the elements where ``rng.random(shape,
-    dtype) >= rate`` and leaves the generator as that draw leaves it."""
+    """``dropout`` drops element ``i`` when 16-bit lane ``i`` of the
+    generator's raw 64-bit words (four a word, low lane first) is below
+    ``ceil(rate * 2**16)``, scales the others by ``1 / (1 - rate)``, and
+    advances the generator by exactly ``ceil(n / 4)`` words, for every bit
+    generator."""
 
     @staticmethod
     def check(kind: str, shape, dtype, rate: float) -> np.ndarray:
         rng, ref = _generator(kind), _generator(kind)
         out = T.dropout(Tensor(np.ones(shape, dtype=dtype)), rate, rng).data
-        keep = (ref.random(shape, dtype=dtype) >= rate).astype(dtype)
-        keep /= np.asarray(1.0 - rate, dtype=dtype)
-        assert _bits(out) == _bits(keep)
+        n = math.prod(shape)
+        lanes = _lanes(ref.bit_generator.random_raw(-(-n // 4)))
+        kept = lanes[:n].reshape(shape) >= math.ceil(rate * 2**16)
+        want = np.where(kept, np.asarray(1.0 / (1.0 - rate), dtype=dtype), np.zeros((), dtype))
+        assert _bits(out) == _bits(want)
         assert _state(rng) == _state(ref)
         assert _bits(rng.random(3, dtype=dtype)) == _bits(ref.random(3, dtype=dtype))
         return out
 
     @pytest.mark.parametrize("kind", ["pcg64", "pcg64_buffered", "philox"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(3, 5), (4, 6), (33, 64)])
+    # sizes 15, 24, 2112, 1, 18 and 2145: every remainder of four
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 6), (33, 64), (1,), (2, 3, 3), (33, 65)])
     @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9, 1e-7, 0.999999])
     def test_mask_is_the_uniform_draw(self, kind, dtype, shape, rate):
         self.check(kind, shape, dtype, rate)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rate_on_a_drawn_value(self, dtype):
-        # a uniform equal to the rate is kept; one just below the rate is not
-        drawn = float(_generator("pcg64").random((8, 8), dtype=dtype)[2, 3])
-        assert self.check("pcg64", (8, 8), dtype, drawn)[2, 3] != 0
-        above = float(np.nextafter(dtype(drawn), dtype(1.0)))
-        assert self.check("pcg64", (8, 8), dtype, above)[2, 3] == 0
+        # a lane equal to rate * 2**16 is kept; with the rate one step of
+        # the float above it, the lane is dropped
+        words = _generator("pcg64").bit_generator.random_raw(16)
+        lane = int(words[4] >> np.uint64(48))  # element (2, 3) of an (8, 8) draw
+        assert 0 < lane
+        rate = lane / 2**16
+        assert self.check("pcg64", (8, 8), dtype, rate)[2, 3] != 0
+        assert self.check("pcg64", (8, 8), dtype, math.nextafter(rate, 1.0))[2, 3] == 0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_rates(self, dtype):
+        # 1e-7 drops exactly the zero lanes; 0.999999 rounds up to 2**16
+        # and drops every element, with a finite scale
+        n = 4 * 4096
+        zeros = int((_lanes(_generator("philox").bit_generator.random_raw(n // 4)) == 0).sum())
+        out = self.check("philox", (n,), dtype, 1e-7)
+        assert int((out == 0).sum()) == zeros
+        assert not self.check("philox", (n,), dtype, 0.999999).any()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_relu_is_where_bitwise(self, dtype):
@@ -725,16 +760,24 @@ class TestInPlaceKeepsExpressions:
             tape.backward(T.sum_all(T.mul(out, cot)))
         return out.data, xs.grad
 
+    @staticmethod
+    def row_sums(a: np.ndarray) -> np.ndarray:
+        # one matrix-vector product with a ones vector over the flattened rows
+        return (a.reshape(-1, a.shape[-1]) @ np.ones(a.shape[-1], a.dtype)).reshape(
+            *a.shape[:-1], 1
+        )
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_softmax_and_log_softmax(self, rng, dtype):
         x, g = rng.normal(size=(2, 5, 7)).astype(dtype), rng.normal(size=(2, 5, 7)).astype(dtype)
         shifted = x - x.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=-1, keepdims=True)
+        probs = exp / self.row_sums(exp)
         out, grad = self.grads(T.softmax, x, g)
         assert _bits(out) == _bits(probs)
-        assert _bits(grad) == _bits(probs * (g - (g * probs).sum(axis=-1, keepdims=True)))
+        assert _bits(grad) == _bits(probs * (g - self.row_sums(g * probs)))
 
+        # the log-softmax keeps numpy's row sums, which see one row at a time
         logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         out, grad = self.grads(T.log_softmax, x, g)
         assert _bits(out) == _bits(logp)
@@ -744,15 +787,18 @@ class TestInPlaceKeepsExpressions:
     def test_layer_norm(self, rng, dtype):
         x, g = rng.normal(size=(3, 4, 8)).astype(dtype), rng.normal(size=(3, 4, 8)).astype(dtype)
         gain, bias = rng.normal(size=8).astype(dtype), rng.normal(size=8).astype(dtype)
-        centered = x - x.mean(axis=-1, keepdims=True)
-        var = (centered * centered).mean(axis=-1, keepdims=True)
+        centered = x - self.row_sums(x) / 8
+        var = self.row_sums(centered * centered) / 8
         inv_std = 1.0 / np.sqrt(var + np.asarray(T.LAYER_NORM_EPS, dtype=dtype))
         gxhat = g * gain
-        gvar = (gxhat * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv_std**3
-        gmu = -(gxhat * inv_std).sum(axis=-1, keepdims=True) + gvar * (-2.0) * centered.mean(
-            axis=-1, keepdims=True
-        )
+        gvar = self.row_sums(gxhat * centered) * (-0.5) * inv_std**3
+        gmu = -self.row_sums(gxhat * inv_std) + gvar * (-2.0) * (self.row_sums(centered) / 8)
         want = gxhat * inv_std + gvar * 2.0 * centered / 8 + gmu / 8
-        out, grad = self.grads(lambda t: T.layer_norm(t, Tensor(gain), Tensor(bias)), x, g)
+        gain_t, bias_t = Tensor(gain, requires_grad=True), Tensor(bias, requires_grad=True)
+        out, grad = self.grads(lambda t: T.layer_norm(t, gain_t, bias_t), x, g)
         assert _bits(out) == _bits(centered * inv_std * gain + bias)
         assert _bits(grad) == _bits(want)
+        # the gain and bias gradients: one vector-matrix product each
+        ones = np.ones(12, dtype)
+        assert _bits(gain_t.grad) == _bits(ones @ (g * (centered * inv_std)).reshape(12, 8))
+        assert _bits(bias_t.grad) == _bits(ones @ g.reshape(12, 8))

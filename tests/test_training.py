@@ -592,6 +592,34 @@ class TestGradientEquivalence:
             )
 
 
+def test_train_pass_reads_the_projection_rows(monkeypatch, tmp_path):
+    # the loss head reads the projection's [B*T, V] rows: a none step
+    # records two reshape nodes fewer than the [B, T, V] forward and a
+    # reshape of it back to rows
+    tapes = []
+
+    class RecordingTape(training.Tape):
+        def __enter__(self):
+            tapes.append(self)
+            return super().__enter__()
+
+    def reshapes(tape):
+        return [n for n in tape.nodes if n.grad_fn.__qualname__.startswith("reshape.")]
+
+    monkeypatch.setattr(training, "Tape", RecordingTape)
+    cfg = tiny_train_config()
+    trainer = Trainer(cfg, tiny_model_config(), toy_pairs(), tmp_path / "run")
+    batch = trainer.batch_for_step(1)
+    train_step(trainer.state, batch, cfg, 1)
+    (step_tape,) = tapes
+    with training.Tape() as forward_tape:
+        out = nmt_forward(trainer.state.params, batch.src, batch.tgt_in, training=True,
+                          rng=np.random.default_rng(0))
+    assert out.shape == batch.tgt_in.shape + (VOCAB,)
+    assert len(reshapes(step_tape)) == len(reshapes(forward_tape)) + 1 - 2
+    assert not [n for n in reshapes(step_tape) if n.out.shape[-1] == VOCAB]
+
+
 def test_teacher_forced_accuracy_reads_live_rows_only():
     # the full forward's argmax at the unpadded positions, as before live rows
     pairs = toy_pairs(12, seed=4)
