@@ -40,7 +40,7 @@ round a row's sum differently depending on the rows beside it, so the
 log-softmax of ``log_softmax`` and ``linear_log_softmax`` keeps numpy's row
 sum, and the output projection pads its rows to a whole block (see
 ``_PROJECTION_ROW_BLOCK``): a projected row then comes out the same
-whichever rows share the call.
+whichever rows share the call, within one BLAS kernel regime.
 
 ``dropout``, ``attention`` and ``residual_norm`` drop elements only when
 given a generator: with ``rng=None`` they draw no mask and return the bits
