@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -469,16 +469,37 @@ def collate(pairs: Sequence[SentencePair], indices: Sequence[int] | None = None)
     )
 
 
+class Batches(Sequence[SentencePairBatch]):
+    """The batches of one epoch: groups of pair indices fixed up front, each
+    collated on first use and kept. Indexed by integer, not by slice."""
+
+    def __init__(self, pairs: Sequence[SentencePair], groups: list[list[int]]):
+        self._pairs = pairs
+        self._groups = groups
+        self._collated: list[SentencePairBatch | None] = [None] * len(groups)
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+    def __getitem__(self, index: int) -> SentencePairBatch:
+        batch = self._collated[index]
+        if batch is None:
+            group = self._groups[index]
+            batch = self._collated[index] = collate([self._pairs[i] for i in group], group)
+        return batch
+
+
 def make_batches(
     pairs: Sequence[SentencePair],
     token_budget: int,
     seed: int,
-) -> list[SentencePairBatch]:
+) -> Batches:
     """Length-bucketed batches within a token budget, order shuffled by seed.
 
     Cost of a batch is ``rows * max(raw side length)`` so padding waste counts
     against the budget. Every pair appears exactly once; a single pair larger
-    than the budget is an error naming the pair.
+    than the budget is an error naming the pair. The grouping and the shuffle
+    happen here; a batch is collated when it is first read.
     """
     if token_budget < 1:
         raise CorpusError("token budget must be positive")
@@ -503,4 +524,4 @@ def make_batches(
         groups.append(current)
     rng = np.random.default_rng(seed)
     rng.shuffle(groups)
-    return [collate([pairs[i] for i in group], group) for group in groups]
+    return Batches(pairs, groups)

@@ -38,8 +38,8 @@ of ``translate`` stays a deterministic function of its input file.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -334,31 +334,59 @@ class BleuReport:
         ]
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(hyp_toks: list[list[str]], ref_toks: list[list[str]]
+                  ) -> tuple[list[int], list[int]]:
+    """Clipped n-gram matches and hypothesis n-gram counts for n = 1..4,
+    summed over the corpus.
+
+    Both sides share one token-id dict and lie in one flat array, with a
+    sentence id per token. An order-n code is a dense rank of the pair
+    (order-(n-1) code, next token), so codes stay below the token count
+    whatever the vocabulary, and n-grams that run past a sentence's end are
+    dropped. A sentence's clipped matches of an order sum ``min(hyp count,
+    ref count)`` over the (sentence, code) keys both sides hold.
+    """
+    index: dict[str, int] = {}
+    tokens = np.array([index.setdefault(t, len(index))
+                       for toks in chain(hyp_toks, ref_toks) for t in toks], dtype=np.int64)
+    lengths = np.array([len(t) for t in chain(hyp_toks, ref_toks)], dtype=np.int64)
+    size = len(tokens)
+    sentence = np.repeat(np.tile(np.arange(len(hyp_toks), dtype=np.int64), 2), lengths)
+    # tokens from each position to the end of its sentence, that one included
+    remaining = np.repeat(np.cumsum(lengths), lengths) - np.arange(size)
+    is_hyp = np.arange(size) < lengths[: len(hyp_toks)].sum()
+    matches, totals = [], []
+    codes, distinct = tokens, len(index)
+    for n in range(1, 5):
+        if n > 1:
+            last = tokens[n - 1 :]
+            ranks, codes = np.unique(codes[: len(last)] * len(index) + last, return_inverse=True)
+            distinct = len(ranks)
+        starts = len(codes)
+        live = remaining[:starts] >= n
+        keys = sentence[:starts] * distinct + codes
+        hyp_keys, hyp_counts = np.unique(keys[live & is_hyp[:starts]], return_counts=True)
+        ref_keys, ref_counts = np.unique(keys[live & ~is_hyp[:starts]], return_counts=True)
+        _, at_hyp, at_ref = np.intersect1d(hyp_keys, ref_keys, assume_unique=True,
+                                           return_indices=True)
+        matches.append(int(np.minimum(hyp_counts[at_hyp], ref_counts[at_ref]).sum()))
+        totals.append(int(hyp_counts.sum()))
+    return matches, totals
 
 
 def bleu(hypotheses: Sequence[str], references: Sequence[str]) -> BleuReport:
     """Corpus BLEU with clipped modified n-gram precision and the standard
     brevity penalty; any zero n-gram precision zeroes the score (no
-    smoothing)."""
+    smoothing). Counts are exact integers (``_ngram_counts``)."""
     if len(hypotheses) != len(references):
         raise ValueError(
             f"hypothesis count {len(hypotheses)} != reference count {len(references)}"
         )
-    matches = [0] * 4
-    totals = [0] * 4
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp_toks, ref_toks = hyp.split(), ref.split()
-        hyp_len += len(hyp_toks)
-        ref_len += len(ref_toks)
-        for n in range(1, 5):
-            hyp_counts = _ngrams(hyp_toks, n)
-            ref_counts = _ngrams(ref_toks, n)
-            totals[n - 1] += max(0, len(hyp_toks) - n + 1)
-            matches[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    hyp_toks = [h.split() for h in hypotheses]
+    ref_toks = [r.split() for r in references]
+    matches, totals = _ngram_counts(hyp_toks, ref_toks)
+    hyp_len = sum(map(len, hyp_toks))
+    ref_len = sum(map(len, ref_toks))
     precisions = tuple(m / t if t > 0 else 0.0 for m, t in zip(matches, totals))
     if hyp_len == 0 or ref_len == 0:
         bp = 0.0

@@ -213,14 +213,30 @@ def lm_param_count(config: ModelConfig) -> int:
 # forward passes
 
 
-@functools.lru_cache(maxsize=8)
-def _sinusoid_table(length: int, dim: int, dtype_str: str) -> np.ndarray:
+# (width, dtype) -> table; threads that grow one at once only compute it twice
+_SINUSOID_TABLES: dict[tuple[int, str], np.ndarray] = {}
+
+
+def _sinusoid_rows(length: int, dim: int, dtype_str: str) -> np.ndarray:
     positions = np.arange(length, dtype=np.float64)[:, None]
     div = np.exp(np.arange(0, dim, 2, dtype=np.float64) * (-math.log(10000.0) / dim))
     table = np.zeros((length, dim), dtype=np.float64)
     table[:, 0::2] = np.sin(positions * div)
     table[:, 1::2] = np.cos(positions * div)
     return table.astype(np.dtype(dtype_str))
+
+
+def _sinusoid_table(length: int, dim: int, dtype_str: str) -> np.ndarray:
+    """The first ``length`` rows of the position table: a read-only slice of
+    one table per width and dtype, which grows (at least doubling) to the
+    longest length asked for. A row does not depend on the table's length."""
+    table = _SINUSOID_TABLES.get((dim, dtype_str))
+    if table is None or len(table) < length:
+        grown = max(length, 2 * len(table)) if table is not None else length
+        table = _sinusoid_rows(grown, dim, dtype_str)
+        table.flags.writeable = False
+        _SINUSOID_TABLES[(dim, dtype_str)] = table
+    return table[:length]
 
 
 def _pad_key_mask(ids: np.ndarray, dtype) -> np.ndarray:

@@ -21,14 +21,14 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import models as M
 from . import tensor as T
 from . import weighting as W
-from .corpus import BmiTable, FrequencyTable, SentencePair, SentencePairBatch, make_batches
+from .corpus import Batches, BmiTable, FrequencyTable, SentencePair, SentencePairBatch, make_batches
 from .models import ModelParams, lm_forward, nmt_forward
 from .tensor import Tape, Tensor
 from .weighting import WeightScheme
@@ -586,7 +586,7 @@ class Trainer:
         self.config_echo = config_echo
         self.checkpoint_meta = dict(checkpoint_meta or {})
         self.dump_weights_path = Path(dump_weights_path) if dump_weights_path else None
-        self._epoch_cache: tuple[int, list[SentencePairBatch]] | None = None
+        self._epoch_cache: tuple[int, Batches] | None = None
 
         if resume is not None:
             params, extras, meta = M.load_checkpoint(resume)
@@ -599,8 +599,7 @@ class Trainer:
         self.state = TrainerState(params, *self._optimizers(params, extras), step=step)
         self.out_dir.mkdir(parents=True, exist_ok=True)
 
-        n0 = len(self._batches_for_epoch(0))
-        self.batches_per_epoch = n0
+        self.batches_per_epoch = len(self._batches_for_epoch(0))
 
     def _optimizers(
         self, params: ModelParams, extras: dict[str, np.ndarray]
@@ -619,7 +618,7 @@ class Trainer:
 
         return adam("nmt"), adam("lm") if self.cfg.scheme.needs_lm else None
 
-    def _batches_for_epoch(self, epoch: int) -> list[SentencePairBatch]:
+    def _batches_for_epoch(self, epoch: int) -> Batches:
         if self._epoch_cache is not None and self._epoch_cache[0] == epoch:
             return self._epoch_cache[1]
         batches = make_batches(self.pairs, self.cfg.token_budget, _epoch_seed(self.cfg.seed, epoch))
@@ -728,7 +727,7 @@ def train(
     return Trainer(cfg, model_config, pairs, out_dir, **trainer_kwargs).run()
 
 
-def teacher_forced_accuracy(params: ModelParams, batches: list[SentencePairBatch]) -> float:
+def teacher_forced_accuracy(params: ModelParams, batches: Sequence[SentencePairBatch]) -> float:
     """Fraction of non-pad target positions whose argmax prediction matches
     the gold token under teacher forcing (evaluation mode)."""
     correct = 0

@@ -248,11 +248,15 @@ def anti_focal_weight(p: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
     return (1.0 + alpha * np.asarray(p, dtype=np.float64)) ** gamma
 
 
-def _softened_probs(log_probs: np.ndarray, tau: float) -> np.ndarray:
-    scaled = log_probs / tau
-    scaled = scaled - scaled.max(axis=-1, keepdims=True)
-    exp = np.exp(scaled)
-    return exp / exp.sum(axis=-1, keepdims=True)
+def _softened_probs(logits: np.ndarray, tau: float) -> np.ndarray:
+    """Softmax of ``logits / tau`` over the last axis, computed in
+    ``logits``' own storage: callers pass an array they allocated."""
+    if tau != 1.0:
+        logits /= tau
+    logits -= T._row_max(logits)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def lm_prior_loss(
@@ -273,7 +277,7 @@ def lm_prior_loss(
     """
     if tau <= 0:
         raise ValueError("temperature tau must be positive")
-    q = _softened_probs(np.asarray(lm_log_probs, dtype=np.float64), tau)
+    q = _softened_probs(np.array(lm_log_probs, dtype=np.float64), tau)
     if soften_teacher_only:
         student_log = T.log_softmax(nmt_log_probs)
     else:
@@ -328,7 +332,7 @@ def selected_prior_rows(
     cbmi_rows = ~(cbmi <= th2)  # not `> th2`: as in select_prior, NaN picks CBMI
     logits = nmt.astype(np.float64)
     logits[lm_rows] = lm[lm_rows]
-    logits[cbmi_rows] = np.subtract(nmt[cbmi_rows], lm[cbmi_rows], dtype=np.float64)
+    logits[cbmi_rows] -= lm[cbmi_rows]  # the regimes are disjoint: these rows hold nmt
     return _softened_probs(logits, 1.0)
 
 

@@ -259,6 +259,19 @@ class TestBatches:
                 out = [t for t in batch.tgt_out[row] if t != PAD_ID]
                 assert out[:-1] == pairs[idx].tgt and out[-1] == EOS_ID
 
+    def test_batch_is_collated_on_first_read_and_kept(self, monkeypatch):
+        pairs = self._pairs([3, 1, 4, 2, 2, 5, 1])
+        collated = []
+        real_collate = C.collate
+        monkeypatch.setattr(C, "collate",
+                            lambda ps, indices: collated.append(indices) or real_collate(ps, indices))
+        batches = make_batches(pairs, 8, seed=9)
+        assert len(batches) > 2 and not collated
+        last = batches[-1]
+        assert batches[-1] is last and collated == [last.indices]
+        assert [b.indices for b in batches] == [b.indices for b in batches]
+        assert len(collated) == len(batches)
+
     def test_budget_respected(self, rng):
         pairs = self._pairs(list(rng.integers(1, 7, size=40)))
         for batch in make_batches(pairs, 12, seed=1):

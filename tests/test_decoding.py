@@ -478,28 +478,56 @@ class TestGroupedDecoding:
             D.beam_search_many(decode_params, [[4, 5], []], BeamConfig())
 
 
-def brute_force_bleu(hyps, refs):
-    """Independent n-gram counting script."""
+def brute_force_report(hyps, refs):
+    """Independent n-gram counting script: one Counter per sentence, side
+    and order, and the report's fields from the summed counts."""
     from collections import Counter
 
-    log_precisions = []
-    hyp_len = sum(len(h.split()) for h in hyps)
-    ref_len = sum(len(r.split()) for r in refs)
-    for n in range(1, 5):
-        match, total = 0, 0
-        for h, r in zip(hyps, refs):
-            h_toks, r_toks = h.split(), r.split()
+    matches, totals = [0] * 4, [0] * 4
+    for h, r in zip(hyps, refs):
+        h_toks, r_toks = h.split(), r.split()
+        for n in range(1, 5):
             h_grams = [tuple(h_toks[i : i + n]) for i in range(len(h_toks) - n + 1)]
             r_grams = [tuple(r_toks[i : i + n]) for i in range(len(r_toks) - n + 1)]
-            total += len(h_grams)
+            totals[n - 1] += len(h_grams)
             r_counts = Counter(r_grams)
             for gram, count in Counter(h_grams).items():
-                match += min(count, r_counts[gram])
-        if total == 0 or match == 0:
-            return 0.0
-        log_precisions.append(math.log(match / total))
-    bp = 1.0 if hyp_len > ref_len else math.exp(1 - ref_len / hyp_len)
-    return 100.0 * bp * math.exp(sum(log_precisions) / 4)
+                matches[n - 1] += min(count, r_counts[gram])
+    hyp_len = sum(len(h.split()) for h in hyps)
+    ref_len = sum(len(r.split()) for r in refs)
+    precisions = tuple(m / t if t else 0.0 for m, t in zip(matches, totals))
+    if not (hyp_len and ref_len):
+        bp = 0.0
+    else:
+        bp = 1.0 if hyp_len > ref_len else math.exp(1 - ref_len / hyp_len)
+    score = 0.0
+    if min(precisions) > 0:
+        score = 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / 4)
+    return D.BleuReport(score, precisions, bp, hyp_len / ref_len if ref_len else 0.0,
+                        hyp_len, ref_len)
+
+
+def brute_force_bleu(hyps, refs):
+    return brute_force_report(hyps, refs).bleu
+
+
+def _random_corpus(rng):
+    """A corpus of up to 12 pairs over a small vocabulary whose words are
+    prefixes of one another, with empty and short lines and repeats."""
+    words = ["a", "ab", "abc", "b", "ba", "c"][: rng.integers(1, 7)]
+    n = int(rng.integers(0, 13))
+
+    def line():
+        return " ".join(rng.choice(words, size=rng.integers(0, 9)))
+
+    hyps = [line() for _ in range(n)]
+    # half the references are edits of their hypothesis, so long n-grams match
+    refs = [
+        " ".join(w if rng.random() < 0.8 else str(rng.choice(words)) for w in h.split())
+        if rng.random() < 0.5 else line()
+        for h in hyps
+    ]
+    return hyps, refs
 
 
 class TestBleu:
@@ -549,6 +577,44 @@ class TestBleu:
         report = bleu(["a b c d e f"], ["a b c d e g"])
         geo = math.exp(sum(math.log(p) for p in report.precisions) / 4)
         assert report.bleu == pytest.approx(100.0 * report.brevity_penalty * geo, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_report_equals_bruteforce(self, seed):
+        hyps, refs = _random_corpus(np.random.default_rng(seed))
+        assert bleu(hyps, refs) == brute_force_report(hyps, refs)
+
+    @pytest.mark.parametrize("hyps, refs", [
+        ([], []),
+        ([""], [""]),
+        (["", "a b"], ["a b", ""]),
+        (["a"], ["a"]),
+        (["a b c"], ["a b c"]),
+        (["a a a a"], ["a a"]),
+        (["a a"], ["a a a a"]),
+        (["ab a abc", "a ab"], ["a ab abc", "ab a"]),
+        (["a b c d e"], ["a b c e d"]),
+    ], ids=["empty_corpus", "empty_lines", "one_empty_side", "one_token", "three_tokens",
+            "clipped_repeats", "repeats_in_reference", "prefix_tokens", "no_4gram_match"])
+    def test_edge_cases_equal_bruteforce(self, hyps, refs):
+        assert bleu(hyps, refs) == brute_force_report(hyps, refs)
+
+    def test_vocabulary_past_packed_4gram_codes(self):
+        # id1*V^3 + ... + id4 would overflow int64 at this vocabulary
+        rng = np.random.default_rng(4)
+        hyps, refs = [], []
+        next_word = 0
+        for _ in range(5000):
+            length = int(rng.integers(1, 26))
+            words = np.arange(next_word, next_word + length)
+            next_word += length
+            edited = np.where(rng.random(length) < 0.1, rng.integers(0, next_word, length), words)
+            hyps.append(" ".join(f"w{w}" for w in words))
+            refs.append(" ".join(f"w{w}" for w in edited))
+        distinct = len({w for line in hyps + refs for w in line.split()})
+        assert distinct > 60000 and distinct**4 > np.iinfo(np.int64).max
+        report = bleu(hyps, refs)
+        assert report == brute_force_report(hyps, refs)
+        assert min(report.precisions) > 0
 
     def test_brevity_penalty_applied(self):
         short = bleu(["a b"], ["a b c d"])

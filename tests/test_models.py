@@ -186,6 +186,24 @@ class TestLiveRows:
             lm_forward(tiny_params, self.TGT_IN, rows=np.ones((3, 4), dtype=bool))
 
 
+class TestSinusoidTable:
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+    @pytest.mark.parametrize("dim, step", [(16, 1), (64, 1), (512, 7)])
+    def test_slices_equal_a_direct_computation(self, monkeypatch, dim, dtype, step):
+        # lengths asked in increasing order, as a decoder asks: the table
+        # grows, and each slice holds the bytes of a table of that length
+        monkeypatch.setattr(M, "_SINUSOID_TABLES", {})
+        for length in [*range(1, 1001, step), 1000]:
+            got = M._sinusoid_table(length, dim, dtype)
+            assert got.dtype == np.dtype(dtype) and got.shape == (length, dim)
+            assert got.tobytes() == M._sinusoid_rows(length, dim, dtype).tobytes()
+        assert len(M._SINUSOID_TABLES[(dim, dtype)]) == 1024
+
+    def test_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            M._sinusoid_table(4, 16, "<f8")[0, 0] = 1.0
+
+
 class TestLmForward:
     def test_source_independence_is_bitwise(self, tiny_params):
         # same target inputs paired with different sources: the LM cannot see

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cbmi_nmt import tensor as T
-from cbmi_nmt import training
+from cbmi_nmt import corpus, training
 from cbmi_nmt.corpus import FrequencyTable, SentencePair, make_batches
 from cbmi_nmt.models import (
     CheckpointError, ModelConfig, init_params, lm_forward, load_checkpoint, nmt_forward,
@@ -618,6 +618,27 @@ def test_train_pass_reads_the_projection_rows(monkeypatch, tmp_path):
     assert out.shape == batch.tgt_in.shape + (VOCAB,)
     assert len(reshapes(step_tape)) == len(reshapes(forward_tape)) + 1 - 2
     assert not [n for n in reshapes(step_tape) if n.out.shape[-1] == VOCAB]
+
+
+def test_trainer_collates_only_the_batches_it_trains_on(monkeypatch, tmp_path):
+    # the epoch's groups are fixed when the trainer starts; a step collates
+    # its batch when it first reads it
+    collated = []
+
+    def counting_collate(pairs, indices=None):
+        collated.append(list(indices))
+        return real_collate(pairs, indices)
+
+    real_collate = corpus.collate
+    monkeypatch.setattr(corpus, "collate", counting_collate)
+    pairs = toy_pairs()
+    cfg = tiny_train_config(phase1_steps=0, phase2_steps=2)
+    trainer = Trainer(cfg, tiny_model_config(), pairs, tmp_path / "run")
+    assert trainer.batches_per_epoch > 2 and not collated
+    trainer.run()
+    trained = list(collated)
+    epoch = make_batches(pairs, cfg.token_budget, training._epoch_seed(cfg.seed, 0))
+    assert trained == [epoch[0].indices, epoch[1].indices]
 
 
 def test_teacher_forced_accuracy_reads_live_rows_only():

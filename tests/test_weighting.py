@@ -323,6 +323,18 @@ class TestLmPrior:
         with pytest.raises(ValueError, match="tau"):
             W.lm_prior_loss(Tensor(np.zeros((1, 2))), np.zeros((1, 2)), 0.1, 0.0)
 
+    @pytest.mark.parametrize("tau", [1.0, 0.7, 2.0])
+    def test_teacher_rows_keep_the_out_of_place_bits(self, rng, tau):
+        # the teacher is softened in a copy: the bits of the plain formula,
+        # and the language model's own array is left as it was
+        lm = rng.normal(size=(6, 9))
+        before = lm.copy()
+        scaled = lm / tau
+        exp = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+        _, q, _, _ = W.lm_prior_loss(Tensor(lm.copy()), lm, 0.5, tau)
+        np.testing.assert_array_equal(q, exp / exp.sum(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(lm, before)
+
     def test_gradient_flows_to_student_only(self, rng):
         logits = rng.normal(size=(2, 4))
         x = Tensor(logits, requires_grad=True)

@@ -26,7 +26,10 @@ sentence is force-finished), ``score``, ``analyze-cbmi`` and
 20-step ``none`` run without dropout on an easy word-for-word task, whose
 ``translate`` at beams 1 and 4 ends sentences before their length limit:
 the pipeline stops with an error if a beam force-finishes every hypothesis
-(the ``translate:`` line's ``force_finished`` counts them).
+(the ``translate:`` line's ``force_finished`` counts them). Then ``score``
+of a small written hypothesis and reference file that hold BLEU's edge
+cases: empty lines on either side, one-token lines, clipped repeats, a pair
+with no 4-gram match and a pair that matches whole.
 ``timing.log`` holds wall-clock times and is not compared.
 """
 
@@ -53,13 +56,23 @@ SHOWN_LINES = 8
 
 
 EASY_TEST_LINES = 60
+# (hypothesis, reference) lines for the BLEU edge-case score
+BLEU_EDGE_LINES = [
+    ("", "t1 t2"),
+    ("t1", "t1"),
+    ("t2 t2 t2 t2 t2", "t2 t2 t3"),
+    ("t4 t5 t6 t7 t8", "t4 t5 t6 t8 t7"),
+    ("t9 t10 t11 t12", "t9 t10 t11 t12"),
+    ("t3 t1", ""),
+]
 
 
 def write_corpus(out: Path, seed: int = 5) -> None:
     """A 300-pair substitution corpus (Zipf-like words, 200 a side, lengths
     3-12, one word in ten replaced at random) and a 150-line held-out set;
     under ``easy/``, a 400-pair word-for-word substitution (12 words a side,
-    lengths 2-5) and a held-out set of ``EASY_TEST_LINES``."""
+    lengths 2-5) and a held-out set of ``EASY_TEST_LINES``; and
+    ``bleu_edge.hyp``/``.ref``, the lines of ``BLEU_EDGE_LINES``."""
     rng = np.random.default_rng(seed)
     (out / "easy").mkdir(parents=True)
 
@@ -82,6 +95,8 @@ def write_corpus(out: Path, seed: int = 5) -> None:
                              ("easy/test", easy_pairs(EASY_TEST_LINES))):
         (out / f"{name}.src").write_text("\n".join(src) + "\n", encoding="utf-8")
         (out / f"{name}.tgt").write_text("\n".join(tgt) + "\n", encoding="utf-8")
+    for side, lines in zip(("hyp", "ref"), zip(*BLEU_EDGE_LINES)):
+        (out / f"bleu_edge.{side}").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def pipeline(corpus: str, out: str) -> None:
@@ -156,6 +171,8 @@ def pipeline(corpus: str, out: str) -> None:
         if int(printed.rsplit("force_finished=", 1)[1]) >= hypotheses:
             raise SystemExit(f"easy task, beam {beam}: all {hypotheses} hypotheses "
                              "force-finished; none ends before its length limit")
+    cli("score", "--hyp", c / "bleu_edge.hyp", "--ref", c / "bleu_edge.ref",
+        "--out", o / "bleu_edge.txt")
     (o / "stdout.txt").write_text(log.getvalue().replace(str(o), "<out>"), encoding="utf-8")
 
 
