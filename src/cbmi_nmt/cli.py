@@ -28,6 +28,7 @@ from .corpus import (
     EOS_ID,
     Vocabulary,
     build_vocabularies,
+    check_no_reserved,
     encode_pairs,
     load_parallel_corpus,
     make_batches,
@@ -454,12 +455,13 @@ def cmd_translate(args) -> int:
     _check_output_path(Path(args.out))
     params, _, src_vocab, tgt_vocab = _load_checkpoint_for(args)
     beam_config = config.beam_config()
-    sources = []
-    for lineno, line in enumerate(read_lines(args.src), 1):
-        tokens = tokenize(line)
-        if not tokens:
+    lines = read_lines(args.src)
+    tokens = list(map(tokenize, lines))
+    for lineno, line_tokens in enumerate(tokens, 1):
+        if not line_tokens:
             raise CorpusError(f"empty source sentence at line {lineno} of {args.src}")
-        sources.append(src_vocab.encode(tokens))
+    check_no_reserved(lines, tokens, args.src)
+    sources = list(map(src_vocab.encode, tokens))
     stats = DecodeStats()
     outputs = [" ".join(tgt_vocab.decode(hyp_ids))
                for hyp_ids in beam_search_many(params, sources, beam_config, stats)]

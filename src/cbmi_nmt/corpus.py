@@ -4,6 +4,18 @@ schemes.
 
 Tokenization is whitespace word-level at desk scale; anything smarter (a
 subword tokenizer) can slot in behind the same ``Vocabulary`` interface.
+A line ends at ``\\n`` (or ``\\r\\n``) and nowhere else (``read_lines``).
+``<pad>``, ``<s>`` and ``</s>`` may not appear in text that is encoded; a
+literal ``<unk>`` is ``<unk>``.
+
+The BMI table is array code equal bit for bit to the scalar reference
+(``bmi_value`` over ``build_cooccurrence``). One sort of the packed
+(source type, target type) codes of every (pair, distinct target type,
+distinct source type) gives the co-occurrence keys, their counts and each
+such meet's key, so every source position finds its term by gathers. The
+per-pair sums still add one column of source positions at a time, because
+that is the scalar loop's order of addition and float addition is not
+associative: any other order could move a value by an ulp.
 """
 
 from __future__ import annotations
@@ -37,19 +49,27 @@ def detokenize(tokens: Sequence[str]) -> str:
     return " ".join(tokens)
 
 
+class _Ids(dict):
+    """Token -> id; a token outside the vocabulary is ``<unk>``."""
+
+    def __missing__(self, token: str) -> int:
+        return UNK_ID
+
+
 class Vocabulary:
     """Token <-> id bijection with fixed reserved ids.
 
     Ordering is deterministic: reserved tokens first, then corpus tokens by
     descending count with lexicographic tie-break. Tokens below the build
     threshold are dropped and encode to ``<unk>``; their mass is folded into
-    the ``<unk>`` count so frequency lookups stay consistent.
+    the ``<unk>`` count so frequency lookups stay consistent. A literal
+    ``<unk>`` in the corpus is ``<unk>``, its count part of that mass.
     """
 
     def __init__(self, tokens: list[str], counts: list[int]):
         self._tokens = tokens
         self._counts = counts
-        self._ids = {tok: i for i, tok in enumerate(tokens)}
+        self._ids = _Ids((tok, i) for i, tok in enumerate(tokens))
         if len(self._ids) != len(tokens):
             duplicate = next(tok for i, tok in enumerate(tokens) if self._ids[tok] != i)
             raise CorpusError(f"duplicate token {duplicate!r} in vocabulary")
@@ -57,18 +77,15 @@ class Vocabulary:
     @classmethod
     def build(cls, sentences: Iterable[Sequence[str]], min_count: int = 1) -> "Vocabulary":
         """The vocabulary of tokenized sentences."""
-        counter: Counter[str] = Counter()
-        n_sentences = 0
-        for tokens in sentences:
-            n_sentences += 1
-            counter.update(tokens)
-        if n_sentences == 0:
+        sentences = list(sentences)
+        if not sentences:
             raise CorpusError("cannot build a vocabulary from an empty corpus")
-        kept = sorted(
-            (tok for tok, c in counter.items() if c >= min_count),
-            key=lambda tok: (-counter[tok], tok),
-        )
-        unk_mass = sum(c for tok, c in counter.items() if c < min_count)
+        counter = Counter(chain.from_iterable(sentences))
+        unk_mass = counter.pop("<unk>", 0) + sum(c for c in counter.values() if c < min_count)
+        # by descending count, ties in lexicographic order: a reversed sort
+        # is stable, so it keeps the order of the first sort among ties
+        kept = sorted(sorted(tok for tok, c in counter.items() if c >= min_count),
+                      key=counter.__getitem__, reverse=True)
         tokens = list(RESERVED_TOKENS) + kept
         counts = [0, 0, 0, unk_mass] + [counter[tok] for tok in kept]
         return cls(tokens, counts)
@@ -81,10 +98,10 @@ class Vocabulary:
         return list(self._counts)
 
     def encode_token(self, token: str) -> int:
-        return self._ids.get(token, UNK_ID)
+        return self._ids[token]
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
-        return [self._ids.get(tok, UNK_ID) for tok in tokens]
+        return list(map(self._ids.__getitem__, tokens))
 
     def decode(self, ids: Sequence[int]) -> list[str]:
         return [self._tokens[i] for i in ids]
@@ -136,7 +153,7 @@ def build_vocabularies(
     """Build source/target vocabularies from tokenized sentences; with
     ``share`` both sides use one vocabulary built over the concatenated corpus."""
     if share:
-        shared = Vocabulary.build(list(src_sentences) + list(tgt_sentences), min_count)
+        shared = Vocabulary.build(chain(src_sentences, tgt_sentences), min_count)
         return shared, shared
     return Vocabulary.build(src_sentences, min_count), Vocabulary.build(tgt_sentences, min_count)
 
@@ -159,11 +176,22 @@ class SentencePair:
 
 def read_lines(path: str | Path, error: type[Exception] = CorpusError) -> list[str]:
     """The lines of a UTF-8 text file; a file that is not UTF-8 is an
-    ``error`` naming it, of the category of what the file holds."""
+    ``error`` naming it, of the category of what the file holds.
+
+    A line ends at ``\\n`` (or ``\\r\\n``) and nowhere else, so the lines are
+    those ``wc -l`` counts, plus a last line without a newline. A form feed,
+    a lone ``\\r`` or a Unicode line separator stays inside its line.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def read_aligned_lines(first: str | Path, second: str | Path) -> tuple[list[str], list[str]]:
@@ -177,15 +205,35 @@ def read_aligned_lines(first: str | Path, second: str | Path) -> tuple[list[str]
     return first_lines, second_lines
 
 
+# the reserved tokens that no encoded sentence may hold; a literal <unk> is <unk>
+_NOT_IN_TEXT = RESERVED_TOKENS[:UNK_ID]
+
+
+def check_no_reserved(lines: Sequence[str], tokens: Sequence[Sequence[str]], path: str | Path) -> None:
+    """A ``<pad>``, ``<s>`` or ``</s>`` among the tokens of ``lines`` is a
+    ``CorpusError`` naming the first line that holds one."""
+    text = "\n".join(lines)
+    # one memchr for "<" rules out most texts before any substring search
+    if "<" not in text or not any(reserved in text for reserved in _NOT_IN_TEXT):
+        return
+    for lineno, line_tokens in enumerate(tokens, start=1):
+        found = next((tok for tok in line_tokens if tok in _NOT_IN_TEXT), None)
+        if found is not None:
+            raise CorpusError(f"reserved token {found!r} at line {lineno} of {path}")
+
+
 def read_parallel_tokens(src_path: str | Path, tgt_path: str | Path, max_len: int = 0):
     """The tokenized lines of two aligned one-sentence-per-line files, as a
     list per side, every pair checked before this returns.
 
-    ``max_len`` > 0 rejects pairs whose raw side exceeds it; empty lines and
-    line-count mismatches are errors naming the offending file and line.
+    ``max_len`` > 0 rejects pairs whose raw side exceeds it; empty lines,
+    line-count mismatches and the reserved tokens of ``check_no_reserved``
+    are errors naming the offending file and line.
     """
     src_lines, tgt_lines = read_aligned_lines(src_path, tgt_path)
-    # interned, the tokens of all lines share one string per type
+    # interned, the tokens of all lines share one string per type: callers
+    # hold these lists, and a string per token is about 4 MB more on the
+    # stats benchmark's corpus, which moves the heap of every later command
     src_tokens = [list(map(sys.intern, tokenize(line))) for line in src_lines]
     tgt_tokens = [list(map(sys.intern, tokenize(line))) for line in tgt_lines]
     for i, (s_toks, t_toks) in enumerate(zip(src_tokens, tgt_tokens), start=1):
@@ -194,12 +242,16 @@ def read_parallel_tokens(src_path: str | Path, tgt_path: str | Path, max_len: in
         if max_len and (len(s_toks) > max_len or len(t_toks) > max_len):
             longer = src_path if len(s_toks) > max_len else tgt_path
             raise CorpusError(f"sentence at line {i} of {longer} exceeds max length {max_len}")
+    check_no_reserved(src_lines, src_tokens, src_path)
+    check_no_reserved(tgt_lines, tgt_tokens, tgt_path)
     return src_tokens, tgt_tokens
 
 
 def encode_pairs(src_tokens, tgt_tokens, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> list[SentencePair]:
     """The pairs of the token lists of ``read_parallel_tokens``, encoded."""
-    return [SentencePair(src_vocab.encode(s), tgt_vocab.encode(t)) for s, t in zip(src_tokens, tgt_tokens)]
+    src_id, tgt_id = src_vocab._ids.__getitem__, tgt_vocab._ids.__getitem__
+    return [SentencePair(list(map(src_id, s)), list(map(tgt_id, t)))
+            for s, t in zip(src_tokens, tgt_tokens)]
 
 
 def load_parallel_corpus(
@@ -231,14 +283,33 @@ def _side_ids(
     return ids, lengths
 
 
-def _distinct_per_pair(
-    ids: np.ndarray, lengths: np.ndarray, vocab_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pair index and id of every distinct (pair, id), sorted by pair then id."""
-    codes = np.sort(np.repeat(np.arange(len(lengths)), lengths) * vocab_size + ids)
-    # not np.unique: without counts or indices it takes a hash-table path
-    # that is about 20x slower than this sort on these arrays
-    return np.divmod(codes[np.diff(codes, prepend=-1) > 0], vocab_size)
+def _run_starts(codes: np.ndarray) -> np.ndarray:
+    """The mask of the entries of sorted ``codes`` that differ from the one
+    before them: the first of each run of equal codes."""
+    first = np.empty(codes.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    return first
+
+
+def _sort_tracked(codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``codes`` (non-negative, below ``bound``) sorted, and the index each
+    sorted code came from; equal codes come in no fixed order of index.
+
+    ``codes`` is sorted in place, packed above its index, when the two fit
+    in 63 bits: ``np.sort`` of packed codes is about 3x faster than
+    ``np.argsort``, which the codes of a wider ``bound`` fall back to.
+    """
+    shift = max(codes.size - 1, 0).bit_length()
+    if bound << shift > 1 << 63:
+        order = np.argsort(codes)
+        return codes[order], order
+    codes <<= shift
+    codes |= np.arange(codes.size)
+    codes.sort()
+    origin = codes & ((1 << shift) - 1)
+    codes >>= shift
+    return codes, origin
 
 
 class FrequencyTable:
@@ -250,21 +321,34 @@ class FrequencyTable:
             raise CorpusError("negative count in frequency table")
         self.counts = counts
         self.total = int(counts.sum())
+        # (pairs, side, vocab size, ids, lengths) of from_pairs, so that
+        # BmiTable.build reads the ids counted here instead of flattening again
+        self._counted: tuple | None = None
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[SentencePair], side: str, vocab_size: int) -> "FrequencyTable":
-        ids, _ = _side_ids(pairs, side, vocab_size)
-        return cls(np.bincount(ids, minlength=vocab_size))
+        ids, lengths = _side_ids(pairs, side, vocab_size)
+        table = cls(np.bincount(ids, minlength=vocab_size))
+        table._counted = (pairs, side, vocab_size, ids, lengths)
+        return table
 
     def count(self, token_id: int) -> int:
         return int(self.counts[token_id])
+
+    def _counted_ids(self, pairs: Sequence[SentencePair], side: str, vocab_size: int):
+        """``_side_ids(pairs, side, vocab_size)``, read from the table when
+        ``from_pairs`` counted it from these very pairs."""
+        counted = self._counted
+        if counted is not None and counted[0] is pairs and counted[1:3] == (side, vocab_size):
+            return counted[3], counted[4]
+        return _side_ids(pairs, side, vocab_size)
 
 
 def build_cooccurrence(pairs: Sequence[SentencePair]) -> dict[tuple[int, int], int]:
     """Sentence-pair co-occurrence counts, binary presence per pair.
 
     The scalar reference for the counts ``BmiTable.build`` takes from its
-    encoded pair keys. Together with ``bmi_value`` it is the oracle the
+    sorted meet codes. Together with ``bmi_value`` it is the oracle the
     table is checked against, bit for bit in ``tests/test_corpus.py`` and
     ``tests/test_cli.py``, to 1e-9 in criterion 05 and in the ``stats``
     benchmark's final check (``perfbench/workloads.py``), which imports both.
@@ -341,42 +425,87 @@ class BmiTable:
         vocab_size: int,
     ) -> "BmiTable":
         """The mean of ``bmi_value`` over the pairs whose target contains each
-        type, as array code whose sums are the scalar ones bit for bit."""
-        src_size = len(src_freq.counts)
-        src, src_len = _side_ids(pairs, "src", src_size)
-        tgt, tgt_len = _side_ids(pairs, "tgt", vocab_size)
-        # one row per (pair, distinct target type), in pair order
-        row_pair, row_t = _distinct_per_pair(tgt, tgt_len, vocab_size)
-        src_pair, src_type = _distinct_per_pair(src, src_len, src_size)
-        # each row meets every distinct source type of its pair once (meets
-        # indexes src_type, row by row), so the counts of the keys
-        # s * vocab_size + t are build_cooccurrence's presence counts
-        per_pair = np.bincount(src_pair, minlength=len(pairs))
+        type, as array code whose sums are the scalar ones bit for bit.
+
+        A row is one (pair, distinct target type), in pair order; a meet is
+        one (row, distinct source type of its pair). One sort of the meets'
+        (source type, target type) codes gives the table's keys, their
+        presence counts (``build_cooccurrence``'s) and where each meet
+        landed, so each meet gets its key's term. A source position's meet in
+        a row is the row's first meet plus the position's rank among its
+        pair's distinct types, so a column of source positions reaches its
+        rows' terms by gathers, not by a search of the keys. The columns are
+        added one at a time, in position order: that is ``bmi_value``'s order
+        of addition, which keeps its bits.
+        """
+        n_pairs, src_size = len(pairs), len(src_freq.counts)
+        src, src_len = src_freq._counted_ids(pairs, "src", src_size)
+        tgt, tgt_len = tgt_freq._counted_ids(pairs, "tgt", vocab_size)
+        # the meet indices below count on every pair having both sides
+        if not (src_len.all() and tgt_len.all()):
+            raise CorpusError("sentence pairs must have at least one token per side")
+        rows = np.sort(np.repeat(np.arange(n_pairs), tgt_len) * vocab_size + tgt)
+        row_pair, row_t = np.divmod(rows[_run_starts(rows)], vocab_size)
+        # every pair's distinct source types, and each position's rank among them
+        codes, origin = _sort_tracked(np.repeat(np.arange(n_pairs), src_len) * src_size + src,
+                                      n_pairs * src_size)
+        first = _run_starts(codes)
+        rank = np.empty_like(origin)
+        rank[origin] = np.cumsum(first) - 1
+        src_pair, src_type = np.divmod(codes[first], src_size)
+        per_pair = np.bincount(src_pair, minlength=n_pairs)
+        pair_start = np.cumsum(per_pair) - per_pair
+        rank -= np.repeat(pair_start, src_len)
+        del codes, origin, first, src_pair
         reps = per_pair[row_pair]
-        pair_start = (np.cumsum(per_pair) - per_pair)[row_pair]
         row_start = np.cumsum(reps) - reps
-        meets = np.arange(reps.sum()) + np.repeat(pair_start - row_start, reps)
-        keys, joint = np.unique(src_type[meets] * vocab_size + np.repeat(row_t, reps),
-                                return_counts=True)
-        s, t = np.divmod(keys, vocab_size)
-        ratio = _smoothed_rel_freq(joint, len(pairs)) / (
-            _smoothed_rel_freq(src_freq.counts[s], src_freq.total)
-            * _smoothed_rel_freq(tgt_freq.counts[t], tgt_freq.total)
-        )
+        n_meets = int(reps.sum())
+        # the meet codes, built with in-place steps. First the index into
+        # src_type of each meet's type: pair_start[row_pair] + (meet - row_start) rises
+        # by one a meet within a row, so it is a cumulative sum of ones and
+        # of each row's jump at its first meet
+        codes = np.ones(n_meets, dtype=np.int64)
+        codes[row_start] = np.diff(pair_start[row_pair] - row_start, prepend=0) + 1
+        codes[:1] -= 1
+        np.cumsum(codes, out=codes)
+        codes = src_type[codes]
+        t_bits = max(vocab_size - 1, 0).bit_length()
+        codes <<= t_bits
+        codes |= np.repeat(row_t, reps)
+        codes, meet = _sort_tracked(codes, src_size << t_bits)
+        starts = np.flatnonzero(_run_starts(codes))
+        keys = codes[starts]
+        del codes
+        s, t = keys >> t_bits, keys & ((1 << t_bits) - 1)
+        del keys
+        joint = np.diff(starts, append=n_meets)
+        del starts
+        f_src = _smoothed_rel_freq(src_freq.counts, src_freq.total)
+        f_tgt = _smoothed_rel_freq(tgt_freq.counts, tgt_freq.total)
+        ratio = _smoothed_rel_freq(joint, n_pairs) / (f_src[s] * f_tgt[t])
+        del s, t
         # math.log as in bmi_value, once per distinct ratio: np.log is one ulp
-        # off it for some arguments near 1
+        # off it for some arguments
         distinct, where = np.unique(ratio, return_inverse=True)
+        del ratio
         logs = np.fromiter(map(math.log, distinct.tolist()), dtype=np.float64, count=distinct.size)
-        # a pad cell looks up a key above every real one and finds the zero
-        terms = np.append(logs[where], 0.0)
-        padded = np.full((len(pairs), int(src_len.max(initial=0))), src_size, dtype=np.int64)
-        padded[np.arange(padded.shape[1]) < src_len[:, None]] = src
-        # one column at a time keeps bmi_value's sequential order of addition
+        # each meet's term, and a zero past the last for a pad cell to read
+        terms = np.empty(n_meets + 1)
+        terms[n_meets] = 0.0
+        terms[meet] = np.repeat(logs[where], joint)
+        del meet, where, joint
+        width = int(src_len.max(initial=0))
+        # each position's rank in a column of pad-padded sources; a pad's rank
+        # is n_meets, which lands every row past its last meet, and take's
+        # clip reads the zero at terms[n_meets] there
+        columns = np.full((width, n_pairs), n_meets, dtype=np.int64)
+        columns.T[np.arange(width) < src_len[:, None]] = rank
         row_sums = np.zeros(len(row_t))
-        for column in padded.T:
-            row_sums += terms[np.searchsorted(keys, column[row_pair] * vocab_size + row_t)]
-        sums = np.zeros(vocab_size)
-        np.add.at(sums, row_t, row_sums)
+        for column in columns:
+            index = column[row_pair]
+            index += row_start
+            row_sums += terms.take(index, mode="clip")
+        sums = np.bincount(row_t, weights=row_sums, minlength=vocab_size)
         hits = np.bincount(row_t, minlength=vocab_size)
         values = np.divide(sums, hits, out=np.zeros_like(sums), where=hits > 0)
         return cls(values)

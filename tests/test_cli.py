@@ -520,6 +520,50 @@ class TestCliRuns:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, side, token", [
+        ("preprocess", "tgt", "<pad>"), ("train", "src", "</s>"), ("translate", "src", "<s>"),
+        ("analyze-cbmi", "tgt", "<pad>"), ("dump-weights", "src", "</s>"),
+    ])
+    def test_reserved_token_in_text_is_corpus_error_naming_the_line(self, corpus, tmp_path, capsys,
+                                                                      command, side, token):
+        src, tgt, out = tmp_path / "c.src", tmp_path / "c.tgt", tmp_path / "out"
+        lines = {"src": ["s1 s2", "s3", "s4 s5"], "tgt": ["t1 t2", "t3", "t4 t5"]}
+        lines[side][2] = f"{lines[side][2]} {token}"
+        src.write_text("\n".join(lines["src"]) + "\n")
+        tgt.write_text("\n".join(lines["tgt"]) + "\n")
+        data = ["--data-dir", str(corpus / "data")]
+        if command in ("preprocess", "train"):
+            argv = [command, "--src", str(src), "--tgt", str(tgt), "--out-dir", str(out)]
+            argv += [*data, *FAST_TRAIN] if command == "train" else []
+        else:
+            run_dir = tmp_path / "run"
+            assert run(train_args(corpus, run_dir, "--scheme", "cbmi", "--seed", "4")) == 0
+            argv = [command, "--checkpoint", str(run_dir / "checkpoint_final"), "--src", str(src),
+                    *data, "--out", str(out)]
+            argv += [] if command == "translate" else ["--tgt", str(tgt)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        path = src if side == "src" else tgt
+        assert captured.err == f"error:corpus: reserved token {token!r} at line 3 of {path}\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_literal_unk_in_corpus_is_unk(self, tmp_path):
+        src, tgt, data = tmp_path / "c.src", tmp_path / "c.tgt", tmp_path / "data"
+        src.write_text("s1 <unk> s2\n<unk> s1\ns3\n")
+        tgt.write_text("t1 t2\n<unk>\nt3 t3\n")
+        assert run(["preprocess", "--src", str(src), "--tgt", str(tgt), "--out-dir", str(data),
+                    "--min-count", "2"]) == 0
+        assert (data / "vocab.src.txt").read_text() == (
+            "<pad>\t0\n<s>\t0\n</s>\t0\n<unk>\t4\ns1\t2\n")
+        assert (data / "vocab.tgt.txt").read_text() == (
+            "<pad>\t0\n<s>\t0\n</s>\t0\n<unk>\t3\nt3\t2\n")
+        src_vocab, tgt_vocab = Vocabulary.load(data / "vocab.src.txt"), Vocabulary.load(
+            data / "vocab.tgt.txt")
+        pairs = load_parallel_corpus(src, tgt, src_vocab, tgt_vocab)
+        assert [(p.src, p.tgt) for p in pairs] == [
+            ([4, UNK_ID, UNK_ID], [UNK_ID, UNK_ID]), ([UNK_ID, 4], [UNK_ID]), ([UNK_ID], [4, 4])]
+
     @pytest.mark.parametrize("command", ["translate_out", "preprocess_src"])
     def test_directory_path_is_io_error(self, corpus, tmp_path, capsys, command):
         directory = tmp_path / "a_directory"

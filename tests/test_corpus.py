@@ -9,6 +9,7 @@ from cbmi_nmt.corpus import (
     BOS_ID,
     EOS_ID,
     PAD_ID,
+    RESERVED_TOKENS,
     UNK_ID,
     BmiTable,
     CorpusError,
@@ -70,6 +71,57 @@ class TestVocabulary:
         src, tgt = C.build_vocabularies([["a", "b"]], [["b", "c"]], share=True)
         assert src is tgt
         assert src.encode(["a", "b", "c"]) != [UNK_ID] * 3
+
+
+def reference_vocabulary(sentences, min_count):
+    """The vocabulary by a per-sentence counting loop, as (tokens, counts):
+    the reference ``Vocabulary.build`` is checked against."""
+    counter = Counter()
+    for tokens in sentences:
+        counter.update(tokens)
+    kept = sorted((tok for tok, c in counter.items() if c >= min_count),
+                  key=lambda tok: (-counter[tok], tok))
+    unk_mass = sum(c for c in counter.values() if c < min_count)
+    return list(RESERVED_TOKENS) + kept, [0, 0, 0, unk_mass] + [counter[tok] for tok in kept]
+
+
+def zipf_sentences(seed, n, words, length, prefix):
+    """``n`` sentences of Zipf-like words ``<prefix><i>``, ``i < words``,
+    of lengths drawn from the half-open range ``length``: many rare words
+    share a count, and sentences repeat words."""
+    rng = np.random.default_rng(seed)
+    return [[f"{prefix}{w}" for w in rng.zipf(1.3, rng.integers(*length)) % words]
+            for _ in range(n)]
+
+
+class TestVocabularyAgainstReference:
+    SRC = zipf_sentences(31, 300, 400, (1, 31), "s")
+    TGT = zipf_sentences(32, 300, 150, (1, 16), "t")
+
+    @pytest.mark.parametrize("share", [False, True])
+    @pytest.mark.parametrize("min_count", [1, 2, 3])
+    def test_tokens_counts_and_ids(self, min_count, share):
+        src_vocab, tgt_vocab = C.build_vocabularies(self.SRC, self.TGT, min_count, share)
+        sides = [(src_vocab, self.SRC + self.TGT if share else self.SRC, self.SRC),
+                 (tgt_vocab, self.SRC + self.TGT if share else self.TGT, self.TGT)]
+        for vocab, counted, encoded in sides:
+            tokens, counts = reference_vocabulary(counted, min_count)
+            assert [vocab.token(i) for i in range(len(vocab))] == tokens
+            assert vocab.counts == counts
+            ids = {tok: i for i, tok in enumerate(tokens)}
+            assert [vocab.encode(s) for s in encoded] == [
+                [ids.get(tok, UNK_ID) for tok in s] for s in encoded]
+        pairs = C.encode_pairs(self.SRC, self.TGT, src_vocab, tgt_vocab)
+        assert [(p.src, p.tgt) for p in pairs] == [
+            (src_vocab.encode(s), tgt_vocab.encode(t)) for s, t in zip(self.SRC, self.TGT)]
+        if min_count > 1:  # ties among the rare words, and a mass of <unk>
+            assert counts[UNK_ID] > 0 and len(set(counts[4:])) < len(counts) - 4
+
+    def test_literal_unk_is_unk(self):
+        vocab = Vocabulary.build([["a", "<unk>", "b", "b"], ["<unk>", "c"]], min_count=2)
+        assert [vocab.token(i) for i in range(len(vocab))] == [*RESERVED_TOKENS, "b"]
+        assert vocab.counts == [0, 0, 0, 4, 2]
+        assert vocab.encode(["<unk>", "a", "b"]) == [UNK_ID, UNK_ID, 4]
 
 
 def test_tokenize_detokenize_roundtrip():
@@ -142,6 +194,15 @@ def _random_pairs(seed, n_pairs, src_ids, tgt_ids, src_len, tgt_len):
     return [SentencePair(side(src_ids, src_len), side(tgt_ids, tgt_len)) for _ in range(n_pairs)]
 
 
+def _zipf_pairs(seed, n_pairs, src_words, tgt_words, src_len, tgt_len, min_count):
+    """Encoded pairs of ``zipf_sentences``, through vocabularies built at
+    ``min_count``, and the two vocabulary sizes."""
+    src = zipf_sentences(seed, n_pairs, src_words, src_len, "s")
+    tgt = zipf_sentences(seed + 1, n_pairs, tgt_words, tgt_len, "t")
+    src_vocab, tgt_vocab = C.build_vocabularies(src, tgt, min_count)
+    return C.encode_pairs(src, tgt, src_vocab, tgt_vocab), len(src_vocab), len(tgt_vocab)
+
+
 # name -> (pairs, source vocabulary size, target vocabulary size)
 BMI_CORPORA = {
     "random": lambda: (_random_pairs(12345, 60, range(4, 10), range(4, 10), (1, 6), (1, 6)),
@@ -164,7 +225,21 @@ BMI_CORPORA = {
     # a source vocabulary larger than the target one the keys are encoded in
     "wide_source": lambda: (_random_pairs(4, 30, range(4, 60), range(4, 7), (1, 9), (1, 5)),
                             60, 7),
+    # the stats benchmark's shape at a tenth of its size: Zipf-like words,
+    # a source vocabulary wider than the target one, sources of up to 30
+    # tokens that repeat words, and rare words folded into <unk>
+    "benchmark_shape": lambda: _zipf_pairs(5, 300, 500, 200, (1, 31), (1, 16), 2),
 }
+# the brute-force oracle is quadratic in the corpus, too slow beyond these
+BRUTE_FORCE_CORPORA = sorted(set(BMI_CORPORA) - {"benchmark_shape"})
+
+
+def test_benchmark_shape_corpus_has_its_features():
+    pairs, src_size, vocab_size = BMI_CORPORA["benchmark_shape"]()
+    assert src_size > vocab_size > 100
+    assert max(len(p.src) for p in pairs) >= 25
+    assert sum(len(set(p.src)) < len(p.src) for p in pairs) > len(pairs) // 2
+    assert any(UNK_ID in p.src for p in pairs) and any(UNK_ID in p.tgt for p in pairs)
 
 
 class TestBmi:
@@ -187,13 +262,24 @@ class TestBmi:
         assert double == pytest.approx(2 * single, rel=1e-12)
 
     @pytest.mark.parametrize("corpus", sorted(BMI_CORPORA))
-    def test_table_matches_bruteforce(self, corpus):
+    def test_table_is_the_scalar_reference(self, corpus):
         pairs, src_size, vocab_size = BMI_CORPORA[corpus]()
         src_freq = FrequencyTable.from_pairs(pairs, "src", src_size)
         tgt_freq = FrequencyTable.from_pairs(pairs, "tgt", vocab_size)
         table = BmiTable.build(pairs, src_freq, tgt_freq, vocab_size)
         # bit for bit the scalar loop, not within a tolerance
         assert np.array_equal(table.values, scalar_bmi_values(pairs, src_freq, tgt_freq, vocab_size))
+        # tables that did not count these very pairs: the ids are flattened again
+        again = BmiTable.build(list(pairs), FrequencyTable(src_freq.counts),
+                               FrequencyTable(tgt_freq.counts), vocab_size)
+        assert table.values.tobytes() == again.values.tobytes()
+
+    @pytest.mark.parametrize("corpus", BRUTE_FORCE_CORPORA)
+    def test_table_matches_bruteforce(self, corpus):
+        pairs, src_size, vocab_size = BMI_CORPORA[corpus]()
+        src_freq = FrequencyTable.from_pairs(pairs, "src", src_size)
+        tgt_freq = FrequencyTable.from_pairs(pairs, "tgt", vocab_size)
+        table = BmiTable.build(pairs, src_freq, tgt_freq, vocab_size)
         for tok in range(vocab_size):
             containing = [p for p in pairs if tok in p.tgt]
             if not containing:
@@ -201,6 +287,23 @@ class TestBmi:
                 continue
             expected = np.mean([brute_force_bmi(pairs, p.src, tok) for p in containing])
             assert table.value(tok) == pytest.approx(expected, abs=1e-9)
+
+    def test_frequency_table_lends_its_ids_only_to_its_own_pairs(self):
+        pairs = [SentencePair([4, 5], [6]), SentencePair([7], [6, 8])]
+        table = FrequencyTable.from_pairs(pairs, "src", 9)
+        ids, lengths = table._counted_ids(pairs, "src", 9)
+        assert table._counted_ids(pairs, "src", 9)[0] is ids
+        for other in ((list(pairs), "src", 9), (pairs, "tgt", 9), (pairs, "src", 8)):
+            assert table._counted_ids(*other)[0] is not ids
+        with pytest.raises(CorpusError, match="src token id out of range"):
+            table._counted_ids(pairs, "src", 7)
+
+    def test_pair_with_an_empty_side_is_refused(self):
+        pairs = [SentencePair([4, 5], [6]), SentencePair([7], [6, 8])]
+        pairs[1].src = []
+        src_freq, tgt_freq, _ = _stats(pairs, 9)
+        with pytest.raises(CorpusError, match="at least one token per side"):
+            BmiTable.build(pairs, src_freq, tgt_freq, 9)
 
     def test_identical_token_in_two_sentences_same_table_value(self):
         pairs = [SentencePair([4, 5], [6]), SentencePair([7], [6, 8])]
@@ -222,6 +325,16 @@ class TestBmi:
         loaded = BmiTable.load(path)
         np.testing.assert_array_equal(loaded.values, values)
         assert loaded.header.startswith("#")
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 1000])
+@pytest.mark.parametrize("bound", [50, 1 << 62], ids=["packed", "too_wide_to_pack"])
+def test_sort_tracked(size, bound):
+    codes = np.random.default_rng(size).integers(0, 50, size)
+    got, origin = C._sort_tracked(codes.copy(), bound)
+    assert np.array_equal(got, np.sort(codes))
+    assert np.array_equal(codes[origin], got)
+    assert sorted(origin.tolist()) == list(range(size))
 
 
 class TestBatches:
@@ -316,3 +429,49 @@ class TestCorpusLoading:
         vocab = Vocabulary.build([["a", "x"]], 1)
         with pytest.raises(CorpusError, match="max length"):
             C.load_parallel_corpus(tmp_path / "s.txt", tmp_path / "t.txt", vocab, vocab, max_len=3)
+
+
+class TestLines:
+    def test_a_line_ends_only_at_newline(self, tmp_path):
+        inside = "a\fb\vc\x1cd\x1de\x1ef\x85g\u2028h\u2029i\rj"
+        path = tmp_path / "x.txt"
+        path.write_bytes(f"one\n{inside}\nlast".encode())
+        assert C.read_lines(path) == ["one", inside, "last"]
+
+    @pytest.mark.parametrize("text, lines", [
+        ("", []), ("\n", [""]), ("a\n\n", ["a", ""]), ("a b\r\nc\r\n", ["a b", "c"]),
+        ("a\r\n\r\nb", ["a", "", "b"]),
+    ])
+    def test_newline_and_crlf_files(self, tmp_path, text, lines):
+        path = tmp_path / "x.txt"
+        path.write_bytes(text.encode())
+        assert C.read_lines(path) == lines
+
+    @pytest.mark.parametrize("separator", ["\f", "\u2028"])
+    def test_parallel_files_of_two_lines_are_two_pairs(self, tmp_path, separator):
+        (tmp_path / "x.src").write_text(f"a b{separator}c d\ne f\n", encoding="utf-8")
+        (tmp_path / "x.tgt").write_text(f"x{separator}y\nz\n", encoding="utf-8")
+        src, tgt = C.read_parallel_tokens(tmp_path / "x.src", tmp_path / "x.tgt")
+        assert src == [["a", "b", "c", "d"], ["e", "f"]] and tgt == [["x", "y"], ["z"]]
+
+
+class TestReservedTokens:
+    @pytest.mark.parametrize("token", ["<pad>", "<s>", "</s>"])
+    def test_reserved_token_names_file_and_line(self, tmp_path, token):
+        (tmp_path / "s.txt").write_text("a b\nc <x>\nd\n")
+        (tmp_path / "t.txt").write_text(f"x\ny\nz {token} w\n")
+        with pytest.raises(CorpusError) as info:
+            C.read_parallel_tokens(tmp_path / "s.txt", tmp_path / "t.txt")
+        assert str(info.value) == f"reserved token {token!r} at line 3 of {tmp_path / 't.txt'}"
+
+    def test_reserved_name_inside_a_token_is_text(self, tmp_path):
+        (tmp_path / "s.txt").write_text("a<s>b <pad>x\n")
+        (tmp_path / "t.txt").write_text("<unk> y</s>\n")
+        src, tgt = C.read_parallel_tokens(tmp_path / "s.txt", tmp_path / "t.txt")
+        assert src == [["a<s>b", "<pad>x"]] and tgt == [["<unk>", "y</s>"]]
+
+    def test_earlier_checks_come_first(self, tmp_path):
+        (tmp_path / "s.txt").write_text("<pad>\n\n")
+        (tmp_path / "t.txt").write_text("x\ny\n")
+        with pytest.raises(CorpusError, match="empty sentence at line 2"):
+            C.read_parallel_tokens(tmp_path / "s.txt", tmp_path / "t.txt")

@@ -13,13 +13,14 @@ matches. Under each differing file it prints how the two sides differ: the
 numbered lines only one side holds for a text file (the first
 ``SHOWN_LINES``), the first differing byte offset for a binary one.
 
-The pipeline: ``preprocess --min-count 2``, so both sides hold ``<unk>``;
-``train`` of every scheme in fp32 and in fp64 (the desk preset at a
-512-token budget, which the LM pass overlaps at), checkpointing at step 2
-of 4, then a copy of the run resumed from that checkpoint in its own
-directory (``prior_select`` with thresholds that reach all three of its
-regimes, ``cbmi`` with a weight dump, and ``lm_prior`` once more with
-``--soften-teacher-only true``); ``translate`` at beams 1, 2 and 4 of
+The pipeline: ``preprocess --min-count 2``, so both sides hold ``<unk>``,
+and once more with ``--share-vocab true`` into its own directory, so one
+vocabulary counts both sides; ``train`` of every scheme in fp32 and in
+fp64 (the desk preset at a 512-token budget, which the LM pass overlaps
+at), checkpointing at step 2 of 4, then a copy of the run resumed from
+that checkpoint in its own directory (``prior_select`` with thresholds
+that reach all three of its regimes, ``cbmi`` with a weight dump, and
+``lm_prior`` once more with ``--soften-teacher-only true``); ``translate`` at beams 1, 2 and 4 of
 a 150-sentence file (three decode groups; after so few steps every
 sentence is force-finished), ``score``, ``analyze-cbmi`` and
 ``dump-weights`` on the ``cbmi`` checkpoint of each precision. Last, a
@@ -123,6 +124,8 @@ def pipeline(corpus: str, out: str) -> None:
 
     cli("preprocess", "--src", c / "train.src", "--tgt", c / "train.tgt", "--out-dir", data,
         "--min-count", "2")
+    cli("preprocess", "--src", c / "train.src", "--tgt", c / "train.tgt",
+        "--out-dir", o / "shared_data", "--min-count", "2", "--share-vocab", "true")
     common = ["--src", c / "train.src", "--tgt", c / "train.tgt", "--data-dir", data,
               "--token-budget", "512", "--phase1-steps", "1", "--phase2-steps", "3",
               "--checkpoint-every", "2", "--seed", "3"]
