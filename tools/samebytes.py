@@ -20,12 +20,13 @@ fp64 (the desk preset at a 512-token budget, which the LM pass overlaps
 at), checkpointing at step 2 of 4, then a copy of the run resumed from
 that checkpoint in its own directory (``prior_select`` with thresholds
 that reach all three of its regimes, ``cbmi`` with a weight dump, and
-``lm_prior`` once more with ``--soften-teacher-only true``); ``translate`` at beams 1, 2 and 4 of
-a 150-sentence file (three decode groups; after so few steps every
-sentence is force-finished), ``score``, ``analyze-cbmi`` and
-``dump-weights`` on the ``cbmi`` checkpoint of each precision. Last, a
-20-step ``none`` run without dropout on an easy word-for-word task, whose
-``translate`` at beams 1 and 4 ends sentences before their length limit:
+``lm_prior`` once more with ``--soften-teacher-only true``);
+``translate`` at beams 1, 2 and 4 of a 150-sentence file (three decode
+groups; after so few steps every sentence is force-finished), ``score``,
+``analyze-cbmi`` and ``dump-weights`` on the ``cbmi`` checkpoint of each
+precision. Last, a 20-step ``none`` run without dropout on an easy
+word-for-word task, whose ``translate`` at beams 1 and 4 ends sentences
+before their length limit:
 the pipeline stops with an error if a beam force-finishes every hypothesis
 (the ``translate:`` line's ``force_finished`` counts them). Then ``score``
 of a small written hypothesis and reference file that hold BLEU's edge
