@@ -10,6 +10,7 @@ a flat key=value file, then flag overrides, in that precedence order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import math
@@ -25,7 +26,6 @@ from .corpus import (
     BmiTable,
     CorpusError,
     FrequencyTable,
-    EOS_ID,
     Vocabulary,
     build_vocabularies,
     check_no_reserved,
@@ -47,6 +47,7 @@ from .weighting import (
     WeightScheme,
     cbmi_schedule,
     gold_token_probs,
+    id_weight_table,
     weight_dump_lines,
 )
 
@@ -360,14 +361,6 @@ def _vocab_hashes(src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> dict[str, str
     return {"vocab_src_hash": src_vocab.content_hash(), "vocab_tgt_hash": tgt_vocab.content_hash()}
 
 
-def _target_frequency_table(pairs, vocab_size: int) -> FrequencyTable:
-    table = FrequencyTable.from_pairs(pairs, "tgt", vocab_size)
-    # the end-of-sentence marker is a real training target, once per sentence
-    counts = table.counts.copy()
-    counts[EOS_ID] = len(pairs)
-    return FrequencyTable(counts)
-
-
 def cmd_preprocess(args) -> int:
     config = _effective_config(args)
     # every pair is checked before anything is written
@@ -401,19 +394,17 @@ def cmd_train(args) -> int:
     if not pairs:
         raise CorpusError(f"no sentence pairs to train on in {args.src}")
     scheme = config.weight_scheme()
-    bmi_table = freq_table = None
+    bmi_values = None
     if scheme.kind == "bmi":
         bmi_path = data_dir / "bmi.tgt.txt"
         if not bmi_path.exists():
             raise CorpusError(f"bmi scheme needs {bmi_path}; run preprocess first")
-        bmi_table = BmiTable.load(bmi_path)
-        if len(bmi_table.values) != len(tgt_vocab):
+        bmi_values = BmiTable.load(bmi_path).values
+        if len(bmi_values) != len(tgt_vocab):
             raise CorpusError(
-                f"bmi table {bmi_path} has {len(bmi_table.values)} entries for a target "
+                f"bmi table {bmi_path} has {len(bmi_values)} entries for a target "
                 f"vocabulary of {len(tgt_vocab)}; run preprocess again"
             )
-    elif scheme.kind in ("freq_exp", "freq_chi"):
-        freq_table = _target_frequency_table(pairs, len(tgt_vocab))
     model_config = config.model_config(len(src_vocab), len(tgt_vocab))
     trainer = Trainer(
         config.train_config(),
@@ -421,8 +412,7 @@ def cmd_train(args) -> int:
         pairs,
         args.out_dir,
         dtype=config.dtype(),
-        freq_table=freq_table,
-        bmi_table=bmi_table,
+        id_weights=id_weight_table(scheme, pairs, len(tgt_vocab), bmi_values),
         resume=args.resume,
         config_echo=config.echo_dict(),
         checkpoint_meta=_vocab_hashes(src_vocab, tgt_vocab),
@@ -449,6 +439,20 @@ def _check_output_path(path: Path) -> None:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
 
 
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A text file for the new content of ``path``: a temporary file beside
+    it that replaces ``path`` only if the block ends without an error, and
+    is removed if it does not, so a failed run leaves ``path`` as it was."""
+    staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(staged, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(staged, path)
+    finally:
+        staged.unlink(missing_ok=True)
+
+
 def cmd_translate(args) -> int:
     config = _effective_config(args)
     # decoding is the slow part, so a path it cannot write fails before it
@@ -472,6 +476,8 @@ def cmd_translate(args) -> int:
 
 def cmd_score(args) -> int:
     _effective_config(args)
+    if args.out:
+        _check_output_path(Path(args.out))
     hyps, refs = read_aligned_lines(args.hyp, args.ref)
     report = bleu(hyps, refs)
     for line in report.lines():
@@ -483,6 +489,7 @@ def cmd_score(args) -> int:
 
 def cmd_analyze_cbmi(args) -> int:
     config = _effective_config(args)
+    _check_output_path(Path(args.out))
     params, meta, src_vocab, tgt_vocab = _load_checkpoint_for(args, need_lm=True)
     pairs = load_parallel_corpus(args.src, args.tgt, src_vocab, tgt_vocab, config.max_len)
     if not pairs:
@@ -499,13 +506,14 @@ def cmd_analyze_cbmi(args) -> int:
 
 def cmd_dump_weights(args) -> int:
     config = _effective_config(args)
+    _check_output_path(Path(args.out))
     params, _, src_vocab, tgt_vocab = _load_checkpoint_for(args, need_lm=True)
     pairs = load_parallel_corpus(args.src, args.tgt, src_vocab, tgt_vocab, config.max_len)
     if not pairs:
         raise CorpusError(f"no sentence pairs to dump weights for in {args.src}")
     batches = make_batches(pairs, config.token_budget, seed=config.seed)
     cbmi_config = config.weight_scheme().cbmi
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _replacing(Path(args.out)) as fh:
         for index, batch in enumerate(batches):
             # only the live positions are projected; pad entries stay 1.0,
             # which the schedule ignores

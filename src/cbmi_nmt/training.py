@@ -28,7 +28,7 @@ import numpy as np
 from . import models as M
 from . import tensor as T
 from . import weighting as W
-from .corpus import Batches, BmiTable, FrequencyTable, SentencePair, SentencePairBatch, make_batches
+from .corpus import Batches, SentencePair, SentencePairBatch, make_batches
 from .models import ModelParams, lm_forward, nmt_forward
 from .tensor import Tape, Tensor
 from .weighting import WeightScheme
@@ -225,69 +225,51 @@ def compute_scheme_weights(
     batch: SentencePairBatch,
     nmt_rows: Tensor,
     lm_log_probs: np.ndarray | None,
-    freq_table: FrequencyTable | None,
-    bmi_table: BmiTable | None,
+    id_weights: np.ndarray | None,
     phase: int,
 ) -> tuple[np.ndarray, W.CbmiBatch | None, tuple | None]:
     """Per-token loss weights for one batch (zeros at pad positions), the
     CBMI schedule when the scheme computes one, and the prior term of the
     loss head for the ``lm_prior`` and ``prior_select`` schemes.
 
-    Phase 1 always trains with unit weights and no prior. The weights and
-    the prior distributions are constants with respect to the models; the
-    prior's log-probs are differentiable in ``nmt_rows`` ([B*T, V]).
+    A context-free scheme looks its weights up in ``id_weights``, the run's
+    ``W.id_weight_table``. Phase 1 always trains with unit weights and no
+    prior. The weights and the prior distributions are constants with
+    respect to the models; the prior's log-probs are differentiable in
+    ``nmt_rows`` ([B*T, V]).
     """
     mask = batch.tgt_mask
     ones = mask.astype(np.float64)
-    nmt_log_probs = nmt_rows.data
     kind = scheme.kind if phase == 2 else "none"
+    base = scheme.baseline
     if kind in W.LM_SCHEMES and lm_log_probs is None:
         raise TrainingError(f"{kind} weighting needs language-model probabilities")
     if kind == "none":
         return ones, None, None
-    if kind in ("lm_prior", "prior_select"):
-        # prior schemes keep unit CE weights and add a distillation term
-        base = scheme.baseline
-        if kind == "lm_prior":
-            prior = W.lm_prior_loss(
-                nmt_rows, lm_log_probs, base.lam, base.tau, mask.reshape(-1), base.soften_teacher_only
-            )
-        else:
-            raw_cbmi = W.masked_token_cbmi(
-                W.gold_token_probs(nmt_log_probs, batch.tgt_out),
-                W.gold_token_probs(lm_log_probs, batch.tgt_out),
-                mask,
-            )
-            prior_rows = W.selected_prior_rows(
-                nmt_log_probs, lm_log_probs, raw_cbmi.reshape(-1), base.th1, base.th2
-            )
-            prior = W.prior_cross_entropy_loss(nmt_rows, prior_rows, base.lam, mask.reshape(-1))
+    if kind in W.ID_SCHEMES:
+        if id_weights is None:
+            table = "a precomputed BMI table" if kind == "bmi" else "a target frequency table"
+            raise TrainingError(f"{kind} weighting needs {table}")
+        return id_weights[batch.tgt_out] * ones, None, None
+    # the prior schemes keep unit CE weights and add a distillation term
+    if kind == "lm_prior":
+        prior = W.lm_prior_loss(
+            nmt_rows, lm_log_probs, base.lam, base.tau, mask.reshape(-1), base.soften_teacher_only
+        )
         return ones, None, prior
+    p_nmt = W.gold_token_probs(nmt_rows.data, batch.tgt_out)
+    if kind in ("focal", "anti_focal"):
+        fn = W.focal_weight if kind == "focal" else W.anti_focal_weight
+        return fn(p_nmt, base.alpha, base.gamma) * ones, None, None
+    p_lm = W.gold_token_probs(lm_log_probs, batch.tgt_out)
+    schedule = W.cbmi_schedule(p_nmt, p_lm, mask, scheme.cbmi)
     if kind == "cbmi":
-        p_nmt = W.gold_token_probs(nmt_log_probs, batch.tgt_out)
-        p_lm = W.gold_token_probs(lm_log_probs, batch.tgt_out)
-        schedule = W.cbmi_schedule(p_nmt, p_lm, mask, scheme.cbmi)
         return schedule.final_weights, schedule, None
-    if kind in ("freq_exp", "freq_chi"):
-        if freq_table is None:
-            raise TrainingError(f"{kind} weighting needs a target frequency table")
-        counts = freq_table.counts[batch.tgt_out]
-        fn = W.freq_exponential_weight if kind == "freq_exp" else W.freq_chi_square_weight
-        return fn(counts, scheme.baseline.freq_a, scheme.baseline.freq_t) * ones, None, None
-    if kind == "bmi":
-        if bmi_table is None:
-            raise TrainingError("bmi weighting needs a precomputed BMI table")
-        raw = W.bmi_weight(bmi_table.values[batch.tgt_out], scheme.baseline.bmi_s, scheme.baseline.bmi_b)
-        # the affine map can dip below zero on very negative table values;
-        # negative loss weights would flip gradients, so clamp
-        return np.maximum(raw, 0.0) * ones, None, None
-    if kind == "focal":
-        p = W.gold_token_probs(nmt_log_probs, batch.tgt_out)
-        return W.focal_weight(p, scheme.baseline.alpha, scheme.baseline.gamma) * ones, None, None
-    if kind == "anti_focal":
-        p = W.gold_token_probs(nmt_log_probs, batch.tgt_out)
-        return W.anti_focal_weight(p, scheme.baseline.alpha, scheme.baseline.gamma) * ones, None, None
-    raise TrainingError(f"unhandled scheme {kind!r}")
+    # prior_select: each row's raw token CBMI picks its teacher distribution
+    prior_rows = W.selected_prior_rows(
+        nmt_rows.data, lm_log_probs, schedule.token_cbmi.reshape(-1), base.th1, base.th2
+    )
+    return ones, None, W.prior_cross_entropy_loss(nmt_rows, prior_rows, base.lam, mask.reshape(-1))
 
 
 @dataclass
@@ -361,8 +343,7 @@ def nmt_pass(
     step: int,
     lr: float,
     lm_log_probs: Callable[[], np.ndarray | None],
-    freq_table: FrequencyTable | None = None,
-    bmi_table: BmiTable | None = None,
+    id_weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, W.CbmiBatch | None]:
     """The translation model's part of a train step: forward, the scheme's
     weights, weighted-CE backward, clip and Adam on ``nmt.*``. Calls
@@ -375,7 +356,7 @@ def nmt_pass(
         rows = nmt_forward(state.params, batch.src, batch.tgt_in, training=True, rng=rng,
                            rows=_every_position(batch))
         weights, cbmi_batch, prior = compute_scheme_weights(
-            cfg.scheme, batch, rows, lm_log_probs(), freq_table, bmi_table, phase
+            cfg.scheme, batch, rows, lm_log_probs(), id_weights, phase
         )
         loss = _mean_token_ce(rows, batch, weights, cfg.label_smoothing, prior)
         value = _finite_value(loss, "NMT", step)
@@ -439,8 +420,7 @@ def train_step(
     batch: SentencePairBatch,
     cfg: TrainConfig,
     step: int,
-    freq_table: FrequencyTable | None = None,
-    bmi_table: BmiTable | None = None,
+    id_weights: np.ndarray | None = None,
     dump_sink=None,
 ) -> StepMetrics:
     """One optimization step: ``nmt_pass`` and, when the scheme needs an LM,
@@ -503,7 +483,7 @@ def train_step(
             lm.set_result((None, None))
     try:
         (loss_value, weights, cbmi_batch), nmt_seconds = _timed(
-            nmt_pass, state, batch, cfg, step, lr, lm_log_probs, freq_table, bmi_table
+            nmt_pass, state, batch, cfg, step, lr, lm_log_probs, id_weights
         )
     finally:
         if worker is not None:
@@ -569,8 +549,7 @@ class Trainer:
         pairs: list[SentencePair],
         out_dir: str | Path,
         dtype=np.float32,
-        freq_table: FrequencyTable | None = None,
-        bmi_table: BmiTable | None = None,
+        id_weights: np.ndarray | None = None,
         resume: str | Path | None = None,
         config_echo: dict | None = None,
         checkpoint_meta: dict[str, str] | None = None,
@@ -581,8 +560,7 @@ class Trainer:
         self.cfg = cfg
         self.pairs = pairs
         self.out_dir = Path(out_dir)
-        self.freq_table = freq_table
-        self.bmi_table = bmi_table
+        self.id_weights = id_weights
         self.config_echo = config_echo
         self.checkpoint_meta = dict(checkpoint_meta or {})
         self.dump_weights_path = Path(dump_weights_path) if dump_weights_path else None
@@ -691,13 +669,7 @@ class Trainer:
                     batch = self.batch_for_step(step)
                     try:
                         metrics = train_step(
-                            self.state,
-                            batch,
-                            cfg,
-                            step,
-                            freq_table=self.freq_table,
-                            bmi_table=self.bmi_table,
-                            dump_sink=dump_fh,
+                            self.state, batch, cfg, step, id_weights=self.id_weights, dump_sink=dump_fh
                         )
                     except (TrainingError, ValueError, FloatingPointError) as exc:
                         dump = _dump_divergent_batch(self.out_dir, step, batch)

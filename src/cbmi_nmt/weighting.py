@@ -8,6 +8,12 @@ normalized within each sentence and scaled into token weights; their
 per-sentence mean is normalized across the mini-batch and scaled into a
 sentence weight; the final per-token weight is the product of the two.
 
+The frequency and BMI baselines are context-free: a token's weight is a
+function of its target id alone, so ``id_weight_table`` builds it once a
+run, for training to look up. CBMI depends on the target context, so
+``cbmi_schedule`` runs at each step, on both models' gold-token
+probabilities.
+
 Everything here is a pure function of value inputs. Weights never carry
 gradients: callers feed probabilities read off the forward pass, and the
 loss treats the resulting weights as constants.
@@ -16,11 +22,13 @@ loss treats the resulting weights as constants.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
+from .corpus import EOS_ID, FrequencyTable, SentencePair
 from .tensor import Tensor
 
 
@@ -79,6 +87,8 @@ SCHEME_KINDS = (
 
 # schemes whose weights or prior term need language-model probabilities
 LM_SCHEMES = frozenset({"cbmi", "lm_prior", "prior_select"})
+# schemes whose weight is a function of the target token id alone
+ID_SCHEMES = frozenset({"freq_exp", "freq_chi", "bmi"})
 
 
 @dataclass(frozen=True)
@@ -130,14 +140,6 @@ def gold_token_probs(log_probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.exp(gold.astype(np.float64)).reshape(targets.shape)
 
 
-def masked_token_cbmi(p_nmt: np.ndarray, p_lm: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Raw token CBMI of padded [B, T] gold-token probabilities, zero at pad
-    positions; pad entries of ``p_*`` are ignored."""
-    return np.where(
-        mask, token_cbmi_values(np.where(mask, p_nmt, 1.0), np.where(mask, p_lm, 1.0)), 0.0
-    )
-
-
 @dataclass
 class CbmiBatch:
     """Vectorized CBMI schedule over one padded batch; the [B, T] arrays hold
@@ -174,7 +176,9 @@ def cbmi_schedule(
     counts = mask.sum(axis=1)
     if (counts < 1).any():
         raise ValueError("every sentence needs at least one non-pad position")
-    values = masked_token_cbmi(p_nmt, p_lm, mask)
+    values = np.where(
+        mask, token_cbmi_values(np.where(mask, p_nmt, 1.0), np.where(mask, p_lm, 1.0)), 0.0
+    )
     sent = values.sum(axis=1) / counts
     var = np.where(mask, (values - sent[:, None]) ** 2, 0.0).sum(axis=1) / counts
     std = np.maximum(np.sqrt(var), config.sigma_floor)
@@ -226,6 +230,29 @@ def freq_chi_square_weight(count: int | np.ndarray, a: float, t: float):
 def bmi_weight(bmi: float | np.ndarray, s: float, b: float):
     """Affine rescaling S * BMI + B of the precomputed table value."""
     return s * np.asarray(bmi, dtype=np.float64) + b
+
+
+def id_weight_table(
+    scheme: WeightScheme,
+    pairs: Sequence[SentencePair],
+    vocab_size: int,
+    bmi_values: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """The float64 loss weight of each target id under a context-free
+    scheme, built once a run; None for other schemes and for ``bmi``
+    without ``bmi_values``. The freq schemes map the target counts of
+    ``pairs``, with ``</s>`` once a pair, as it is trained on; ``bmi``
+    clamps at 0, as a negative weight would flip the gradient. The maps are
+    element-wise, so a looked-up weight has the bits of a per-position map."""
+    base = scheme.baseline
+    if scheme.kind == "bmi" and bmi_values is not None:
+        return np.maximum(bmi_weight(bmi_values, base.bmi_s, base.bmi_b), 0.0)
+    if scheme.kind not in ("freq_exp", "freq_chi"):
+        return None
+    counts = FrequencyTable.from_pairs(pairs, "tgt", vocab_size).counts
+    counts[EOS_ID] = len(pairs)
+    fn = freq_exponential_weight if scheme.kind == "freq_exp" else freq_chi_square_weight
+    return fn(counts, base.freq_a, base.freq_t)
 
 
 def focal_loss(p: float | np.ndarray, alpha: float, gamma: float):

@@ -688,6 +688,60 @@ class TestCliRuns:
             assert err.count("\n") == 1 and err.startswith("error:io:"), err
             assert str(path) in err
 
+    @pytest.mark.parametrize("command", ["analyze-cbmi", "score"])
+    @pytest.mark.parametrize("out", ["a_directory", "missing/report.txt", "report.txt"])
+    def test_report_commands_check_out_before_their_work(self, corpus, tmp_path, capsys,
+                                                          monkeypatch, command, out):
+        (tmp_path / "a_directory").mkdir()
+        path = tmp_path / out
+
+        def failing_work(*args, **kwargs):
+            raise ValueError("work failed")
+
+        if command == "score":
+            monkeypatch.setattr(cli, "bleu", failing_work)
+            argv = ["score", "--hyp", str(corpus / "train.tgt"), "--ref", str(corpus / "train.tgt")]
+        else:
+            run_dir = tmp_path / "run"
+            assert run(train_args(corpus, run_dir, "--scheme", "cbmi", "--seed", "4")) == 0
+            monkeypatch.setattr(cli, "analyze_cbmi", failing_work)
+            argv = ["analyze-cbmi", "--checkpoint", str(run_dir / "checkpoint_final"),
+                    "--src", str(corpus / "train.src"), "--tgt", str(corpus / "train.tgt"),
+                    "--data-dir", str(corpus / "data")]
+        capsys.readouterr()
+        assert run([*argv, "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if out == "report.txt":
+            assert captured.err == "error:invalid: work failed\n"
+            assert not path.exists()
+        else:  # refused before the work was called
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error:io:"), captured.err
+            assert str(path) in captured.err
+
+    @pytest.mark.parametrize("earlier_dump", [False, True])
+    def test_failed_dump_weights_leaves_out_as_it_was(self, corpus, tmp_path, capsys, earlier_dump):
+        run_dir = tmp_path / "lmrun"
+        assert run(train_args(corpus, run_dir, "--scheme", "cbmi", "--seed", "4")) == 0
+        params, _, meta = M.load_checkpoint(run_dir / "checkpoint_final")
+        projection = params.tensors["nmt.out.w"]
+        projection.data = np.full_like(projection.data, np.nan)
+        M.save_checkpoint(tmp_path / "nan", params, step=int(meta["step"]), meta=meta)
+        out = tmp_path / "w.tsv"
+        if earlier_dump:
+            out.write_bytes(b"0\t0\t0\t4\t0.5\t1.0\t1.0\t1.0\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert run(["dump-weights", "--checkpoint", str(tmp_path / "nan"),
+                    "--src", str(corpus / "train.src"), "--tgt", str(corpus / "train.tgt"),
+                    "--data-dir", str(corpus / "data"), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:"), captured.err
+        assert captured.out == ""
+        # no new file, no staged file left behind, and an earlier dump unchanged
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+        assert out.exists() == earlier_dump
+
     @pytest.mark.parametrize("damage", ["junk_line", "duplicate_token"])
     def test_malformed_vocabulary_is_corpus_error(self, corpus, tmp_path, capsys, damage):
         data = tmp_path / "data"

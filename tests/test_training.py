@@ -9,7 +9,8 @@ import pytest
 
 from cbmi_nmt import tensor as T
 from cbmi_nmt import corpus, training
-from cbmi_nmt.corpus import FrequencyTable, SentencePair, make_batches
+from cbmi_nmt import weighting as W
+from cbmi_nmt.corpus import EOS_ID, SentencePair, make_batches
 from cbmi_nmt.models import (
     CheckpointError, ModelConfig, init_params, lm_forward, load_checkpoint, nmt_forward,
 )
@@ -179,11 +180,12 @@ class TestTrainRuns:
     def test_huge_counts_make_freq_exp_match_none(self, tmp_path):
         pairs = toy_pairs()
         mc = tiny_model_config()
-        freq = FrequencyTable(np.full(VOCAB, 10_000, dtype=np.int64))
         cfg_freq = tiny_train_config(scheme=WeightScheme("freq_exp"))
+        base = cfg_freq.scheme.baseline
+        id_weights = W.freq_exponential_weight(np.full(VOCAB, 10_000), base.freq_a, base.freq_t)
         cfg_none = tiny_train_config(scheme=WeightScheme("none"))
         train(cfg_none, mc, pairs, tmp_path / "none")
-        train(cfg_freq, mc, pairs, tmp_path / "freq", freq_table=freq)
+        train(cfg_freq, mc, pairs, tmp_path / "freq", id_weights=id_weights)
         none_losses = [m["nmt_loss"] for m in read_metrics(tmp_path / "none")]
         freq_losses = [m["nmt_loss"] for m in read_metrics(tmp_path / "freq")]
         np.testing.assert_allclose(none_losses, freq_losses, atol=1e-4)
@@ -590,6 +592,89 @@ class TestGradientEquivalence:
             np.testing.assert_allclose(
                 grad, accumulated[name], atol=1e-6 * global_scale, rtol=1e-6
             )
+
+
+class TestSchemeWeights:
+    """``compute_scheme_weights`` on one batch of ``toy_pairs``. The
+    context-free schemes look weights up in the run's per-id table; the
+    references are the per-position expressions that table replaced."""
+
+    @staticmethod
+    def _batch_and_rows(seed=3):
+        pairs = toy_pairs()
+        batch = make_batches(pairs, 64, seed=seed)[0]
+        rng = np.random.default_rng(seed)
+
+        def log_probs():
+            logits = rng.normal(size=(batch.tgt_out.size, VOCAB))
+            return logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+
+        return pairs, batch, Tensor(log_probs()), log_probs()
+
+    @pytest.mark.parametrize("kind", ["freq_exp", "freq_chi"])
+    def test_freq_weights_are_the_per_position_map(self, kind):
+        pairs, batch, rows, _ = self._batch_and_rows()
+        # a small T keeps the weights of common ids, </s> among them, off 1.0
+        scheme = WeightScheme(kind, baseline=W.BaselineConfig(freq_a=1.5, freq_t=0.05))
+        counts = np.bincount([t for pair in pairs for t in pair.tgt], minlength=VOCAB)
+        counts[EOS_ID] = len(pairs)  # </s> ends every target once
+        fn = W.freq_exponential_weight if kind == "freq_exp" else W.freq_chi_square_weight
+        expected = fn(counts[batch.tgt_out], 1.5, 0.05) * batch.tgt_mask
+        table = W.id_weight_table(scheme, pairs, VOCAB)
+        weights, schedule, prior = training.compute_scheme_weights(
+            scheme, batch, rows, None, table, phase=2)
+        assert weights.dtype == np.float64 and weights.tobytes() == expected.tobytes()
+        assert schedule is None and prior is None
+        at_eos = batch.tgt_out == EOS_ID
+        assert at_eos.any() and (weights[at_eos] == fn(len(pairs), 1.5, 0.05)).all()
+
+    def test_bmi_weights_are_the_clamped_per_position_map(self):
+        pairs, batch, rows, _ = self._batch_and_rows()
+        scheme = WeightScheme("bmi")
+        s, b = scheme.baseline.bmi_s, scheme.baseline.bmi_b
+        values = np.linspace(-20.0, 10.0, VOCAB)
+        raw = W.bmi_weight(values[batch.tgt_out], s, b)
+        assert (raw[batch.tgt_mask] < 0).any() and (raw[batch.tgt_mask] > 0).any()
+        expected = np.maximum(raw, 0) * batch.tgt_mask
+        table = W.id_weight_table(scheme, pairs, VOCAB, values)
+        weights, _, _ = training.compute_scheme_weights(scheme, batch, rows, None, table, phase=2)
+        assert weights.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", W.SCHEME_KINDS)
+    def test_phase_one_weights_are_units(self, kind):
+        _, batch, rows, _ = self._batch_and_rows()
+        weights, schedule, prior = training.compute_scheme_weights(
+            WeightScheme(kind), batch, rows, None, None, phase=1)
+        assert weights.tobytes() == batch.tgt_mask.astype(np.float64).tobytes()
+        assert schedule is None and prior is None
+
+    @pytest.mark.parametrize("kind, message", [
+        ("freq_exp", "freq_exp weighting needs a target frequency table"),
+        ("freq_chi", "freq_chi weighting needs a target frequency table"),
+        ("bmi", "bmi weighting needs a precomputed BMI table"),
+    ])
+    def test_missing_table_names_the_scheme(self, kind, message):
+        pairs, batch, rows, _ = self._batch_and_rows()
+        # a bmi table is read from disk, so the pairs alone give no weights
+        table = W.id_weight_table(WeightScheme(kind), pairs, VOCAB)
+        assert (table is None) == (kind == "bmi")
+        with pytest.raises(TrainingError) as caught:
+            training.compute_scheme_weights(WeightScheme(kind), batch, rows, None, None, phase=2)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("kind", sorted(set(W.SCHEME_KINDS) - W.ID_SCHEMES))
+    def test_context_schemes_read_each_models_gold_probs_once(self, monkeypatch, kind):
+        _, batch, rows, lm_log_probs = self._batch_and_rows()
+        assert W.id_weight_table(WeightScheme(kind), [], VOCAB) is None
+        reads, original = [], W.gold_token_probs
+
+        def counted(log_probs, targets):
+            reads.append(id(log_probs))
+            return original(log_probs, targets)
+
+        monkeypatch.setattr(W, "gold_token_probs", counted)
+        training.compute_scheme_weights(WeightScheme(kind), batch, rows, lm_log_probs, None, phase=2)
+        assert len(reads) == len(set(reads)) and set(reads) <= {id(rows.data), id(lm_log_probs)}
 
 
 def test_train_pass_reads_the_projection_rows(monkeypatch, tmp_path):
