@@ -37,7 +37,7 @@ from .corpus import (
     read_parallel_tokens,
     tokenize,
 )
-from .decoding import BeamConfig, DecodeStats, analyze_cbmi, beam_search_many, bleu, write_analysis
+from .decoding import BeamConfig, DecodeStats, analyze_cbmi, beam_search_many, bleu
 from .models import CheckpointError, ModelConfig, lm_forward, load_checkpoint, nmt_forward
 from .training import TrainConfig, Trainer, TrainingError
 from .weighting import (
@@ -469,7 +469,8 @@ def cmd_translate(args) -> int:
     stats = DecodeStats()
     outputs = [" ".join(tgt_vocab.decode(hyp_ids))
                for hyp_ids in beam_search_many(params, sources, beam_config, stats)]
-    Path(args.out).write_text("\n".join(outputs) + ("\n" if outputs else ""), encoding="utf-8")
+    with _replacing(Path(args.out)) as fh:
+        fh.write("\n".join(outputs) + ("\n" if outputs else ""))
     print(f"translate: {len(outputs)} sentences -> {args.out}; {stats.summary()}")
     return 0
 
@@ -483,7 +484,8 @@ def cmd_score(args) -> int:
     for line in report.lines():
         print(line)
     if args.out:
-        Path(args.out).write_text("\n".join(report.lines()) + "\n", encoding="utf-8")
+        with _replacing(Path(args.out)) as fh:
+            fh.write("\n".join(report.lines()) + "\n")
     return 0
 
 
@@ -495,11 +497,9 @@ def cmd_analyze_cbmi(args) -> int:
     if not pairs:
         raise CorpusError(f"no sentence pairs to analyze in {args.src}")
     analysis = analyze_cbmi(params, pairs, bins=config.bins)
-    write_analysis(
-        args.out,
-        analysis,
-        header={"checkpoint_hash": meta["config_hash"], "bins": str(config.bins)},
-    )
+    header = {"checkpoint_hash": meta["config_hash"], "bins": str(config.bins)}
+    with _replacing(Path(args.out)) as fh:
+        fh.write("\n".join(analysis.lines(header)) + "\n")
     print(f"analyze-cbmi: {len(analysis.token_records)} tokens -> {args.out}")
     return 0
 
@@ -515,14 +515,11 @@ def cmd_dump_weights(args) -> int:
     cbmi_config = config.weight_scheme().cbmi
     with _replacing(Path(args.out)) as fh:
         for index, batch in enumerate(batches):
-            # only the live positions are projected; pad entries stay 1.0,
-            # which the schedule ignores
+            # only the live positions are projected, one model's rows at a time
             mask = batch.tgt_mask
             gold = batch.tgt_out[mask]
-            p_nmt, p_lm = np.ones(mask.shape), np.ones(mask.shape)
-            p_nmt[mask] = gold_token_probs(
-                nmt_forward(params, batch.src, batch.tgt_in, rows=mask).data, gold)
-            p_lm[mask] = gold_token_probs(lm_forward(params, batch.tgt_in, rows=mask).data, gold)
+            p_nmt = gold_token_probs(nmt_forward(params, batch.src, batch.tgt_in, rows=mask).data, gold)
+            p_lm = gold_token_probs(lm_forward(params, batch.tgt_in, rows=mask).data, gold)
             schedule = cbmi_schedule(p_nmt, p_lm, mask, cbmi_config)
             for line in weight_dump_lines(index, schedule, batch.tgt_mask, batch.tgt_out):
                 fh.write(line + "\n")

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -441,8 +440,8 @@ def analyze_cbmi(
     batch_sentences: int = 32,
 ) -> CbmiAnalysis:
     """Teacher-forced pass over a corpus collecting per-token and
-    per-sentence CBMI, a token histogram, and top-1 accuracy of the three
-    prior distributions per CBMI bin."""
+    per-sentence CBMI from ``weighting.cbmi_schedule``, a token histogram,
+    and top-1 accuracy of the three prior distributions per CBMI bin."""
     if bins < 1:
         raise ValueError("bins must be positive")
     token_records = []
@@ -460,13 +459,10 @@ def analyze_cbmi(
         gold = batch.tgt_out[sent, pos]
         nmt_lp = nmt_forward(params, batch.src, batch.tgt_in, rows=mask).data
         lm_lp = lm_forward(params, batch.tgt_in, rows=mask).data
-        values = W.token_cbmi_values(W.gold_token_probs(nmt_lp, gold),
-                                     W.gold_token_probs(lm_lp, gold))
-        ends = np.cumsum(mask.sum(axis=1))[:-1]
-        sentence_records.extend(
-            (sent_base + i, float(sentence.mean()))
-            for i, sentence in enumerate(np.split(values, ends))
-        )
+        schedule = W.cbmi_schedule(W.gold_token_probs(nmt_lp, gold),
+                                   W.gold_token_probs(lm_lp, gold), mask, W.CbmiConfig())
+        values = schedule.token_cbmi[mask]
+        sentence_records.extend(enumerate(schedule.sent_cbmi.tolist(), sent_base))
         token_records.extend(
             zip((sent_base + sent).tolist(), pos.tolist(), gold.tolist(), values.tolist())
         )
@@ -495,7 +491,3 @@ def analyze_cbmi(
             (float(edges[b_idx]), float(edges[b_idx + 1]), count, float(acc[0]), float(acc[1]), float(acc[2]))
         )
     return CbmiAnalysis(token_records, sentence_records, histogram, prior_accuracy)
-
-
-def write_analysis(path: str | Path, analysis: CbmiAnalysis, header: dict[str, str]) -> None:
-    Path(path).write_text("\n".join(analysis.lines(header)) + "\n", encoding="utf-8")

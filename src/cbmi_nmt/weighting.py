@@ -12,7 +12,8 @@ The frequency and BMI baselines are context-free: a token's weight is a
 function of its target id alone, so ``id_weight_table`` builds it once a
 run, for training to look up. CBMI depends on the target context, so
 ``cbmi_schedule`` runs at each step, on both models' gold-token
-probabilities.
+probabilities, padded [sentences, positions] or of the live positions
+alone; ``analyze-cbmi`` and ``dump-weights`` read their CBMI from it too.
 
 Everything here is a pure function of value inputs. Weights never carry
 gradients: callers feed probabilities read off the forward pass, and the
@@ -124,14 +125,6 @@ class CbmiRecord:
 # CBMI core
 
 
-def token_cbmi_values(p_nmt: np.ndarray, p_lm: np.ndarray) -> np.ndarray:
-    p_nmt = np.asarray(p_nmt, dtype=np.float64)
-    p_lm = np.asarray(p_lm, dtype=np.float64)
-    if (p_nmt <= 0).any() or (p_lm <= 0).any():
-        raise ValueError("zero probability fed to CBMI; upstream softmax is broken")
-    return np.log(p_nmt) - np.log(p_lm)
-
-
 def gold_token_probs(log_probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """exp of the gold-token log-probabilities in float64, shaped like
     ``targets``, of log-probs with one row per target, flat or not."""
@@ -170,15 +163,18 @@ def cbmi_schedule(
     config: CbmiConfig,
 ) -> CbmiBatch:
     """Full CBMI weight schedule for a padded batch of gold-token probability
-    pairs. Shapes are [sentences, positions]; pad entries of ``p_*`` are
-    ignored (any positive placeholder is fine)."""
+    pairs, given [sentences, positions] like ``mask`` (pad entries ignored)
+    or as the [n] values of its live positions in ``np.nonzero`` order."""
     mask = np.asarray(mask, dtype=bool)
     counts = mask.sum(axis=1)
     if (counts < 1).any():
         raise ValueError("every sentence needs at least one non-pad position")
-    values = np.where(
-        mask, token_cbmi_values(np.where(mask, p_nmt, 1.0), np.where(mask, p_lm, 1.0)), 0.0
-    )
+    probs = [np.asarray(p, dtype=np.float64) for p in (p_nmt, p_lm)]
+    p_nmt, p_lm = (p[mask] if p.shape == mask.shape else p for p in probs)
+    if (p_nmt <= 0).any() or (p_lm <= 0).any():
+        raise ValueError("zero probability fed to CBMI; upstream softmax is broken")
+    values = np.zeros(mask.shape)
+    values[mask] = np.log(p_nmt) - np.log(p_lm)
     sent = values.sum(axis=1) / counts
     var = np.where(mask, (values - sent[:, None]) ** 2, 0.0).sum(axis=1) / counts
     std = np.maximum(np.sqrt(var), config.sigma_floor)

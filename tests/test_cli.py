@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -14,7 +16,7 @@ from cbmi_nmt import cli
 from cbmi_nmt import models as M
 from cbmi_nmt.cli import ConfigError, FullConfig, parse_config, run
 from cbmi_nmt.corpus import UNK_ID, BmiTable, FrequencyTable, Vocabulary, load_parallel_corpus
-from cbmi_nmt.decoding import BeamConfig
+from cbmi_nmt.decoding import BeamConfig, BleuReport, CbmiAnalysis
 from cbmi_nmt.models import ModelConfig
 from cbmi_nmt.training import TrainConfig
 from cbmi_nmt.weighting import BaselineConfig, CbmiConfig
@@ -741,6 +743,50 @@ class TestCliRuns:
         # no new file, no staged file left behind, and an earlier dump unchanged
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
         assert out.exists() == earlier_dump
+
+    @pytest.mark.parametrize("earlier_out", [False, True])
+    @pytest.mark.parametrize("command", ["translate", "score", "analyze-cbmi", "dump-weights"])
+    def test_failed_write_leaves_out_as_it_was(self, corpus, tmp_path, capsys, monkeypatch,
+                                               command, earlier_out):
+        # a line UTF-8 cannot encode fails the write after it has begun
+        def unencodable(lines):
+            return [*lines[:-1], lines[-1] + "\udc80"]
+
+        run_dir = tmp_path / "run"
+        if command != "score":
+            assert run(train_args(corpus, run_dir, "--scheme", "cbmi", "--seed", "4")) == 0
+        inputs = ["--checkpoint", str(run_dir / "checkpoint_final"),
+                  "--src", str(corpus / "train.src"), "--data-dir", str(corpus / "data")]
+        if command == "translate":
+            decode = Vocabulary.decode
+            monkeypatch.setattr(Vocabulary, "decode", lambda self, ids: [*decode(self, ids), "\udc80"])
+        elif command == "score":
+            lines = BleuReport.lines
+            monkeypatch.setattr(BleuReport, "lines", lambda self: unencodable(lines(self)))
+            inputs = ["--hyp", str(corpus / "train.tgt"), "--ref", str(corpus / "train.tgt")]
+        elif command == "analyze-cbmi":
+            lines = CbmiAnalysis.lines
+            monkeypatch.setattr(CbmiAnalysis, "lines",
+                                lambda self, header: unencodable(lines(self, header)))
+            inputs.extend(["--tgt", str(corpus / "train.tgt")])
+        else:
+            dump_lines = cli.weight_dump_lines
+            monkeypatch.setattr(cli, "weight_dump_lines", lambda *a: unencodable(dump_lines(*a)))
+            inputs.extend(["--tgt", str(corpus / "train.tgt")])
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "out.txt"
+        if earlier_out:
+            out.write_bytes(b"line 1\nline 2\nline 3\n")
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        capsys.readouterr()
+        # score prints its report before it writes it; a str buffer takes any line
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run([command, *inputs, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:invalid:"), err
+        # no new file, no staged file left behind, and an earlier --out unchanged
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
     @pytest.mark.parametrize("damage", ["junk_line", "duplicate_token"])
     def test_malformed_vocabulary_is_corpus_error(self, corpus, tmp_path, capsys, damage):

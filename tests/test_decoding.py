@@ -665,6 +665,41 @@ class TestAnalysis:
         found = sum(count * np.array(acc) for _, _, count, *acc in analysis.prior_accuracy)
         np.testing.assert_allclose(found, expected, atol=1e-9)
 
+    def test_records_read_the_schedule(self, rng):
+        # several 32-sentence batches, and targets of 8 tokens and more
+        cfg = ModelConfig(9, 9, embed_dim=16, ff_dim=16, enc_layers=1,
+                          dec_layers=1, lm_layers=1, heads=2)
+        params = init_params(cfg, seed=11, dtype=np.float64)
+        pairs = [
+            SentencePair(
+                list(map(int, rng.integers(4, 9, size=rng.integers(1, 11)))),
+                list(map(int, rng.integers(4, 9, size=rng.integers(1, 12)))),
+            )
+            for _ in range(80)
+        ]
+        assert sum(len(p.tgt) >= 8 for p in pairs) > 10
+        analysis = D.analyze_cbmi(params, pairs, bins=4)
+        tokens, sentences = [], []
+        for start in range(0, len(pairs), 32):
+            batch = collate(pairs[start : start + 32])
+            mask = batch.tgt_mask
+            gold = batch.tgt_out[mask]
+            p_nmt = W.gold_token_probs(nmt_forward(params, batch.src, batch.tgt_in, rows=mask).data, gold)
+            p_lm = W.gold_token_probs(lm_forward(params, batch.tgt_in, rows=mask).data, gold)
+            schedule = W.cbmi_schedule(p_nmt, p_lm, mask, W.CbmiConfig())
+            sent, pos = np.nonzero(mask)
+            tokens += zip((start + sent).tolist(), pos.tolist(), gold.tolist(),
+                          schedule.token_cbmi[mask].tolist())
+            sentences += enumerate(schedule.sent_cbmi.tolist(), start)
+
+        def bits(records):
+            return np.array([r[-1] for r in records]).tobytes()
+
+        assert [r[:-1] for r in analysis.token_records] == [r[:-1] for r in tokens]
+        assert [r[:-1] for r in analysis.sentence_records] == [r[:-1] for r in sentences]
+        assert bits(analysis.token_records) == bits(tokens)
+        assert bits(analysis.sentence_records) == bits(sentences)
+
     def test_uniform_models_give_zero_cbmi(self):
         params = self._uniform_params()
         pairs = [SentencePair([4, 5], [6, 7]), SentencePair([8], [4])]

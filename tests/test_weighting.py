@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -51,10 +52,58 @@ class TestTokenCbmi:
         assert _token_cbmi(0.1, 0.5) == pytest.approx(math.log(0.2), abs=1e-12)
 
     def test_zero_probability_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero probability"):
             _token_cbmi(0.0, 0.5)
-        with pytest.raises(ValueError):
-            W.token_cbmi_values(np.array([0.5]), np.array([0.0]))
+        with pytest.raises(ValueError, match="zero probability"):
+            cbmi_schedule(np.array([0.5]), np.array([0.0]), np.ones((1, 1), dtype=bool),
+                          CbmiConfig())
+
+
+class TestScheduleInputForms:
+    """``cbmi_schedule`` reads [B, T] probabilities, whose pads it ignores,
+    and the [n] probabilities of the mask's live positions alike."""
+
+    @staticmethod
+    def _placeholders(rng, p, mask, value=None):
+        """``p`` with random positive values (or ``value``) at the pads."""
+        p = p.copy()
+        pads = ~mask
+        assert pads.any()
+        p[pads] = rng.uniform(1e-6, 5.0, size=pads.sum()) if value is None else value
+        return p
+
+    @pytest.mark.parametrize("config", [
+        CbmiConfig(), CbmiConfig(use_token=False), CbmiConfig(use_sentence=False),
+        CbmiConfig(scale_t=0.5, scale_s=0.7),
+    ])
+    def test_live_form_is_padded_form_bit_for_bit(self, rng, config):
+        p_nmt, p_lm, mask = _random_batch(rng)
+        live = cbmi_schedule(p_nmt[mask], p_lm[mask], mask, config)
+        padded = cbmi_schedule(self._placeholders(rng, p_nmt, mask),
+                               self._placeholders(rng, p_lm, mask), mask, config)
+        for f in fields(W.CbmiBatch):
+            a, b = getattr(live, f.name), getattr(padded, f.name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+
+    def test_zero_at_pad_is_ignored(self, rng):
+        p_nmt, p_lm, mask = _random_batch(rng)
+        live = cbmi_schedule(p_nmt[mask], p_lm[mask], mask, CbmiConfig())
+        padded = cbmi_schedule(self._placeholders(rng, p_nmt, mask, 0.0),
+                               self._placeholders(rng, p_lm, mask, 0.0), mask, CbmiConfig())
+        assert padded.final_weights.tobytes() == live.final_weights.tobytes()
+
+    @pytest.mark.parametrize("model", ["nmt", "lm"])
+    def test_zero_at_live_position_raises_in_both_forms(self, rng, model):
+        p_nmt, p_lm, mask = _random_batch(rng)
+        zeroed = p_nmt if model == "nmt" else p_lm
+        rows, cols = np.nonzero(mask)
+        zeroed[rows[-1], cols[-1]] = 0.0
+        messages = []
+        for form in (lambda p: p, lambda p: p[mask]):
+            with pytest.raises(ValueError) as raised:
+                cbmi_schedule(form(p_nmt), form(p_lm), mask, CbmiConfig())
+            messages.append(str(raised.value))
+        assert messages == ["zero probability fed to CBMI; upstream softmax is broken"] * 2
 
 
 class TestIntraSentenceNormalization:

@@ -24,9 +24,10 @@ that reach all three of its regimes, ``cbmi`` with a weight dump, and
 ``translate`` at beams 1, 2 and 4 of a 150-sentence file (three decode
 groups; after so few steps every sentence is force-finished), ``score``,
 ``analyze-cbmi`` and ``dump-weights`` on the ``cbmi`` checkpoint of each
-precision. Last, a 20-step ``none`` run without dropout on an easy
-word-for-word task, whose ``translate`` at beams 1 and 4 ends sentences
-before their length limit:
+precision, with ``dump-weights`` once more for each of ``DUMP_ABLATIONS``
+(no token weight, no sentence weight, other scales). Last, a 20-step
+``none`` run without dropout on an easy word-for-word task, whose
+``translate`` at beams 1 and 4 ends sentences before their length limit:
 the pipeline stops with an error if a beam force-finishes every hypothesis
 (the ``translate:`` line's ``force_finished`` counts them). Then ``score``
 of a small written hypothesis and reference file that hold BLEU's edge
@@ -55,6 +56,13 @@ TOOLS = Path(__file__).resolve().parent
 BLAS_SETTINGS = {"blas1": "1", "blas_default": None}
 NOT_COMPARED = {"timing.log"}
 SHOWN_LINES = 8
+# (file suffix, flags) of the extra ``dump-weights`` runs: the CBMI
+# schedule's ablation switches and non-default scales
+DUMP_ABLATIONS = [
+    ("no_token", ["--use-token", "false"]),
+    ("no_sentence", ["--use-sentence", "false"]),
+    ("scaled", ["--scale-t", "0.5", "--scale-s", "0.7"]),
+]
 
 
 EASY_TEST_LINES = 60
@@ -158,6 +166,9 @@ def pipeline(corpus: str, out: str) -> None:
             cli("score", "--hyp", hyp, "--ref", c / "test.tgt", "--out", ev / f"bleu_beam{beam}.txt")
         cli("analyze-cbmi", *test, "--tgt", c / "test.tgt", "--out", ev / "analysis.txt")
         cli("dump-weights", *test, "--tgt", c / "test.tgt", "--out", ev / "weights.tsv")
+        for suffix, flags in DUMP_ABLATIONS:
+            cli("dump-weights", *test, "--tgt", c / "test.tgt", *flags,
+                "--out", ev / f"weights_{suffix}.tsv")
     easy, easy_data, easy_run = c / "easy", o / "easy_data", o / "easy_none"
     cli("preprocess", "--src", easy / "train.src", "--tgt", easy / "train.tgt",
         "--out-dir", easy_data)
