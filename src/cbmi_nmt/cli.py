@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models as M
+from . import runtime
 from .corpus import (
     BmiTable,
     CorpusError,
@@ -69,6 +70,14 @@ PROFILES = {
     },
 }
 
+# The BLAS thread count of the full-size presets. The desk preset keeps the
+# default of one: at width 64 a `none` step ran as fast on one thread as on
+# the pool (40.7 against 40.6 ms), and the LM pass of an LM scheme gets the
+# second core. On a 2-vCPU host a `none` step at a 1024-token budget took
+# 2.2 s on two threads against 3.1 s on one at the base preset (a `cbmi`
+# step broke even), and 4.0 against 5.5 s at the big preset (512 tokens).
+PRESET_BLAS_THREADS = {"base": 2, "big": 2}
+
 # file key -> dataclass attribute (lambda is a Python keyword)
 KEY_TO_ATTR = {"lambda": "lam"}
 ATTR_TO_KEY = {v: k for k, v in KEY_TO_ATTR.items()}
@@ -102,6 +111,7 @@ class _FullConfigBase:
     min_count: int = 1
     share_vocab: bool = False
     bins: int = 10
+    blas_threads: int = 1
 
     # (train, beam, model) configs built by ``validate``; not a field
     _components = None
@@ -124,6 +134,7 @@ class _FullConfigBase:
             (self.precision in ("fp32", "fp64"), "precision", "must be fp32 or fp64"),
             (self.min_count >= 1, "min_count", "must be at least 1"),
             (self.bins >= 1, "bins", "must be positive"),
+            (self.blas_threads >= 1, "blas_threads", "must be positive"),
         ]
         for ok, key, message in checks:
             if not ok:
@@ -229,6 +240,8 @@ def parse_config(path: str | Path | None, overrides: dict[str, object] | None = 
     file_values: dict[str, object] = {}
     if path is not None:
         for key, raw in read_config_file(path).items():
+            if key.startswith("runtime."):  # how an echoed run ran, recorded beside its keys
+                continue
             attr = KEY_TO_ATTR.get(key, key)
             if attr not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -249,6 +262,8 @@ def parse_config(path: str | Path | None, overrides: dict[str, object] | None = 
 
     values: dict[str, object] = {}
     values.update(M.MODEL_PRESETS[preset])
+    if preset in PRESET_BLAS_THREADS:
+        values["blas_threads"] = PRESET_BLAS_THREADS[preset]
     values.update(PROFILES[profile].get(scheme, {}))
     values.update(file_values)
     values.update(overrides)
@@ -361,8 +376,7 @@ def _vocab_hashes(src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> dict[str, str
     return {"vocab_src_hash": src_vocab.content_hash(), "vocab_tgt_hash": tgt_vocab.content_hash()}
 
 
-def cmd_preprocess(args) -> int:
-    config = _effective_config(args)
+def cmd_preprocess(args, config: FullConfig) -> int:
     # every pair is checked before anything is written
     src_tokens, tgt_tokens = read_parallel_tokens(args.src, args.tgt, config.max_len)
     if not src_tokens:
@@ -386,8 +400,7 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    config = _effective_config(args)
+def cmd_train(args, config: FullConfig) -> int:
     data_dir = Path(args.data_dir)
     src_vocab, tgt_vocab = _load_vocabs(data_dir)
     pairs = load_parallel_corpus(args.src, args.tgt, src_vocab, tgt_vocab, config.max_len)
@@ -414,8 +427,8 @@ def cmd_train(args) -> int:
         dtype=config.dtype(),
         id_weights=id_weight_table(scheme, pairs, len(tgt_vocab), bmi_values),
         resume=args.resume,
-        config_echo=config.echo_dict(),
-        checkpoint_meta=_vocab_hashes(src_vocab, tgt_vocab),
+        config_echo={**config.echo_dict(), **runtime.settings()},
+        checkpoint_meta={**_vocab_hashes(src_vocab, tgt_vocab), **runtime.settings()},
         dump_weights_path=args.dump_weights,
     )
     final = trainer.run()
@@ -453,8 +466,7 @@ def _replacing(path: Path):
         staged.unlink(missing_ok=True)
 
 
-def cmd_translate(args) -> int:
-    config = _effective_config(args)
+def cmd_translate(args, config: FullConfig) -> int:
     # decoding is the slow part, so a path it cannot write fails before it
     _check_output_path(Path(args.out))
     params, _, src_vocab, tgt_vocab = _load_checkpoint_for(args)
@@ -475,8 +487,7 @@ def cmd_translate(args) -> int:
     return 0
 
 
-def cmd_score(args) -> int:
-    _effective_config(args)
+def cmd_score(args, config: FullConfig) -> int:
     if args.out:
         _check_output_path(Path(args.out))
     hyps, refs = read_aligned_lines(args.hyp, args.ref)
@@ -489,8 +500,7 @@ def cmd_score(args) -> int:
     return 0
 
 
-def cmd_analyze_cbmi(args) -> int:
-    config = _effective_config(args)
+def cmd_analyze_cbmi(args, config: FullConfig) -> int:
     _check_output_path(Path(args.out))
     params, meta, src_vocab, tgt_vocab = _load_checkpoint_for(args, need_lm=True)
     pairs = load_parallel_corpus(args.src, args.tgt, src_vocab, tgt_vocab, config.max_len)
@@ -504,8 +514,7 @@ def cmd_analyze_cbmi(args) -> int:
     return 0
 
 
-def cmd_dump_weights(args) -> int:
-    config = _effective_config(args)
+def cmd_dump_weights(args, config: FullConfig) -> int:
     _check_output_path(Path(args.out))
     params, _, src_vocab, tgt_vocab = _load_checkpoint_for(args, need_lm=True)
     pairs = load_parallel_corpus(args.src, args.tgt, src_vocab, tgt_vocab, config.max_len)
@@ -553,10 +562,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Parse and dispatch; returns the process exit code."""
+    """Apply the process's runtime policy, parse and dispatch; returns the
+    process exit code."""
+    runtime.malloc_policy()
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        config = _effective_config(args)
+        runtime.set_blas_threads(config.blas_threads)
+        return _COMMANDS[args.command](args, config)
     except Exception as exc:  # noqa: BLE001 - single reporting point
         for exc_type, category in _ERROR_CATEGORIES:
             if isinstance(exc, exc_type):

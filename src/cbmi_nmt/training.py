@@ -13,10 +13,8 @@ an LM trains alongside.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import os
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -26,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import models as M
+from . import runtime
 from . import tensor as T
 from . import weighting as W
 from .corpus import Batches, SentencePair, SentencePairBatch, make_batches
@@ -374,39 +373,21 @@ def nmt_pass(
 _MIN_OVERLAP_WORK = 32 * 1024
 
 
-@functools.cache
-def _spare_core() -> bool:
-    """Whether this process may run on more cores than it has threads that
-    keep one busy: the calling thread, plus every thread that Python did not
-    start. The latter are a native library's, above all a multi-threaded
-    BLAS, whose idle workers spin on their cores between calls (OpenBLAS
-    starts one thread per core unless ``OPENBLAS_NUM_THREADS`` says less;
-    its threads exist from the moment numpy is imported). Where
-    ``/proc/self/task`` does not list the threads, only Python's own are
-    counted. Checked once per process, so a run never changes its path."""
-    try:
-        native = len(os.listdir("/proc/self/task"))
-    except OSError:
-        native = threading.active_count()
-    busy = 1 + max(0, native - threading.active_count())
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (cores or 1) > busy
-
-
 def _overlap_lm(cfg: TrainConfig, model: M.ModelConfig) -> bool:
     """Whether ``train_step`` runs the LM pass on its own thread: the scheme
     trains an LM, a batch's ops are large enough to run outside the
-    interpreter lock, and the process has a core that no other thread keeps
-    busy. Where the LM pass shares a core with a spinning BLAS worker, as
-    with OpenBLAS's default pool on a 2-core host, the overlapped cbmi steps
-    of acceptance criterion 09 took 12-27% longer than the serial ones. A
-    run's configuration and process fix the answer, and both answers give
+    interpreter lock, and the process may run on more cores than the BLAS
+    thread count it set, so the LM pass gets a core that no BLAS worker
+    keeps busy. Where the count cannot be read, the passes run in order.
+    Where the LM pass shared a core with a spinning BLAS worker (OpenBLAS's
+    default pool on a 2-core host), the overlapped cbmi steps of acceptance
+    criterion 09 took 12-27% longer than the serial ones. Both answers give
     the same numbers."""
-    return (
-        cfg.scheme.needs_lm
-        and cfg.token_budget * model.embed_dim >= _MIN_OVERLAP_WORK
-        and _spare_core()
-    )
+    if not (cfg.scheme.needs_lm and cfg.token_budget * model.embed_dim >= _MIN_OVERLAP_WORK):
+        return False
+    threads = runtime.blas_threads()
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return threads is not None and (cores or 1) > threads
 
 
 def _timed(fn, *args, **kwargs):

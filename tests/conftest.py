@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
+from cbmi_nmt import runtime
+from cbmi_nmt.cli import FullConfig
 from cbmi_nmt.corpus import bmi_value, build_cooccurrence
 from cbmi_nmt.tensor import Tape, Tensor
 from cbmi_nmt.weighting import CbmiConfig, cbmi_schedule
+
+
+def pytest_configure(config):
+    """Apply the runtime policy of ``cli.run`` once for the session, so no
+    test's numbers depend on which test first runs a command."""
+    runtime.malloc_policy()
+    runtime.set_blas_threads(FullConfig.blas_threads)
 
 
 def eval_loss(make_loss, arrays):

@@ -145,6 +145,7 @@ class TestParseConfig:
 # ModelConfig, TrainConfig and BeamConfig; a new component field must be added here
 FULL_CONFIG_KEYS = [
     "scheme", "profile", "preset", "max_len", "precision", "min_count", "share_vocab", "bins",
+    "blas_threads",
     "scale_t", "scale_s", "use_token", "use_sentence", "sigma_floor",
     "freq_a", "freq_t", "bmi_s", "bmi_b", "alpha", "gamma", "lam", "tau", "th1", "th2",
     "soften_teacher_only",

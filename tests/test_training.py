@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from cbmi_nmt import tensor as T
-from cbmi_nmt import corpus, training
+from cbmi_nmt import corpus, runtime, training
+from cbmi_nmt.cli import FullConfig
 from cbmi_nmt import weighting as W
 from cbmi_nmt.corpus import EOS_ID, SentencePair, make_batches
 from cbmi_nmt.models import (
@@ -361,35 +362,49 @@ class TestLmOverlap:
     """The LM pass runs on its own thread during the NMT pass when that
     pays (``_overlap_lm``), and before it otherwise."""
 
-    @pytest.mark.parametrize("native_only, spare", [(0, True), (1, False)])  # 1: a BLAS worker
-    def test_spare_core_counts_native_threads(self, monkeypatch, native_only, spare):
-        tasks = threading.active_count() + native_only
-        two_cores = SimpleNamespace(listdir=lambda path: ["task"] * tasks,
-                                    sched_getaffinity=lambda pid: {0, 1})
-        monkeypatch.setattr(training, "os", two_cores)
-        assert training._spare_core.__wrapped__() is spare
+    @staticmethod
+    def host(monkeypatch, cores, blas_threads):
+        monkeypatch.setattr(training, "os", SimpleNamespace(
+            sched_getaffinity=lambda pid: set(range(cores))))
+        monkeypatch.setattr(runtime, "blas_threads", lambda: blas_threads)
 
-    def test_spare_core_is_checked_once(self, monkeypatch):
-        first = training._spare_core()
-        # a host on which the check would now give the other answer
-        tasks = threading.active_count() + (0 if not first else 8)
-        other_host = SimpleNamespace(listdir=lambda path: ["task"] * tasks,
-                                     sched_getaffinity=lambda pid: set(range(4)))
-        monkeypatch.setattr(training, "os", other_host)
-        assert training._spare_core.__wrapped__() is not first
-        assert training._spare_core() is first
-
-    @pytest.mark.parametrize("kind, width, budget, spare, overlap", [
-        ("cbmi", 64, 1024, True, True),
-        ("prior_select", 32, 1024, True, True),
-        ("cbmi", 16, 1024, True, False),   # small ops: dispatch under the GIL
-        ("lm_prior", 64, 256, True, False),
-        ("cbmi", 64, 1024, False, False),  # no spare core
-        ("none", 64, 1024, True, False),   # no LM
-        ("focal", 64, 1024, True, False),
+    @pytest.mark.parametrize("cores, blas_threads, overlap", [
+        (2, 1, True),
+        (2, 2, False),     # the LM pass would share a core with a BLAS worker
+        (4, 2, True),
+        (1, 1, False),
+        (2, None, False),  # a BLAS whose thread count cannot be read
     ])
-    def test_overlap_lm(self, monkeypatch, kind, width, budget, spare, overlap):
-        monkeypatch.setattr(training, "_spare_core", lambda: spare)
+    def test_overlap_needs_a_core_beyond_blas_threads(self, monkeypatch, cores, blas_threads,
+                                                      overlap):
+        self.host(monkeypatch, cores, blas_threads)
+        cfg = tiny_train_config(scheme=WeightScheme("cbmi"), token_budget=1024)
+        assert training._overlap_lm(cfg, tiny_model_config(embed_dim=64)) is overlap
+
+    def test_overlap_reads_the_count_the_process_set(self, monkeypatch):
+        if runtime.blas_threads() is None:
+            pytest.skip("numpy's BLAS thread count cannot be read here")
+        monkeypatch.setattr(training, "os", SimpleNamespace(sched_getaffinity=lambda pid: {0, 1}))
+        cfg = tiny_train_config(scheme=WeightScheme("cbmi"), token_budget=1024)
+        model = tiny_model_config(embed_dim=64)
+        try:
+            runtime.set_blas_threads(2)
+            assert not training._overlap_lm(cfg, model)
+            runtime.set_blas_threads(1)
+            assert training._overlap_lm(cfg, model)
+        finally:
+            runtime.set_blas_threads(FullConfig.blas_threads)
+
+    @pytest.mark.parametrize("kind, width, budget, overlap", [
+        ("cbmi", 64, 1024, True),
+        ("prior_select", 32, 1024, True),
+        ("cbmi", 16, 1024, False),   # small ops: dispatch under the GIL
+        ("lm_prior", 64, 256, False),
+        ("none", 64, 1024, False),   # no LM
+        ("focal", 64, 1024, False),
+    ])
+    def test_overlap_lm(self, monkeypatch, kind, width, budget, overlap):
+        self.host(monkeypatch, cores=2, blas_threads=1)
         cfg = tiny_train_config(scheme=WeightScheme(kind), token_budget=budget)
         assert training._overlap_lm(cfg, tiny_model_config(embed_dim=width)) is overlap
 

@@ -5,9 +5,13 @@
 The committed tree of ``<rev>`` is extracted (``git archive``) into a
 temporary directory. One fixed pipeline then runs against its ``src`` and
 against the working tree's ``src``, once with ``OPENBLAS_NUM_THREADS=1``
-(the LM pass of an LM scheme runs on its own thread where a core is spare)
-and once with the default BLAS pool (serial). Both sides read the same
-generated corpus. Every output file is compared with ``cmp``; the script
+and once with the variable unset. Since the program sets its own BLAS
+thread count (the ``blas_threads`` key, one thread here), the unset run
+checks that the variable leaves the bytes alone; against a revision older
+than that, it checks what moved from the bytes of OpenBLAS's default pool,
+which such a revision ran on (serially on a 2-core host). In both runs the
+LM pass of an LM scheme runs on its own thread where a core is spare. Both
+sides read the same generated corpus. Every output file is compared with ``cmp``; the script
 prints which files match and which differ, and exits 0 only if every file
 matches. Under each differing file it prints how the two sides differ: the
 numbered lines only one side holds for a text file (the first
