@@ -419,6 +419,7 @@ def cmd_train(args, config: FullConfig) -> int:
                 f"vocabulary of {len(tgt_vocab)}; run preprocess again"
             )
     model_config = config.model_config(len(src_vocab), len(tgt_vocab))
+    settings = runtime.settings()
     trainer = Trainer(
         config.train_config(),
         model_config,
@@ -427,8 +428,8 @@ def cmd_train(args, config: FullConfig) -> int:
         dtype=config.dtype(),
         id_weights=id_weight_table(scheme, pairs, len(tgt_vocab), bmi_values),
         resume=args.resume,
-        config_echo={**config.echo_dict(), **runtime.settings()},
-        checkpoint_meta={**_vocab_hashes(src_vocab, tgt_vocab), **runtime.settings()},
+        config_echo={**config.echo_dict(), **settings},
+        checkpoint_meta={**_vocab_hashes(src_vocab, tgt_vocab), **settings},
         dump_weights_path=args.dump_weights,
     )
     final = trainer.run()

@@ -123,15 +123,12 @@ def test_later_calls_fault_few_pages(corpus, tmp_path):
     assert max(later) <= 64, (first, later)
 
 
-def test_missing_mallopt_records_unknown(monkeypatch):
-    monkeypatch.setattr(runtime.ctypes, "CDLL", lambda name: SimpleNamespace())
-    assert runtime.malloc_policy.__wrapped__() == runtime.UNKNOWN
-
-
-def test_refused_mallopt_records_unknown(monkeypatch):
-    # musl's mallopt is a stub that returns 0
-    musl = SimpleNamespace(mallopt=lambda param, value: 0)
-    monkeypatch.setattr(runtime.ctypes, "CDLL", lambda name: musl)
+@pytest.mark.parametrize("libc", [
+    SimpleNamespace(),                                   # no mallopt (macOS)
+    SimpleNamespace(mallopt=lambda param, value: 0),    # musl's stub, which refuses
+])
+def test_missing_mallopt_records_unknown(monkeypatch, libc):
+    monkeypatch.setattr(runtime.ctypes, "CDLL", lambda name: libc)
     assert runtime.malloc_policy.__wrapped__() == runtime.UNKNOWN
 
 

@@ -395,16 +395,17 @@ class TestLmOverlap:
         finally:
             runtime.set_blas_threads(FullConfig.blas_threads)
 
-    @pytest.mark.parametrize("kind, width, budget, overlap", [
-        ("cbmi", 64, 1024, True),
-        ("prior_select", 32, 1024, True),
-        ("cbmi", 16, 1024, False),   # small ops: dispatch under the GIL
-        ("lm_prior", 64, 256, False),
-        ("none", 64, 1024, False),   # no LM
-        ("focal", 64, 1024, False),
+    @pytest.mark.parametrize("kind, width, budget, spare, overlap", [
+        ("cbmi", 64, 1024, True, True),
+        ("prior_select", 32, 1024, True, True),
+        ("cbmi", 16, 1024, True, False),   # small ops: dispatch under the GIL
+        ("lm_prior", 64, 256, True, False),
+        ("cbmi", 64, 1024, False, False),  # no core beyond the BLAS threads
+        ("none", 64, 1024, True, False),   # no LM
+        ("focal", 64, 1024, True, False),
     ])
-    def test_overlap_lm(self, monkeypatch, kind, width, budget, overlap):
-        self.host(monkeypatch, cores=2, blas_threads=1)
+    def test_overlap_lm(self, monkeypatch, kind, width, budget, spare, overlap):
+        self.host(monkeypatch, cores=2, blas_threads=1 if spare else 2)
         cfg = tiny_train_config(scheme=WeightScheme(kind), token_budget=budget)
         assert training._overlap_lm(cfg, tiny_model_config(embed_dim=width)) is overlap
 
