@@ -30,13 +30,13 @@ from .corpus import (
     Vocabulary,
     build_vocabularies,
     check_no_reserved,
-    encode_pairs,
     load_parallel_corpus,
     make_batches,
     read_aligned_lines,
     read_lines,
     read_parallel_tokens,
-    tokenize,
+    read_tokens,
+    split_lines,
 )
 from .decoding import BeamConfig, DecodeStats, analyze_cbmi, beam_search_many, bleu
 from .models import CheckpointError, ModelConfig, lm_forward, load_checkpoint, nmt_forward
@@ -378,23 +378,26 @@ def _vocab_hashes(src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> dict[str, str
 
 def cmd_preprocess(args, config: FullConfig) -> int:
     # every pair is checked before anything is written
-    src_tokens, tgt_tokens = read_parallel_tokens(args.src, args.tgt, config.max_len)
-    if not src_tokens:
+    (src_tokens, src_len), (tgt_tokens, tgt_len) = read_parallel_tokens(
+        args.src, args.tgt, config.max_len
+    )
+    if not src_len.size:
         raise CorpusError(f"no sentence pairs to preprocess in {args.src}")
     src_vocab, tgt_vocab = build_vocabularies(
         src_tokens, tgt_tokens, min_count=config.min_count, share=config.share_vocab
     )
-    pairs = encode_pairs(src_tokens, tgt_tokens, src_vocab, tgt_vocab)
+    src_ids, tgt_ids = src_vocab.encode_array(src_tokens), tgt_vocab.encode_array(tgt_tokens)
+    del src_tokens, tgt_tokens
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     src_vocab.save(out_dir / "vocab.src.txt")
     tgt_vocab.save(out_dir / "vocab.tgt.txt")
-    src_freq = FrequencyTable.from_pairs(pairs, "src", len(src_vocab))
-    tgt_freq = FrequencyTable.from_pairs(pairs, "tgt", len(tgt_vocab))
-    bmi = BmiTable.build(pairs, src_freq, tgt_freq, len(tgt_vocab))
+    src_freq = FrequencyTable.from_ids(src_ids, len(src_vocab))
+    tgt_freq = FrequencyTable.from_ids(tgt_ids, len(tgt_vocab))
+    bmi = BmiTable.build((src_ids, src_len), (tgt_ids, tgt_len), src_freq, tgt_freq, len(tgt_vocab))
     bmi.save(out_dir / "bmi.tgt.txt")
     print(
-        f"preprocess: {len(pairs)} pairs, source vocab {len(src_vocab)}, "
+        f"preprocess: {src_len.size} pairs, source vocab {len(src_vocab)}, "
         f"target vocab {len(tgt_vocab)} -> {out_dir}"
     )
     return 0
@@ -472,13 +475,13 @@ def cmd_translate(args, config: FullConfig) -> int:
     _check_output_path(Path(args.out))
     params, _, src_vocab, tgt_vocab = _load_checkpoint_for(args)
     beam_config = config.beam_config()
-    lines = read_lines(args.src)
-    tokens = list(map(tokenize, lines))
-    for lineno, line_tokens in enumerate(tokens, 1):
-        if not line_tokens:
-            raise CorpusError(f"empty source sentence at line {lineno} of {args.src}")
-    check_no_reserved(lines, tokens, args.src)
-    sources = list(map(src_vocab.encode, tokens))
+    tokens, lengths = read_tokens(args.src)
+    if not lengths.all():
+        raise CorpusError(
+            f"empty source sentence at line {int(lengths.argmin()) + 1} of {args.src}"
+        )
+    check_no_reserved(tokens, lengths, args.src)
+    sources = split_lines(src_vocab.encode(tokens), lengths)
     stats = DecodeStats()
     outputs = [" ".join(tgt_vocab.decode(hyp_ids))
                for hyp_ids in beam_search_many(params, sources, beam_config, stats)]

@@ -5,8 +5,10 @@ schemes.
 Tokenization is whitespace word-level at desk scale; anything smarter (a
 subword tokenizer) can slot in behind the same ``Vocabulary`` interface.
 A line ends at ``\\n`` (or ``\\r\\n``) and nowhere else (``read_lines``).
-``<pad>``, ``<s>`` and ``</s>`` may not appear in text that is encoded; a
-literal ``<unk>`` is ``<unk>``.
+A corpus file is read as one flat token stream and the number of tokens on
+each line (``read_tokens``), so no per-line or per-pair Python object is
+built before the ids are. ``<pad>``, ``<s>`` and ``</s>`` may not appear in
+text that is encoded; a literal ``<unk>`` is ``<unk>``.
 
 The BMI table is array code equal bit for bit to the scalar reference
 (``bmi_value`` over ``build_cooccurrence``). One sort of the packed
@@ -75,12 +77,11 @@ class Vocabulary:
             raise CorpusError(f"duplicate token {duplicate!r} in vocabulary")
 
     @classmethod
-    def build(cls, sentences: Iterable[Sequence[str]], min_count: int = 1) -> "Vocabulary":
-        """The vocabulary of tokenized sentences."""
-        sentences = list(sentences)
-        if not sentences:
+    def build(cls, tokens: Iterable[str], min_count: int = 1) -> "Vocabulary":
+        """The vocabulary of a flat token stream."""
+        counter = Counter(tokens)
+        if not counter:
             raise CorpusError("cannot build a vocabulary from an empty corpus")
-        counter = Counter(chain.from_iterable(sentences))
         unk_mass = counter.pop("<unk>", 0) + sum(c for c in counter.values() if c < min_count)
         # by descending count, ties in lexicographic order: a reversed sort
         # is stable, so it keeps the order of the first sort among ties
@@ -102,6 +103,9 @@ class Vocabulary:
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return list(map(self._ids.__getitem__, tokens))
+
+    def encode_array(self, tokens: Sequence[str]) -> np.ndarray:
+        return np.fromiter(map(self._ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
 
     def decode(self, ids: Sequence[int]) -> list[str]:
         return [self._tokens[i] for i in ids]
@@ -145,17 +149,17 @@ class Vocabulary:
 
 
 def build_vocabularies(
-    src_sentences: Sequence[Sequence[str]],
-    tgt_sentences: Sequence[Sequence[str]],
+    src_tokens: Sequence[str],
+    tgt_tokens: Sequence[str],
     min_count: int = 1,
     share: bool = False,
 ) -> tuple[Vocabulary, Vocabulary]:
-    """Build source/target vocabularies from tokenized sentences; with
-    ``share`` both sides use one vocabulary built over the concatenated corpus."""
+    """Build source/target vocabularies from the flat token streams of the two
+    sides; with ``share`` both sides use one vocabulary built over both."""
     if share:
-        shared = Vocabulary.build(chain(src_sentences, tgt_sentences), min_count)
+        shared = Vocabulary.build(chain(src_tokens, tgt_tokens), min_count)
         return shared, shared
-    return Vocabulary.build(src_sentences, min_count), Vocabulary.build(tgt_sentences, min_count)
+    return Vocabulary.build(src_tokens, min_count), Vocabulary.build(tgt_tokens, min_count)
 
 
 @dataclass
@@ -174,18 +178,23 @@ class SentencePair:
         return max(len(self.src), len(self.tgt))
 
 
+def read_text(path: str | Path, error: type[Exception] = CorpusError) -> str:
+    """The text of a UTF-8 file; a file that is not UTF-8 is an ``error``
+    naming it, of the category of what the file holds."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def read_lines(path: str | Path, error: type[Exception] = CorpusError) -> list[str]:
-    """The lines of a UTF-8 text file; a file that is not UTF-8 is an
-    ``error`` naming it, of the category of what the file holds.
+    """The lines of a UTF-8 text file, read by ``read_text``.
 
     A line ends at ``\\n`` (or ``\\r\\n``) and nowhere else, so the lines are
     those ``wc -l`` counts, plus a last line without a newline. A form feed,
     a lone ``\\r`` or a Unicode line separator stays inside its line.
     """
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path} is not UTF-8 text: {exc}") from exc
+    text = read_text(path, error)
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     lines = text.split("\n")
@@ -205,53 +214,90 @@ def read_aligned_lines(first: str | Path, second: str | Path) -> tuple[list[str]
     return first_lines, second_lines
 
 
+# whether str.split splits at each code point up to U+3001; none above U+3000
+# is a space, so a lookup clipped to the last entry reads False
+_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
+# the characters of text that read_tokens splits at once
+_CHUNK_CHARS = 1 << 16
+
+
+def read_tokens(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """The tokens of a one-sentence-per-line UTF-8 file as one flat stream,
+    and the number of them on each line: the stream is ``tokenize`` of each
+    line of ``read_lines`` in turn, with no list built per line.
+
+    The text is split a chunk of whole lines at a time and each token
+    interned, so the stream holds one string per type and a chunk's repeats
+    are freed before the next chunk is split. With a string per token, five
+    ``preprocess`` calls on the stats benchmark's corpus peaked 3.4 MB
+    higher: the vocabulary's strings, scattered among the tokens', kept
+    their pymalloc arenas from the system.
+    """
+    text = read_text(path)
+    tokens: list[str] = []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        tokens += map(sys.intern, text[start:end].split())
+        start = end
+    # a token starts at a non-space after a space; with a newline put in
+    # front, a start's line is the number of newlines before it, less one.
+    # A \r before a \n is a space, so CRLF needs no rewriting here
+    codes = np.frombuffer(f"\n{text}".encode("utf-32-le"), dtype=np.uint32)
+    space = _SPACE.take(codes, mode="clip")
+    newlines = np.flatnonzero(codes == 10)
+    starts = np.flatnonzero(space[:-1] > space[1:])
+    n_lines = newlines.size - (not text or text.endswith("\n"))
+    lengths = np.bincount(np.searchsorted(newlines, starts, side="right") - 1, minlength=n_lines)
+    return tokens, lengths
+
+
 # the reserved tokens that no encoded sentence may hold; a literal <unk> is <unk>
-_NOT_IN_TEXT = RESERVED_TOKENS[:UNK_ID]
+_NOT_IN_TEXT = frozenset(RESERVED_TOKENS[:UNK_ID])
 
 
-def check_no_reserved(lines: Sequence[str], tokens: Sequence[Sequence[str]], path: str | Path) -> None:
-    """A ``<pad>``, ``<s>`` or ``</s>`` among the tokens of ``lines`` is a
-    ``CorpusError`` naming the first line that holds one."""
-    text = "\n".join(lines)
-    # one memchr for "<" rules out most texts before any substring search
-    if "<" not in text or not any(reserved in text for reserved in _NOT_IN_TEXT):
+def check_no_reserved(tokens: Sequence[str], lengths: np.ndarray, path: str | Path) -> None:
+    """A ``<pad>``, ``<s>`` or ``</s>`` in the flat token stream of
+    ``read_tokens`` is a ``CorpusError`` naming the first line that holds one."""
+    if _NOT_IN_TEXT.isdisjoint(tokens):
         return
-    for lineno, line_tokens in enumerate(tokens, start=1):
-        found = next((tok for tok in line_tokens if tok in _NOT_IN_TEXT), None)
-        if found is not None:
-            raise CorpusError(f"reserved token {found!r} at line {lineno} of {path}")
+    index = next(i for i, tok in enumerate(tokens) if tok in _NOT_IN_TEXT)
+    lineno = int(np.searchsorted(np.cumsum(lengths), index, side="right")) + 1
+    raise CorpusError(f"reserved token {tokens[index]!r} at line {lineno} of {path}")
 
 
 def read_parallel_tokens(src_path: str | Path, tgt_path: str | Path, max_len: int = 0):
-    """The tokenized lines of two aligned one-sentence-per-line files, as a
-    list per side, every pair checked before this returns.
+    """The flat token streams of two aligned one-sentence-per-line files and
+    the length of each line, as ``(tokens, lengths)`` a side, every pair
+    checked before this returns.
 
     ``max_len`` > 0 rejects pairs whose raw side exceeds it; empty lines,
     line-count mismatches and the reserved tokens of ``check_no_reserved``
-    are errors naming the offending file and line.
+    are errors naming the offending file and its first offending line.
     """
-    src_lines, tgt_lines = read_aligned_lines(src_path, tgt_path)
-    # interned, the tokens of all lines share one string per type: callers
-    # hold these lists, and a string per token is about 4 MB more on the
-    # stats benchmark's corpus, which moves the heap of every later command
-    src_tokens = [list(map(sys.intern, tokenize(line))) for line in src_lines]
-    tgt_tokens = [list(map(sys.intern, tokenize(line))) for line in tgt_lines]
-    for i, (s_toks, t_toks) in enumerate(zip(src_tokens, tgt_tokens), start=1):
-        if not s_toks or not t_toks:
-            raise CorpusError(f"empty sentence at line {i} of {tgt_path if s_toks else src_path}")
-        if max_len and (len(s_toks) > max_len or len(t_toks) > max_len):
-            longer = src_path if len(s_toks) > max_len else tgt_path
-            raise CorpusError(f"sentence at line {i} of {longer} exceeds max length {max_len}")
-    check_no_reserved(src_lines, src_tokens, src_path)
-    check_no_reserved(tgt_lines, tgt_tokens, tgt_path)
-    return src_tokens, tgt_tokens
+    (src_tokens, src_len), (tgt_tokens, tgt_len) = read_tokens(src_path), read_tokens(tgt_path)
+    if src_len.size != tgt_len.size:
+        raise CorpusError(f"line count mismatch: {src_path} has {src_len.size}, "
+                          f"{tgt_path} has {tgt_len.size}")
+    bad = (src_len == 0) | (tgt_len == 0)
+    if max_len:
+        bad |= (src_len > max_len) | (tgt_len > max_len)
+    if bad.any():
+        i = int(bad.argmax())
+        s_len, t_len = int(src_len[i]), int(tgt_len[i])
+        if not s_len or not t_len:
+            raise CorpusError(f"empty sentence at line {i + 1} of {tgt_path if s_len else src_path}")
+        longer = src_path if s_len > max_len else tgt_path
+        raise CorpusError(f"sentence at line {i + 1} of {longer} exceeds max length {max_len}")
+    check_no_reserved(src_tokens, src_len, src_path)
+    check_no_reserved(tgt_tokens, tgt_len, tgt_path)
+    return (src_tokens, src_len), (tgt_tokens, tgt_len)
 
 
-def encode_pairs(src_tokens, tgt_tokens, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> list[SentencePair]:
-    """The pairs of the token lists of ``read_parallel_tokens``, encoded."""
-    src_id, tgt_id = src_vocab._ids.__getitem__, tgt_vocab._ids.__getitem__
-    return [SentencePair(list(map(src_id, s)), list(map(tgt_id, t)))
-            for s, t in zip(src_tokens, tgt_tokens)]
+def split_lines(items: Sequence, lengths: np.ndarray) -> list:
+    """A flat stream cut into consecutive lines of the given lengths."""
+    ends = np.cumsum(lengths).tolist()
+    return list(map(items.__getitem__, map(slice, [0, *ends[:-1]], ends)))
 
 
 def load_parallel_corpus(
@@ -263,18 +309,21 @@ def load_parallel_corpus(
 ) -> list[SentencePair]:
     """Read two aligned one-sentence-per-line files into encoded pairs,
     checked as ``read_parallel_tokens`` checks them."""
-    return encode_pairs(*read_parallel_tokens(src_path, tgt_path, max_len), src_vocab, tgt_vocab)
+    (src_tokens, src_len), (tgt_tokens, tgt_len) = read_parallel_tokens(src_path, tgt_path, max_len)
+    return list(map(SentencePair, split_lines(src_vocab.encode(src_tokens), src_len),
+                    split_lines(tgt_vocab.encode(tgt_tokens), tgt_len)))
 
 
 # ---------------------------------------------------------------------------
 # corpus statistics
 
 
-def _side_ids(
+def side_ids(
     pairs: Sequence[SentencePair], side: str, vocab_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One side's token ids of every pair, concatenated, and each pair's
-    length; an id outside ``[0, vocab_size)`` is an error."""
+    """One side's token ids of every pair as one flat stream, and each pair's
+    length, as ``BmiTable.build`` reads them; an id outside
+    ``[0, vocab_size)`` is an error."""
     seqs = [pair.src if side == "src" else pair.tgt for pair in pairs]
     lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
     ids = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
@@ -321,27 +370,17 @@ class FrequencyTable:
             raise CorpusError("negative count in frequency table")
         self.counts = counts
         self.total = int(counts.sum())
-        # (pairs, side, vocab size, ids, lengths) of from_pairs, so that
-        # BmiTable.build reads the ids counted here instead of flattening again
-        self._counted: tuple | None = None
+
+    @classmethod
+    def from_ids(cls, ids: np.ndarray, vocab_size: int) -> "FrequencyTable":
+        return cls(np.bincount(ids, minlength=vocab_size))
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[SentencePair], side: str, vocab_size: int) -> "FrequencyTable":
-        ids, lengths = _side_ids(pairs, side, vocab_size)
-        table = cls(np.bincount(ids, minlength=vocab_size))
-        table._counted = (pairs, side, vocab_size, ids, lengths)
-        return table
+        return cls.from_ids(side_ids(pairs, side, vocab_size)[0], vocab_size)
 
     def count(self, token_id: int) -> int:
         return int(self.counts[token_id])
-
-    def _counted_ids(self, pairs: Sequence[SentencePair], side: str, vocab_size: int):
-        """``_side_ids(pairs, side, vocab_size)``, read from the table when
-        ``from_pairs`` counted it from these very pairs."""
-        counted = self._counted
-        if counted is not None and counted[0] is pairs and counted[1:3] == (side, vocab_size):
-            return counted[3], counted[4]
-        return _side_ids(pairs, side, vocab_size)
 
 
 def build_cooccurrence(pairs: Sequence[SentencePair]) -> dict[tuple[int, int], int]:
@@ -419,13 +458,17 @@ class BmiTable:
     @classmethod
     def build(
         cls,
-        pairs: Sequence[SentencePair],
+        src: tuple[np.ndarray, np.ndarray],
+        tgt: tuple[np.ndarray, np.ndarray],
         src_freq: FrequencyTable,
         tgt_freq: FrequencyTable,
         vocab_size: int,
     ) -> "BmiTable":
         """The mean of ``bmi_value`` over the pairs whose target contains each
         type, as array code whose sums are the scalar ones bit for bit.
+
+        ``src`` and ``tgt`` are each side's flat ids and the length of each
+        pair's side (``side_ids``), the pairs in corpus order.
 
         A row is one (pair, distinct target type), in pair order; a meet is
         one (row, distinct source type of its pair). One sort of the meets'
@@ -438,9 +481,8 @@ class BmiTable:
         added one at a time, in position order: that is ``bmi_value``'s order
         of addition, which keeps its bits.
         """
-        n_pairs, src_size = len(pairs), len(src_freq.counts)
-        src, src_len = src_freq._counted_ids(pairs, "src", src_size)
-        tgt, tgt_len = tgt_freq._counted_ids(pairs, "tgt", vocab_size)
+        (src, src_len), (tgt, tgt_len) = src, tgt
+        n_pairs, src_size = len(src_len), len(src_freq.counts)
         # the meet indices below count on every pair having both sides
         if not (src_len.all() and tgt_len.all()):
             raise CorpusError("sentence pairs must have at least one token per side")
@@ -480,14 +522,29 @@ class BmiTable:
         del keys
         joint = np.diff(starts, append=n_meets)
         del starts
+        # math.log as in bmi_value, once per distinct ratio: np.log is one ulp
+        # off it for some arguments. A key's ratio is a function of its
+        # (joint, source count, target count) triple, so the keys are grouped
+        # by a packed-integer sort of their triples first, and np.unique
+        # sorts only a ratio per distinct triple
+        counts = (joint, src_freq.counts[s], tgt_freq.counts[t])
+        bits = [int(c.max(initial=0)).bit_length() for c in counts]
+        triples = counts[0] << (bits[1] + bits[2]) | counts[1] << bits[2] | counts[2]
+        del counts
+        triples, origin = _sort_tracked(triples, 1 << sum(bits))
+        first = _run_starts(triples)
+        del triples
+        group = np.empty_like(origin)
+        group[origin] = np.cumsum(first) - 1
+        rep = origin[first]
+        del origin, first
         f_src = _smoothed_rel_freq(src_freq.counts, src_freq.total)
         f_tgt = _smoothed_rel_freq(tgt_freq.counts, tgt_freq.total)
-        ratio = _smoothed_rel_freq(joint, n_pairs) / (f_src[s] * f_tgt[t])
-        del s, t
-        # math.log as in bmi_value, once per distinct ratio: np.log is one ulp
-        # off it for some arguments
+        ratio = _smoothed_rel_freq(joint[rep], n_pairs) / (f_src[s[rep]] * f_tgt[t[rep]])
+        del s, t, rep
         distinct, where = np.unique(ratio, return_inverse=True)
-        del ratio
+        where = where[group]
+        del ratio, group
         logs = np.fromiter(map(math.log, distinct.tolist()), dtype=np.float64, count=distinct.size)
         # each meet's term, and a zero past the last for a pad cell to read
         terms = np.empty(n_meets + 1)
@@ -627,7 +684,7 @@ def make_batches(
 
     Cost of a batch is ``rows * max(raw side length)`` so padding waste counts
     against the budget. Every pair appears exactly once; a single pair larger
-    than the budget is an error naming the pair. The grouping and the shuffle
+    than the budget is an error naming the pair by its 1-based line. The grouping and the shuffle
     happen here; a batch is collated when it is first read.
     """
     if token_budget < 1:
@@ -640,7 +697,8 @@ def make_batches(
         length = pairs[idx].length
         if length > token_budget:
             raise CorpusError(
-                f"sentence pair #{idx} has length {length}, exceeding token budget {token_budget}"
+                f"sentence pair at line {idx + 1} has length {length}, "
+                f"exceeding token budget {token_budget}"
             )
         new_max = max(current_max, length)
         if current and (len(current) + 1) * new_max > token_budget:

@@ -546,6 +546,8 @@ class Trainer:
         self.checkpoint_meta = dict(checkpoint_meta or {})
         self.dump_weights_path = Path(dump_weights_path) if dump_weights_path else None
         self._epoch_cache: tuple[int, Batches] | None = None
+        # a pair over the token budget is refused before anything is created
+        self.batches_per_epoch = len(self._batches_for_epoch(0))
 
         if resume is not None:
             params, extras, meta = M.load_checkpoint(resume)
@@ -557,8 +559,6 @@ class Trainer:
             extras, step = {}, 0
         self.state = TrainerState(params, *self._optimizers(params, extras), step=step)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-
-        self.batches_per_epoch = len(self._batches_for_epoch(0))
 
     def _optimizers(
         self, params: ModelParams, extras: dict[str, np.ndarray]

@@ -27,6 +27,7 @@ from cbmi_nmt.corpus import (
     BmiTable,
     collate,
     make_batches,
+    side_ids,
 )
 from cbmi_nmt.decoding import BeamConfig, beam_search, beam_search_core, bleu
 from cbmi_nmt import decoding as D
@@ -306,7 +307,8 @@ class TestCriterion05BmiOracle:
         ]
         src_freq = FrequencyTable.from_pairs(pairs, "src", vocab)
         tgt_freq = FrequencyTable.from_pairs(pairs, "tgt", vocab)
-        table = BmiTable.build(pairs, src_freq, tgt_freq, vocab)
+        table = BmiTable.build(side_ids(pairs, "src", vocab), side_ids(pairs, "tgt", vocab),
+                               src_freq, tgt_freq, vocab)
 
         src_tokens = [t for p in pairs for t in p.src]
         tgt_tokens = [t for p in pairs for t in p.tgt]

@@ -523,6 +523,18 @@ class TestCliRuns:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_pair_over_the_token_budget_leaves_no_run_directory(self, corpus, tmp_path, capsys):
+        src, tgt, out = tmp_path / "c.src", tmp_path / "c.tgt", tmp_path / "out"
+        src.write_text("s1\ns1 s2 s3 s4\ns2\n")
+        tgt.write_text("t1\nt1 t2\nt2\n")
+        capsys.readouterr()
+        assert run(["train", "--src", str(src), "--tgt", str(tgt), "--out-dir", str(out),
+                    "--data-dir", str(corpus / "data"), *FAST_TRAIN, "--token-budget", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error:corpus: sentence pair at line 2 has length 4, exceeding token budget 3\n")
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("command, side, token", [
         ("preprocess", "tgt", "<pad>"), ("train", "src", "</s>"), ("translate", "src", "<s>"),
         ("analyze-cbmi", "tgt", "<pad>"), ("dump-weights", "src", "</s>"),

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -25,20 +26,20 @@ from conftest import scalar_bmi_values
 
 class TestVocabulary:
     def test_ordering_count_desc_then_lexicographic(self):
-        vocab = Vocabulary.build([["a", "a", "b"]], min_count=1)
+        vocab = Vocabulary.build(["a", "a", "b"], min_count=1)
         assert vocab.encode(["a"]) == [4]
         assert vocab.encode(["b"]) == [5]
 
     def test_min_count_threshold_maps_to_unk(self):
-        vocab = Vocabulary.build([["a", "a", "b"]], min_count=2)
+        vocab = Vocabulary.build(["a", "a", "b"], min_count=2)
         assert vocab.encode(["b"]) == [UNK_ID]
         assert vocab.encode(["a"]) == [4]
 
     def test_deterministic_files_byte_for_byte(self, tmp_path):
-        sentences = [["c", "a", "b", "b"], ["a", "c", "c", "d"]]
+        tokens = ["c", "a", "b", "b", "a", "c", "c", "d"]
         p1, p2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
-        Vocabulary.build(sentences, 1).save(p1)
-        Vocabulary.build(sentences, 1).save(p2)
+        Vocabulary.build(tokens, 1).save(p1)
+        Vocabulary.build(tokens, 1).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_corpus_raises(self):
@@ -46,12 +47,12 @@ class TestVocabulary:
             Vocabulary.build([], 1)
 
     def test_bijection_roundtrip(self):
-        vocab = Vocabulary.build([["x", "y", "z", "z"]], 1)
+        vocab = Vocabulary.build(["x", "y", "z", "z"], 1)
         for i in range(len(vocab)):
             assert vocab.encode([vocab.token(i)]) == [i]
 
     def test_save_load_roundtrip(self, tmp_path):
-        vocab = Vocabulary.build([["a", "a", "b", "c"]], min_count=2)
+        vocab = Vocabulary.build(["a", "a", "b", "c"], min_count=2)
         path = tmp_path / "v.txt"
         vocab.save(path)
         loaded = Vocabulary.load(path)
@@ -59,7 +60,7 @@ class TestVocabulary:
         assert loaded.encode(["a", "b"]) == vocab.encode(["a", "b"])
 
     def test_reserved_ids_fixed(self):
-        vocab = Vocabulary.build([["a"]], 1)
+        vocab = Vocabulary.build(["a"], 1)
         assert vocab.decode([PAD_ID, BOS_ID, EOS_ID, UNK_ID]) == [
             "<pad>",
             "<s>",
@@ -68,7 +69,7 @@ class TestVocabulary:
         ]
 
     def test_shared_vocabulary(self):
-        src, tgt = C.build_vocabularies([["a", "b"]], [["b", "c"]], share=True)
+        src, tgt = C.build_vocabularies(["a", "b"], ["b", "c"], share=True)
         assert src is tgt
         assert src.encode(["a", "b", "c"]) != [UNK_ID] * 3
 
@@ -83,6 +84,10 @@ def reference_vocabulary(sentences, min_count):
                   key=lambda tok: (-counter[tok], tok))
     unk_mass = sum(c for c in counter.values() if c < min_count)
     return list(RESERVED_TOKENS) + kept, [0, 0, 0, unk_mass] + [counter[tok] for tok in kept]
+
+
+def flat(sentences):
+    return list(chain.from_iterable(sentences))
 
 
 def zipf_sentences(seed, n, words, length, prefix):
@@ -100,8 +105,8 @@ class TestVocabularyAgainstReference:
 
     @pytest.mark.parametrize("share", [False, True])
     @pytest.mark.parametrize("min_count", [1, 2, 3])
-    def test_tokens_counts_and_ids(self, min_count, share):
-        src_vocab, tgt_vocab = C.build_vocabularies(self.SRC, self.TGT, min_count, share)
+    def test_tokens_counts_and_ids(self, tmp_path, min_count, share):
+        src_vocab, tgt_vocab = C.build_vocabularies(flat(self.SRC), flat(self.TGT), min_count, share)
         sides = [(src_vocab, self.SRC + self.TGT if share else self.SRC, self.SRC),
                  (tgt_vocab, self.SRC + self.TGT if share else self.TGT, self.TGT)]
         for vocab, counted, encoded in sides:
@@ -111,14 +116,16 @@ class TestVocabularyAgainstReference:
             ids = {tok: i for i, tok in enumerate(tokens)}
             assert [vocab.encode(s) for s in encoded] == [
                 [ids.get(tok, UNK_ID) for tok in s] for s in encoded]
-        pairs = C.encode_pairs(self.SRC, self.TGT, src_vocab, tgt_vocab)
+        for side, sentences in (("src", self.SRC), ("tgt", self.TGT)):
+            (tmp_path / f"c.{side}").write_text("".join(" ".join(s) + "\n" for s in sentences))
+        pairs = C.load_parallel_corpus(tmp_path / "c.src", tmp_path / "c.tgt", src_vocab, tgt_vocab)
         assert [(p.src, p.tgt) for p in pairs] == [
             (src_vocab.encode(s), tgt_vocab.encode(t)) for s, t in zip(self.SRC, self.TGT)]
         if min_count > 1:  # ties among the rare words, and a mass of <unk>
             assert counts[UNK_ID] > 0 and len(set(counts[4:])) < len(counts) - 4
 
     def test_literal_unk_is_unk(self):
-        vocab = Vocabulary.build([["a", "<unk>", "b", "b"], ["<unk>", "c"]], min_count=2)
+        vocab = Vocabulary.build(["a", "<unk>", "b", "b", "<unk>", "c"], min_count=2)
         assert [vocab.token(i) for i in range(len(vocab))] == [*RESERVED_TOKENS, "b"]
         assert vocab.counts == [0, 0, 0, 4, 2]
         assert vocab.encode(["<unk>", "a", "b"]) == [UNK_ID, UNK_ID, 4]
@@ -176,6 +183,12 @@ def brute_force_bmi(pairs, src_ids, tgt_id):
     return value
 
 
+def _bmi_table(pairs, src_freq, tgt_freq, vocab_size):
+    """``BmiTable.build`` of the flat ids of ``pairs``."""
+    return BmiTable.build(C.side_ids(pairs, "src", len(src_freq.counts)),
+                          C.side_ids(pairs, "tgt", vocab_size), src_freq, tgt_freq, vocab_size)
+
+
 def _stats(pairs, vocab_size):
     src_freq = FrequencyTable.from_pairs(pairs, "src", vocab_size)
     tgt_freq = FrequencyTable.from_pairs(pairs, "tgt", vocab_size)
@@ -199,8 +212,9 @@ def _zipf_pairs(seed, n_pairs, src_words, tgt_words, src_len, tgt_len, min_count
     ``min_count``, and the two vocabulary sizes."""
     src = zipf_sentences(seed, n_pairs, src_words, src_len, "s")
     tgt = zipf_sentences(seed + 1, n_pairs, tgt_words, tgt_len, "t")
-    src_vocab, tgt_vocab = C.build_vocabularies(src, tgt, min_count)
-    return C.encode_pairs(src, tgt, src_vocab, tgt_vocab), len(src_vocab), len(tgt_vocab)
+    src_vocab, tgt_vocab = C.build_vocabularies(flat(src), flat(tgt), min_count)
+    pairs = [SentencePair(src_vocab.encode(s), tgt_vocab.encode(t)) for s, t in zip(src, tgt)]
+    return pairs, len(src_vocab), len(tgt_vocab)
 
 
 # name -> (pairs, source vocabulary size, target vocabulary size)
@@ -266,20 +280,16 @@ class TestBmi:
         pairs, src_size, vocab_size = BMI_CORPORA[corpus]()
         src_freq = FrequencyTable.from_pairs(pairs, "src", src_size)
         tgt_freq = FrequencyTable.from_pairs(pairs, "tgt", vocab_size)
-        table = BmiTable.build(pairs, src_freq, tgt_freq, vocab_size)
+        table = _bmi_table(pairs, src_freq, tgt_freq, vocab_size)
         # bit for bit the scalar loop, not within a tolerance
         assert np.array_equal(table.values, scalar_bmi_values(pairs, src_freq, tgt_freq, vocab_size))
-        # tables that did not count these very pairs: the ids are flattened again
-        again = BmiTable.build(list(pairs), FrequencyTable(src_freq.counts),
-                               FrequencyTable(tgt_freq.counts), vocab_size)
-        assert table.values.tobytes() == again.values.tobytes()
 
     @pytest.mark.parametrize("corpus", BRUTE_FORCE_CORPORA)
     def test_table_matches_bruteforce(self, corpus):
         pairs, src_size, vocab_size = BMI_CORPORA[corpus]()
         src_freq = FrequencyTable.from_pairs(pairs, "src", src_size)
         tgt_freq = FrequencyTable.from_pairs(pairs, "tgt", vocab_size)
-        table = BmiTable.build(pairs, src_freq, tgt_freq, vocab_size)
+        table = _bmi_table(pairs, src_freq, tgt_freq, vocab_size)
         for tok in range(vocab_size):
             containing = [p for p in pairs if tok in p.tgt]
             if not containing:
@@ -288,27 +298,17 @@ class TestBmi:
             expected = np.mean([brute_force_bmi(pairs, p.src, tok) for p in containing])
             assert table.value(tok) == pytest.approx(expected, abs=1e-9)
 
-    def test_frequency_table_lends_its_ids_only_to_its_own_pairs(self):
-        pairs = [SentencePair([4, 5], [6]), SentencePair([7], [6, 8])]
-        table = FrequencyTable.from_pairs(pairs, "src", 9)
-        ids, lengths = table._counted_ids(pairs, "src", 9)
-        assert table._counted_ids(pairs, "src", 9)[0] is ids
-        for other in ((list(pairs), "src", 9), (pairs, "tgt", 9), (pairs, "src", 8)):
-            assert table._counted_ids(*other)[0] is not ids
-        with pytest.raises(CorpusError, match="src token id out of range"):
-            table._counted_ids(pairs, "src", 7)
-
     def test_pair_with_an_empty_side_is_refused(self):
         pairs = [SentencePair([4, 5], [6]), SentencePair([7], [6, 8])]
         pairs[1].src = []
         src_freq, tgt_freq, _ = _stats(pairs, 9)
         with pytest.raises(CorpusError, match="at least one token per side"):
-            BmiTable.build(pairs, src_freq, tgt_freq, 9)
+            _bmi_table(pairs, src_freq, tgt_freq, 9)
 
     def test_identical_token_in_two_sentences_same_table_value(self):
         pairs = [SentencePair([4, 5], [6]), SentencePair([7], [6, 8])]
         src_freq, tgt_freq, cooc = _stats(pairs, 9)
-        table = BmiTable.build(pairs, src_freq, tgt_freq, 9)
+        table = _bmi_table(pairs, src_freq, tgt_freq, 9)
         # one table entry regardless of which sentence the token appears in
         assert table.value(6) == table.value(6)
         per_pair = [
@@ -392,7 +392,7 @@ class TestBatches:
             assert batch.n_sentences * raw_max <= 12
 
     def test_oversize_pair_names_pair(self):
-        with pytest.raises(CorpusError, match="#1"):
+        with pytest.raises(CorpusError, match="pair at line 2 has length 9"):
             make_batches(self._pairs([2, 9, 2]), token_budget=4, seed=0)
 
     def test_masks_mark_non_pad(self):
@@ -412,21 +412,21 @@ class TestCorpusLoading:
     def test_load_and_mismatch_errors(self, tmp_path):
         (tmp_path / "s.txt").write_text("a b\nc\n")
         (tmp_path / "t.txt").write_text("x y\n")
-        vocab = Vocabulary.build([["a", "b", "c", "x", "y"]], 1)
+        vocab = Vocabulary.build(["a", "b", "c", "x", "y"], 1)
         with pytest.raises(CorpusError, match="mismatch"):
             C.load_parallel_corpus(tmp_path / "s.txt", tmp_path / "t.txt", vocab, vocab)
 
     def test_empty_line_names_line(self, tmp_path):
         (tmp_path / "s.txt").write_text("a\n\n")
         (tmp_path / "t.txt").write_text("x\ny\n")
-        vocab = Vocabulary.build([["a", "x", "y"]], 1)
+        vocab = Vocabulary.build(["a", "x", "y"], 1)
         with pytest.raises(CorpusError, match="line 2"):
             C.load_parallel_corpus(tmp_path / "s.txt", tmp_path / "t.txt", vocab, vocab)
 
     def test_max_len_enforced(self, tmp_path):
         (tmp_path / "s.txt").write_text("a a a a\n")
         (tmp_path / "t.txt").write_text("x\n")
-        vocab = Vocabulary.build([["a", "x"]], 1)
+        vocab = Vocabulary.build(["a", "x"], 1)
         with pytest.raises(CorpusError, match="max length"):
             C.load_parallel_corpus(tmp_path / "s.txt", tmp_path / "t.txt", vocab, vocab, max_len=3)
 
@@ -452,7 +452,115 @@ class TestLines:
         (tmp_path / "x.src").write_text(f"a b{separator}c d\ne f\n", encoding="utf-8")
         (tmp_path / "x.tgt").write_text(f"x{separator}y\nz\n", encoding="utf-8")
         src, tgt = C.read_parallel_tokens(tmp_path / "x.src", tmp_path / "x.tgt")
-        assert src == [["a", "b", "c", "d"], ["e", "f"]] and tgt == [["x", "y"], ["z"]]
+        assert C.split_lines(*src) == [["a", "b", "c", "d"], ["e", "f"]]
+        assert C.split_lines(*tgt) == [["x", "y"], ["z"]]
+
+
+def reference_parallel_tokens(src_path, tgt_path, max_len=0):
+    """The per-line reader the flat one replaced: ``str.split`` of each line,
+    every pair checked in line order, then each side's reserved tokens."""
+    src_lines, tgt_lines = C.read_aligned_lines(src_path, tgt_path)
+    src, tgt = [line.split() for line in src_lines], [line.split() for line in tgt_lines]
+    for i, (s_toks, t_toks) in enumerate(zip(src, tgt), start=1):
+        if not s_toks or not t_toks:
+            raise CorpusError(f"empty sentence at line {i} of {tgt_path if s_toks else src_path}")
+        if max_len and (len(s_toks) > max_len or len(t_toks) > max_len):
+            longer = src_path if len(s_toks) > max_len else tgt_path
+            raise CorpusError(f"sentence at line {i} of {longer} exceeds max length {max_len}")
+    for path, sentences in ((src_path, src), (tgt_path, tgt)):
+        for i, tokens in enumerate(sentences, start=1):
+            found = next((tok for tok in tokens if tok in RESERVED_TOKENS[:UNK_ID]), None)
+            if found is not None:
+                raise CorpusError(f"reserved token {found!r} at line {i} of {path}")
+    return src, tgt
+
+
+# every code point str.split splits at that a line may hold, and some it does not
+SPACES = [" ", "  ", "\t", "\u00a0", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+          "\u2028", "\u2029", "\f", "\v", "\r", "\u200b", "\ufeff"]
+WORDS = ["a", "bb", "é", "中文", "😀", "<unk>", "a<s>", "x\u200by"]
+
+
+def messy_text(rng, n_lines, extra_words=(), blank=0.2):
+    """``n_lines`` lines of words between runs of spaces, leading and trailing
+    blanks included, ending at ``\\n`` or ``\\r\\n``, the last one maybe
+    without an end; a line is blank with probability ``blank``."""
+    words, gaps = WORDS + list(extra_words), ["", *SPACES, "".join(SPACES)]
+    lines = []
+    for _ in range(n_lines):
+        line = str(rng.choice(gaps))
+        for _ in range(0 if rng.random() < blank else int(rng.integers(1, 7))):
+            line += rng.choice(words) + rng.choice(SPACES) + rng.choice(gaps)
+        lines.append(line + rng.choice(["\n", "\r\n"]))
+    text = "".join(lines)
+    return text[: -1 - text.endswith("\r\n")] if rng.random() < 0.3 else text
+
+
+class TestFlatReader:
+    def test_messy_whitespace_and_crlf(self, tmp_path):
+        text = ("\ta  b\u00a0c\r\n  lead and trail  \n"
+                "x\u3000y\x1cz\x1d\x1e\x1fw\x85v\u2028u\r\n\f\vlast")
+        path = tmp_path / "x.txt"
+        path.write_bytes(text.encode())
+        tokens, lengths = C.read_tokens(path)
+        lines = C.read_lines(path)
+        assert tokens == list(chain(*map(str.split, lines)))
+        assert lengths.tolist() == [3, 3, 6, 1]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_files_equal_the_per_line_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n_lines = int(rng.integers(0, 12))
+        path = tmp_path / "x.txt"
+        path.write_bytes(messy_text(rng, n_lines).encode())
+        tokens, lengths = C.read_tokens(path)
+        lines = C.read_lines(path)
+        assert tokens == list(chain(*map(str.split, lines)))
+        assert lengths.tolist() == [len(line.split()) for line in lines]
+        assert C.split_lines(tokens, lengths) == [line.split() for line in lines]
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_checks_name_the_reference_line_and_message(self, tmp_path, seed):
+        rng = np.random.default_rng([seed, 1])
+        n_lines = int(rng.integers(1, 8))
+        # several bad lines a file: empty ones, reserved tokens and long ones
+        reserved = ["<pad>", "<s>", "</s>"] if rng.random() < 0.5 else []
+        src, tgt = tmp_path / "x.src", tmp_path / "x.tgt"
+        src.write_bytes(messy_text(rng, n_lines, reserved, blank=0.04).encode())
+        tgt.write_bytes(messy_text(rng, n_lines + (rng.random() < 0.1), reserved, blank=0.04).encode())
+        max_len = int(rng.choice([0, 5, 6]))
+        try:
+            expected = reference_parallel_tokens(src, tgt, max_len)
+        except CorpusError as exc:
+            with pytest.raises(CorpusError) as info:
+                C.read_parallel_tokens(src, tgt, max_len)
+            assert str(info.value) == str(exc)
+            return
+        got = C.read_parallel_tokens(src, tgt, max_len)
+        assert [C.split_lines(*side) for side in got] == list(expected)
+
+    @pytest.mark.parametrize("src_text, tgt_text, message", [
+        ("a <s>\n\nb\nc c c c\n", "x\ny\n\nz\n", "empty sentence at line 2 of {src}"),
+        ("a\nb b b b\n\n", "x\ny\n\n", "sentence at line 2 of {src} exceeds max length 3"),
+        ("a\nb\nc </s>\nd <pad>\n", "x <s>\ny\nz\nw\n", "reserved token '</s>' at line 3 of {src}"),
+        ("a\nb\nc\n", "x\ny y y y\n \t\n", "sentence at line 2 of {tgt} exceeds max length 3"),
+        ("a\nb\nc\n", "x\n<s> y\n</s>\n", "reserved token '<s>' at line 2 of {tgt}"),
+    ])
+    def test_several_bad_lines_name_the_first(self, tmp_path, src_text, tgt_text, message):
+        src, tgt = tmp_path / "x.src", tmp_path / "x.tgt"
+        src.write_text(src_text, encoding="utf-8")
+        tgt.write_text(tgt_text, encoding="utf-8")
+        message = message.format(src=src, tgt=tgt)
+        for reader in (reference_parallel_tokens, C.read_parallel_tokens):
+            with pytest.raises(CorpusError) as info:
+                reader(src, tgt, 3)
+            assert str(info.value) == message
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        (tmp_path / "x.src").write_text("a\n", encoding="utf-8")
+        (tmp_path / "x.tgt").write_bytes(b"\xff\n")
+        with pytest.raises(CorpusError, match=f"{tmp_path / 'x.tgt'} is not UTF-8 text"):
+            C.read_parallel_tokens(tmp_path / "x.src", tmp_path / "x.tgt")
 
 
 class TestReservedTokens:
@@ -468,7 +576,8 @@ class TestReservedTokens:
         (tmp_path / "s.txt").write_text("a<s>b <pad>x\n")
         (tmp_path / "t.txt").write_text("<unk> y</s>\n")
         src, tgt = C.read_parallel_tokens(tmp_path / "s.txt", tmp_path / "t.txt")
-        assert src == [["a<s>b", "<pad>x"]] and tgt == [["<unk>", "y</s>"]]
+        assert C.split_lines(*src) == [["a<s>b", "<pad>x"]]
+        assert C.split_lines(*tgt) == [["<unk>", "y</s>"]]
 
     def test_earlier_checks_come_first(self, tmp_path):
         (tmp_path / "s.txt").write_text("<pad>\n\n")

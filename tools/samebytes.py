@@ -19,13 +19,15 @@ numbered lines only one side holds for a text file (the first
 
 The pipeline: ``preprocess --min-count 2``, so both sides hold ``<unk>``,
 and once more with ``--share-vocab true`` into its own directory, so one
-vocabulary counts both sides; ``train`` of every scheme in fp32 and in
+vocabulary counts both sides; the training and held-out files end in pairs
+of tabs, runs of spaces, leading and trailing blanks, no-break spaces and a
+literal ``<unk>`` (``MESSY_PAIRS``); ``train`` of every scheme in fp32 and in
 fp64 (the desk preset at a 512-token budget, which the LM pass overlaps
 at), checkpointing at step 2 of 4, then a copy of the run resumed from
 that checkpoint in its own directory (``prior_select`` with thresholds
 that reach all three of its regimes, ``cbmi`` with a weight dump, and
 ``lm_prior`` once more with ``--soften-teacher-only true``);
-``translate`` at beams 1, 2 and 4 of a 150-sentence file (three decode
+``translate`` at beams 1, 2 and 4 of a 153-sentence file (three decode
 groups; after so few steps every sentence is force-finished), ``score``,
 ``analyze-cbmi`` and ``dump-weights`` on the ``cbmi`` checkpoint of each
 precision, with ``dump-weights`` once more for each of ``DUMP_ABLATIONS``
@@ -81,9 +83,20 @@ BLEU_EDGE_LINES = [
 ]
 
 
+# training pairs whose words are not parted by single spaces: tabs, runs of
+# spaces, leading and trailing blanks, a no-break and an ideographic space,
+# and a literal <unk>, so that the tokenizer's whitespace rules are compared
+MESSY_PAIRS = [
+    ("s1\ts2  s3 ", "t1  t2\tt3 "),
+    (" s4\u00a0s5 <unk>", "t4 <unk>\u00a0t5  "),
+    ("s6   s7\t\ts1\u3000s2\t", "\tt6 t7 t1\u3000t2"),
+]
+
+
 def write_corpus(out: Path, seed: int = 5) -> None:
     """A 300-pair substitution corpus (Zipf-like words, 200 a side, lengths
-    3-12, one word in ten replaced at random) and a 150-line held-out set;
+    3-12, one word in ten replaced at random) and a 150-line held-out set,
+    each followed by ``MESSY_PAIRS``;
     under ``easy/``, a 400-pair word-for-word substitution (12 words a side,
     lengths 2-5) and a held-out set of ``EASY_TEST_LINES``; and
     ``bleu_edge.hyp``/``.ref``, the lines of ``BLEU_EDGE_LINES``."""
@@ -104,7 +117,11 @@ def write_corpus(out: Path, seed: int = 5) -> None:
         return ([" ".join(f"s{w}" for w in line) for line in words],
                 [" ".join(f"t{w}" for w in line) for line in words])
 
-    for name, (src, tgt) in (("train", pairs(300)), ("test", pairs(150)),
+    train, test = pairs(300), pairs(150)
+    for src, tgt in (train, test):
+        src += [src_line for src_line, _ in MESSY_PAIRS]
+        tgt += [tgt_line for _, tgt_line in MESSY_PAIRS]
+    for name, (src, tgt) in (("train", train), ("test", test),
                              ("easy/train", easy_pairs(400)),
                              ("easy/test", easy_pairs(EASY_TEST_LINES))):
         (out / f"{name}.src").write_text("\n".join(src) + "\n", encoding="utf-8")
