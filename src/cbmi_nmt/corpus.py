@@ -522,29 +522,14 @@ class BmiTable:
         del keys
         joint = np.diff(starts, append=n_meets)
         del starts
-        # math.log as in bmi_value, once per distinct ratio: np.log is one ulp
-        # off it for some arguments. A key's ratio is a function of its
-        # (joint, source count, target count) triple, so the keys are grouped
-        # by a packed-integer sort of their triples first, and np.unique
-        # sorts only a ratio per distinct triple
-        counts = (joint, src_freq.counts[s], tgt_freq.counts[t])
-        bits = [int(c.max(initial=0)).bit_length() for c in counts]
-        triples = counts[0] << (bits[1] + bits[2]) | counts[1] << bits[2] | counts[2]
-        del counts
-        triples, origin = _sort_tracked(triples, 1 << sum(bits))
-        first = _run_starts(triples)
-        del triples
-        group = np.empty_like(origin)
-        group[origin] = np.cumsum(first) - 1
-        rep = origin[first]
-        del origin, first
         f_src = _smoothed_rel_freq(src_freq.counts, src_freq.total)
         f_tgt = _smoothed_rel_freq(tgt_freq.counts, tgt_freq.total)
-        ratio = _smoothed_rel_freq(joint[rep], n_pairs) / (f_src[s[rep]] * f_tgt[t[rep]])
-        del s, t, rep
+        ratio = _smoothed_rel_freq(joint, n_pairs) / (f_src[s] * f_tgt[t])
+        del s, t
+        # math.log as in bmi_value, once per distinct ratio: np.log is one ulp
+        # off it for some arguments
         distinct, where = np.unique(ratio, return_inverse=True)
-        where = where[group]
-        del ratio, group
+        del ratio
         logs = np.fromiter(map(math.log, distinct.tolist()), dtype=np.float64, count=distinct.size)
         # each meet's term, and a zero past the last for a pad cell to read
         terms = np.empty(n_meets + 1)
