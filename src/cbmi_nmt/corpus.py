@@ -11,7 +11,9 @@ built before the ids are. ``<pad>``, ``<s>`` and ``</s>`` may not appear in
 text that is encoded; a literal ``<unk>`` is ``<unk>``.
 
 The BMI table is array code equal bit for bit to the scalar reference
-(``bmi_value`` over ``build_cooccurrence``). One sort of the packed
+(``bmi_value`` over ``build_cooccurrence``). Both take each term's log
+with ``np.log``, whose bits for one float are those of the array call
+(``math.log`` is an ulp off it for some ratios). One sort of the packed
 (source type, target type) codes of every (pair, distinct target type,
 distinct source type) gives the co-occurrence keys, their counts and each
 such meet's key, so every source position finds its term by gathers. The
@@ -432,7 +434,7 @@ def bmi_value(
     for s in src_ids:
         f_s = _smoothed_rel_freq(src_freq.count(s), src_freq.total)
         f_joint = _smoothed_rel_freq(cooc.get((s, tgt_id), 0), num_pairs)
-        value += math.log(f_joint / (f_s * f_t))
+        value += float(np.log(f_joint / (f_s * f_t)))
     return value
 
 
@@ -524,18 +526,14 @@ class BmiTable:
         del starts
         f_src = _smoothed_rel_freq(src_freq.counts, src_freq.total)
         f_tgt = _smoothed_rel_freq(tgt_freq.counts, tgt_freq.total)
-        ratio = _smoothed_rel_freq(joint, n_pairs) / (f_src[s] * f_tgt[t])
+        logs = _smoothed_rel_freq(joint, n_pairs) / (f_src[s] * f_tgt[t])
         del s, t
-        # math.log as in bmi_value, once per distinct ratio: np.log is one ulp
-        # off it for some arguments
-        distinct, where = np.unique(ratio, return_inverse=True)
-        del ratio
-        logs = np.fromiter(map(math.log, distinct.tolist()), dtype=np.float64, count=distinct.size)
+        np.log(logs, out=logs)
         # each meet's term, and a zero past the last for a pad cell to read
         terms = np.empty(n_meets + 1)
         terms[n_meets] = 0.0
-        terms[meet] = np.repeat(logs[where], joint)
-        del meet, where, joint
+        terms[meet] = np.repeat(logs, joint)
+        del meet, logs, joint
         width = int(src_len.max(initial=0))
         # each position's rank in a column of pad-padded sources; a pad's rank
         # is n_meets, which lands every row past its last meet, and take's

@@ -232,8 +232,9 @@ BMI_CORPORA = {
     "uneven_lengths": lambda: (
         _random_pairs(3, 25, range(4, 30), range(4, 9), (1, 91), (1, 4)) + [SentencePair([4], [5])],
         30, 9),
-    # on an AVX-512 host np.log is one ulp off math.log for a ratio of this
-    # corpus, and that moves one table value by an ulp
+    # on an AVX-512 host math.log is one ulp off np.log for a ratio of this
+    # corpus; the table and bmi_value both take np.log, so the case stays
+    # bit for bit
     "log_ulp": lambda: (_random_pairs(436, 30, range(4, 16), range(4, 16), (1, 10), (1, 10)),
                         16, 16),
     # a source vocabulary larger than the target one the keys are encoded in
@@ -283,6 +284,23 @@ class TestBmi:
         table = _bmi_table(pairs, src_freq, tgt_freq, vocab_size)
         # bit for bit the scalar loop, not within a tolerance
         assert np.array_equal(table.values, scalar_bmi_values(pairs, src_freq, tgt_freq, vocab_size))
+
+    def test_np_log_of_one_ratio_is_the_array_call(self):
+        # the table takes np.log of all its ratios at once and bmi_value of one
+        # float at a time: a numpy whose one-element path differed from its
+        # SIMD loop would break the bit-for-bit check above
+        pairs, src_size, vocab_size = BMI_CORPORA["benchmark_shape"]()
+        src_freq = FrequencyTable.from_pairs(pairs, "src", src_size)
+        tgt_freq = FrequencyTable.from_pairs(pairs, "tgt", vocab_size)
+        cooc = build_cooccurrence(pairs)
+        f_src = C._smoothed_rel_freq(src_freq.counts, src_freq.total)
+        f_tgt = C._smoothed_rel_freq(tgt_freq.counts, tgt_freq.total)
+        keys = np.array(list(cooc))
+        joint = np.array(list(cooc.values()))
+        ratios = C._smoothed_rel_freq(joint, len(pairs)) / (f_src[keys[:, 0]] * f_tgt[keys[:, 1]])
+        one_at_a_time = np.array([np.log(r) for r in ratios.tolist()])
+        assert ratios.size > 5_000
+        assert np.log(ratios).tobytes() == one_at_a_time.tobytes()
 
     @pytest.mark.parametrize("corpus", BRUTE_FORCE_CORPORA)
     def test_table_matches_bruteforce(self, corpus):
