@@ -295,7 +295,11 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup ``weight[ids]``; gradients scatter-add into ``weight``."""
+    """Row lookup ``weight[ids]``; gradients scatter-add into ``weight``.
+
+    The backward sorts the ids stably and sums each id's run of gradient
+    rows with one ``np.add.reduceat``, so an id's rows add up in the order
+    they were looked up; an id looked up once gets its row as it is."""
     ids = np.asarray(ids)
     vocab = weight.data.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
@@ -305,7 +309,12 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
     def grad_fn(g):
         gw = np.zeros_like(weight.data)
-        np.add.at(gw, ids.reshape(-1), g.reshape(-1, weight.data.shape[1]))
+        if ids.size:
+            order = np.argsort(ids, axis=None, kind="stable")
+            sorted_ids = ids.reshape(-1)[order]
+            starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+            rows = g.reshape(-1, weight.data.shape[1])[order]
+            gw[sorted_ids[starts]] = np.add.reduceat(rows, starts)
         return (gw,)
 
     return _record(out, (weight,), grad_fn)

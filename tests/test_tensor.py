@@ -337,6 +337,34 @@ class TestFiniteDifferences:
             rng,
         )
 
+    @pytest.mark.parametrize("ids", [
+        np.array([3, 1, 3, 3, 0, 1, 3, 3, 3, 3, 3, 1]),  # an id nine times, ids 2, 4, 5 unused
+        np.array([2]),
+        np.array([[5, 0, 5], [0, 4, 5]]),
+    ], ids=["repeated", "single", "2d"])
+    def test_embedding_backward(self, rng, ids):
+        c = rng.normal(size=(*ids.shape, 4))
+        fd_check(lambda w: T.sum_all(T.mul(T.embedding(w, ids), c)),
+                 [rng.normal(size=(6, 4))], rng, samples_per_tensor=24)
+        w = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(T.sum_all(T.mul(T.embedding(w, ids), c)))
+        unused = np.setdiff1d(np.arange(6), ids)
+        assert not w.grad[unused].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_embedding_backward_of_unique_ids_is_add_at(self, rng, dtype):
+        # the live-row gather of models._target_side looks up each row once
+        ids = np.sort(rng.choice(50, size=30, replace=False))
+        g = rng.normal(size=(30, 8)).astype(dtype)
+        w = Tensor(rng.normal(size=(50, 8)).astype(dtype), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(T.sum_all(T.mul(T.embedding(w, ids), g)))
+        want = np.zeros_like(w.data)
+        np.add.at(want, ids, g)
+        assert w.grad.dtype == dtype
+        np.testing.assert_array_equal(w.grad, want)
+
     def test_relu(self, rng):
         c = rng.normal(size=(5, 5))
         fd_check(
