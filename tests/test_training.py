@@ -147,6 +147,14 @@ class TestAdam:
         assert norm == pytest.approx(6.0)
         assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-9)
 
+    def test_clip_norm_of_squares_past_float32_range(self):
+        p = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        p.grad = np.array([3e19, 4e19, 0.0], dtype=np.float32)
+        norm = clip_gradients({"p": p}, max_norm=1.0)
+        assert norm == pytest.approx(5e19, rel=1e-6)
+        assert p.grad.dtype == np.float32
+        np.testing.assert_allclose(p.grad, [0.6, 0.8, 0.0], rtol=1e-6)
+
     def test_clip_disabled(self):
         p = Tensor(np.zeros(4), requires_grad=True)
         p.grad = np.full(4, 3.0)
