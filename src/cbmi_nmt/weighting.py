@@ -295,14 +295,15 @@ def lm_prior_loss(
 
     The language-model distribution is the gradient-opaque teacher. Both
     distributions are softened by ``tau`` unless ``soften_teacher_only``.
-    Log-probabilities are valid inputs wherever logits are expected: softmax
-    is invariant to the per-row logsumexp shift.
+    The teacher may be given as logits: softmax is invariant to the per-row
+    logsumexp shift. The student's rows must be normalized log-probabilities,
+    since unsoftened they are the student's term as they are.
     """
     if tau <= 0:
         raise ValueError("temperature tau must be positive")
     q = _softened_probs(np.array(lm_log_probs, dtype=np.float64), tau)
-    if soften_teacher_only:
-        student_log = T.log_softmax(nmt_log_probs)
+    if soften_teacher_only or tau == 1.0:
+        student_log = nmt_log_probs
     else:
         student_log = T.log_softmax(T.mul(nmt_log_probs, 1.0 / tau))
     # KL(q||p) = sum q log q - sum q log p; the first term is the constant k

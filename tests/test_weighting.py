@@ -17,7 +17,7 @@ from cbmi_nmt.weighting import (
     select_prior,
 )
 
-from conftest import normalized_sentence_cbmi, schedule_of
+from conftest import fd_check, normalized_sentence_cbmi, schedule_of
 
 
 def _token_cbmi(p_nmt, p_lm):
@@ -383,6 +383,15 @@ class TestLmPrior:
         _, q, _, _ = W.lm_prior_loss(Tensor(lm.copy()), lm, 0.5, tau)
         np.testing.assert_array_equal(q, exp / exp.sum(axis=-1, keepdims=True))
         np.testing.assert_array_equal(lm, before)
+
+    @pytest.mark.parametrize("tau, teacher_only", [(1.0, False), (2.0, True)])
+    def test_unsoftened_student_gradient(self, rng, tau, teacher_only):
+        # the student's normalized rows are its term as they are, with no
+        # second log_softmax: the loss head's gradient through them is checked
+        lm = rng.normal(size=(3, 6))
+        fd_check(lambda x: lm_prior_kl(T.log_softmax(x), lm, lam=0.5, tau=tau,
+                                       soften_teacher_only=teacher_only),
+                 [rng.normal(size=(3, 6))], rng, samples_per_tensor=18)
 
     def test_gradient_flows_to_student_only(self, rng):
         logits = rng.normal(size=(2, 4))
