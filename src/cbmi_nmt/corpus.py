@@ -1,9 +1,10 @@
-"""Corpus ingestion: tokenization, vocabularies, batching, and the corpus
+"""Corpus ingestion: reading, vocabularies, batching, and the corpus
 statistics (frequency and BMI tables) consumed by the baseline weighting
 schemes.
 
-Tokenization is whitespace word-level at desk scale; anything smarter (a
-subword tokenizer) can slot in behind the same ``Vocabulary`` interface.
+Tokens are whitespace-separated words (``str.split`` in ``read_tokens``) at
+desk scale; anything smarter (a subword tokenizer) can slot in behind the
+same ``Vocabulary`` interface.
 A line ends at ``\\n`` (or ``\\r\\n``) and nowhere else (``read_lines``).
 A corpus file is read as one flat token stream and the number of tokens on
 each line (``read_tokens``), so no per-line or per-pair Python object is
@@ -43,14 +44,6 @@ RESERVED_TOKENS = ("<pad>", "<s>", "</s>", "<unk>")
 
 class CorpusError(ValueError):
     """Raised for malformed corpus files or inconsistent statistics inputs."""
-
-
-def tokenize(line: str) -> list[str]:
-    return line.split()
-
-
-def detokenize(tokens: Sequence[str]) -> str:
-    return " ".join(tokens)
 
 
 class _Ids(dict):
@@ -225,8 +218,8 @@ _CHUNK_CHARS = 1 << 16
 
 def read_tokens(path: str | Path) -> tuple[list[str], np.ndarray]:
     """The tokens of a one-sentence-per-line UTF-8 file as one flat stream,
-    and the number of them on each line: the stream is ``tokenize`` of each
-    line of ``read_lines`` in turn, with no list built per line.
+    and the number of them on each line: the stream is ``str.split`` of
+    each line of ``read_lines`` in turn, with no list built per line.
 
     The text is split a chunk of whole lines at a time and each token
     interned, so the stream holds one string per type and a chunk's repeats

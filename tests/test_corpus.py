@@ -131,11 +131,6 @@ class TestVocabularyAgainstReference:
         assert vocab.encode(["<unk>", "a", "b"]) == [UNK_ID, UNK_ID, 4]
 
 
-def test_tokenize_detokenize_roundtrip():
-    line = "the quick brown fox"
-    assert C.detokenize(C.tokenize(line)) == line
-
-
 class TestFrequencyTable:
     def test_streaming_equals_brute_recount(self, rng):
         vocab_size = 9
