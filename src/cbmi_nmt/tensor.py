@@ -309,12 +309,11 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
     def grad_fn(g):
         gw = np.zeros_like(weight.data)
-        if ids.size:
-            order = np.argsort(ids, axis=None, kind="stable")
-            sorted_ids = ids.reshape(-1)[order]
-            starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
-            rows = g.reshape(-1, weight.data.shape[1])[order]
-            gw[sorted_ids[starts]] = np.add.reduceat(rows, starts)
+        order = np.argsort(ids, axis=None, kind="stable")
+        sorted_ids = ids.reshape(-1)[order]
+        starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+        rows = g.reshape(-1, weight.data.shape[1])[order]
+        gw[sorted_ids[starts]] = np.add.reduceat(rows, starts)
         return (gw,)
 
     return _record(out, (weight,), grad_fn)

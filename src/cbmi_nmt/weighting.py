@@ -296,8 +296,9 @@ def lm_prior_loss(
     The language-model distribution is the gradient-opaque teacher. Both
     distributions are softened by ``tau`` unless ``soften_teacher_only``.
     The teacher may be given as logits: softmax is invariant to the per-row
-    logsumexp shift. The student's rows must be normalized log-probabilities,
-    since unsoftened they are the student's term as they are.
+    logsumexp shift. The student's rows must be normalized log-probabilities:
+    unsoftened (``tau`` 1 or ``soften_teacher_only``), they are used as they
+    are, with no second ``log_softmax``.
     """
     if tau <= 0:
         raise ValueError("temperature tau must be positive")

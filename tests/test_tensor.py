@@ -341,7 +341,8 @@ class TestFiniteDifferences:
         np.array([3, 1, 3, 3, 0, 1, 3, 3, 3, 3, 3, 1]),  # an id nine times, ids 2, 4, 5 unused
         np.array([2]),
         np.array([[5, 0, 5], [0, 4, 5]]),
-    ], ids=["repeated", "single", "2d"])
+        np.zeros((2, 0), dtype=np.int64),
+    ], ids=["repeated", "single", "2d", "empty"])
     def test_embedding_backward(self, rng, ids):
         c = rng.normal(size=(*ids.shape, 4))
         fd_check(lambda w: T.sum_all(T.mul(T.embedding(w, ids), c)),
