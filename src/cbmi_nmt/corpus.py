@@ -12,9 +12,8 @@ built before the ids are. ``<pad>``, ``<s>`` and ``</s>`` may not appear in
 text that is encoded; a literal ``<unk>`` is ``<unk>``.
 
 The BMI table is array code equal bit for bit to the scalar reference
-(``bmi_value`` over ``build_cooccurrence``). Both take each term's log
-with ``np.log``, whose bits for one float are those of the array call
-(``math.log`` is an ulp off it for some ratios). One sort of the packed
+(``bmi_value`` over ``build_cooccurrence``); both take ``np.log`` of each
+ratio, whose bits for one float are the array call's. One sort of the packed
 (source type, target type) codes of every (pair, distinct target type,
 distinct source type) gives the co-occurrence keys, their counts and each
 such meet's key, so every source position finds its term by gathers. The

@@ -295,11 +295,9 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup ``weight[ids]``; gradients scatter-add into ``weight``.
-
-    The backward sorts the ids stably and sums each id's run of gradient
-    rows with one ``np.add.reduceat``, so an id's rows add up in the order
-    they were looked up; an id looked up once gets its row as it is."""
+    """Row lookup ``weight[ids]``; gradients scatter-add into ``weight``, an
+    id's rows summed in lookup order by one ``np.add.reduceat`` over the
+    stably sorted ids."""
     ids = np.asarray(ids)
     vocab = weight.data.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
@@ -312,8 +310,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
         order = np.argsort(ids, axis=None, kind="stable")
         sorted_ids = ids.reshape(-1)[order]
         starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
-        rows = g.reshape(-1, weight.data.shape[1])[order]
-        gw[sorted_ids[starts]] = np.add.reduceat(rows, starts)
+        gw[sorted_ids[starts]] = np.add.reduceat(g.reshape(-1, gw.shape[1])[order], starts)
         return (gw,)
 
     return _record(out, (weight,), grad_fn)

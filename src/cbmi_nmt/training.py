@@ -108,11 +108,8 @@ class AdamState:
 @np.errstate(over="ignore")
 def clip_gradients(tensors: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
-    A non-positive ``max_norm`` disables clipping. Returns the pre-clip norm.
-
-    Each gradient's squares are summed by a dot product in its own dtype,
-    in the order of ``tensors``; only if that overflows are they summed in
-    float64."""
+    A non-positive ``max_norm`` disables clipping. Returns the pre-clip norm,
+    each gradient's squares summed in its own dtype (in float64 on overflow)."""
     grads = [p.grad.ravel() for p in tensors.values() if p.grad is not None]
     total = sum(float(np.dot(g, g)) for g in grads)
     if total == np.inf:  # no float32 square is past float64's range

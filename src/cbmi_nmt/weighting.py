@@ -295,10 +295,9 @@ def lm_prior_loss(
 
     The language-model distribution is the gradient-opaque teacher. Both
     distributions are softened by ``tau`` unless ``soften_teacher_only``.
-    The teacher may be given as logits: softmax is invariant to the per-row
-    logsumexp shift. The student's rows must be normalized log-probabilities:
-    unsoftened (``tau`` 1 or ``soften_teacher_only``), they are used as they
-    are, with no second ``log_softmax``.
+    The teacher may be logits (softmax ignores a per-row shift); the student
+    must be log-probabilities, which unsoftened (``tau`` 1 or
+    ``soften_teacher_only``) are its term as they are.
     """
     if tau <= 0:
         raise ValueError("temperature tau must be positive")
