@@ -295,9 +295,7 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup ``weight[ids]``; gradients scatter-add into ``weight``, an
-    id's rows summed in lookup order by one ``np.add.reduceat`` over the
-    stably sorted ids."""
+    """Row lookup ``weight[ids]``; gradients scatter-add into ``weight``."""
     ids = np.asarray(ids)
     vocab = weight.data.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
@@ -307,10 +305,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
     def grad_fn(g):
         gw = np.zeros_like(weight.data)
-        order = np.argsort(ids, axis=None, kind="stable")
-        sorted_ids = ids.reshape(-1)[order]
-        starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
-        gw[sorted_ids[starts]] = np.add.reduceat(g.reshape(-1, gw.shape[1])[order], starts)
+        np.add.at(gw, ids.reshape(-1), g.reshape(-1, weight.data.shape[1]))
         return (gw,)
 
     return _record(out, (weight,), grad_fn)

@@ -105,15 +105,13 @@ class AdamState:
         )
 
 
-@np.errstate(over="ignore")
 def clip_gradients(tensors: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
-    A non-positive ``max_norm`` disables clipping. Returns the pre-clip norm,
-    each gradient's squares summed in its own dtype (in float64 on overflow)."""
-    grads = [p.grad.ravel() for p in tensors.values() if p.grad is not None]
-    total = sum(float(np.dot(g, g)) for g in grads)
-    if total == np.inf:  # no float32 square is past float64's range
-        total = sum(float(np.dot(g, g)) for g in (g.astype(np.float64) for g in grads))
+    A non-positive ``max_norm`` disables clipping. Returns the pre-clip norm."""
+    total = 0.0
+    for p in tensors.values():
+        if p.grad is not None:
+            total += float((p.grad.astype(np.float64) ** 2).sum())
     norm = total**0.5
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm

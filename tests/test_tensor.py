@@ -353,19 +353,6 @@ class TestFiniteDifferences:
         unused = np.setdiff1d(np.arange(6), ids)
         assert not w.grad[unused].any()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_embedding_backward_of_unique_ids_is_add_at(self, rng, dtype):
-        # the live-row gather of models._target_side looks up each row once
-        ids = np.sort(rng.choice(50, size=30, replace=False))
-        g = rng.normal(size=(30, 8)).astype(dtype)
-        w = Tensor(rng.normal(size=(50, 8)).astype(dtype), requires_grad=True)
-        with Tape() as tape:
-            tape.backward(T.sum_all(T.mul(T.embedding(w, ids), g)))
-        want = np.zeros_like(w.data)
-        np.add.at(want, ids, g)
-        assert w.grad.dtype == dtype
-        np.testing.assert_array_equal(w.grad, want)
-
     def test_relu(self, rng):
         c = rng.normal(size=(5, 5))
         fd_check(
